@@ -1,6 +1,5 @@
 #include "src/hier/system.h"
 
-#include "src/ckpt/archive.h"
 #include "src/ckpt/signal.h"
 #include "src/common/log.h"
 #include "src/trace/scenarios.h"
@@ -56,10 +55,7 @@ system::system(const system_config& config, const std::vector<lane_spec>& lanes,
             config_.capture_path, lanes.front().profile.name,
             lanes.front().profile.floating_point,
             std::max(1u, config_.cores));
-    if (config_.cores > 1)
-        build_cmp(lanes);
-    else
-        build_single(lanes.front());
+    build(lanes);
 }
 
 system::~system()
@@ -222,41 +218,15 @@ mem::mem_port* system::wire_shared_level(mem::mem_client* above)
     return below;
 }
 
-// The single-core assembly is byte-for-byte the pre-CMP wiring: same
-// derived seeds, same registration order - the cores=1 bit-identity
-// guard in tests/coh_test.cpp depends on it.
-void system::build_single(const lane_spec& lane)
+// Cores, private L1s and (with more than one core) the coherence hub above
+// the shared level. Each core's workload lane derives from
+// rng::split(seed, lane-tag, core) with a disjoint data region unless the
+// lane names one. A single core keeps the pre-CMP derived seeds, L1
+// settings and registration order: the cores=1 bit-identity guards in
+// tests/coh_test.cpp and tests/golden_rows_test.cpp depend on them.
+void system::build(const std::vector<lane_spec>& lanes)
 {
-    streams_.push_back(make_lane_stream(lane, 0));
-    cores_.push_back(std::make_unique<cpu::ooo_core>(config_.core,
-                                                     *streams_.back(), ids_));
-    cpu::ooo_core* core = cores_.back().get();
-
-    mem::cache_config l1c = config_.l1;
-    l1c.seed = hash64(seed_ ^ 0x11);
-    l1s_.push_back(std::make_unique<mem::conventional_cache>(l1c, ids_));
-    mem::conventional_cache* l1 = l1s_.back().get();
-
-    build_shared_components();
-
-    // Wire top-down. Registration order is the timing contract: producers
-    // tick before the consumers beneath them (see sim/engine.h).
-    core->set_dcache(l1);
-    engine_.add(*core);
-    engine_.add(*l1);
-    l1->set_upstream(core);
-    l1->set_downstream(wire_shared_level(l1));
-    prewarm();
-}
-
-// CMP assembly: N private cores/L1s above the coherence hub, the same
-// shared level beneath it. Each core's workload lane derives from
-// rng::split(seed, lane-tag, core) with a disjoint data region, so mixes
-// are multiprogrammed (no shared data between cores; sharing is exercised
-// by tests/coh_test.cpp through direct hub workloads).
-void system::build_cmp(const std::vector<lane_spec>& lanes)
-{
-    const unsigned n = config_.cores;
+    const unsigned n = std::max(1u, config_.cores);
     if (n > mem::max_cores)
         throw std::invalid_argument("system: cores > 32 unsupported");
 
@@ -266,54 +236,68 @@ void system::build_cmp(const std::vector<lane_spec>& lanes)
             config_.core, *streams_.back(), ids_));
 
         mem::cache_config l1c = config_.l1;
-        l1c.name = "L1#" + std::to_string(i);
-        l1c.seed = rng::split(seed_, 0x11c0ULL, i);
-        // MESI structurally requires copy-back write-allocate L1s that
-        // notify the directory of every eviction; normalise here (same
-        // settings presets::cmp applies) so setting `cores` directly on a
-        // stock preset cannot silently break coherence - a write-through
-        // L1 would drain stores as access_kind::write, which the hub has
-        // no transition for.
-        l1c.write_through = false;
-        l1c.write_allocate = true;
-        l1c.writeback_clean = true;
-        l1c.coherent = true;
-        l1c.core_id = mem::core_id_t(i);
+        if (n == 1) {
+            l1c.seed = hash64(seed_ ^ 0x11);
+        } else {
+            l1c.name = "L1#" + std::to_string(i);
+            l1c.seed = rng::split(seed_, 0x11c0ULL, i);
+            // MESI structurally requires copy-back write-allocate L1s that
+            // notify the directory of every eviction; normalise here (same
+            // settings presets::cmp applies) so setting `cores` directly on
+            // a stock preset cannot silently break coherence - a
+            // write-through L1 would drain stores as access_kind::write,
+            // which the hub has no transition for.
+            l1c.write_through = false;
+            l1c.write_allocate = true;
+            l1c.writeback_clean = true;
+            l1c.coherent = true;
+            l1c.core_id = mem::core_id_t(i);
+        }
         l1s_.push_back(std::make_unique<mem::conventional_cache>(l1c, ids_));
     }
 
-    coh::coherence_config cc = config_.coherence;
-    cc.cores = n;
-    cc.block_bytes = config_.l1.block_bytes;
-    if (cc.directory_entries == 0) {
-        // Inclusive over the L1s: size for every line every L1 can hold
-        // plus in-flight fills/evictions, doubled for the open-addressed
-        // index's load factor - overflow becomes structurally impossible.
-        const std::uint32_t l1_lines =
-            std::uint32_t(config_.l1.size_bytes / config_.l1.block_bytes);
-        cc.directory_entries = n * (l1_lines + config_.l1.mshr_entries +
-                                    config_.l1.write_buffer_entries + 64);
+    if (n > 1) {
+        coh::coherence_config cc = config_.coherence;
+        cc.cores = n;
+        cc.block_bytes = config_.l1.block_bytes;
+        if (cc.directory_entries == 0) {
+            // Inclusive over the L1s: size for every line every L1 can hold
+            // plus in-flight fills/evictions, doubled for the open-addressed
+            // index's load factor - overflow becomes structurally
+            // impossible.
+            const std::uint32_t l1_lines =
+                std::uint32_t(config_.l1.size_bytes / config_.l1.block_bytes);
+            cc.directory_entries = n * (l1_lines + config_.l1.mshr_entries +
+                                        config_.l1.write_buffer_entries + 64);
+        }
+        hub_ = std::make_unique<coh::coherence_hub>(cc, ids_);
+        hub_->set_paranoid(config_.engine_mode ==
+                           sim::schedule_mode::paranoid);
     }
-    hub_ = std::make_unique<coh::coherence_hub>(cc, ids_);
-    hub_->set_paranoid(config_.engine_mode == sim::schedule_mode::paranoid);
 
     build_shared_components();
 
-    // Registration order: cores, private L1s, hub, shared level, memory -
-    // the same producers-before-consumers contract as the single-core
-    // wiring, with the hub standing where the lone L1's downstream was.
+    // Wire top-down. Registration order is the timing contract: producers
+    // tick before the consumers beneath them (see sim/engine.h) - cores,
+    // private L1s, hub, shared level, memory.
     for (unsigned i = 0; i < n; ++i) {
         cores_[i]->set_dcache(l1s_[i].get());
         engine_.add(*cores_[i]);
     }
     for (unsigned i = 0; i < n; ++i) {
         l1s_[i]->set_upstream(cores_[i].get());
-        l1s_[i]->set_downstream(hub_.get());
-        hub_->attach_l1(mem::core_id_t(i), l1s_[i].get());
+        if (hub_) {
+            l1s_[i]->set_downstream(hub_.get());
+            hub_->attach_l1(mem::core_id_t(i), l1s_[i].get());
+        }
         engine_.add(*l1s_[i]);
     }
-    engine_.add(*hub_);
-    hub_->set_downstream(wire_shared_level(hub_.get()));
+    if (hub_) {
+        engine_.add(*hub_);
+        hub_->set_downstream(wire_shared_level(hub_.get()));
+    } else {
+        l1s_.front()->set_downstream(wire_shared_level(l1s_.front().get()));
+    }
     prewarm();
 }
 
@@ -382,13 +366,17 @@ std::uint64_t counter_delta(const counter_set& counters, const std::string& name
 
 } // namespace
 
-/// Snapshot/delta accumulator for detailed measurement: the exact path
-/// harvests one segment covering the whole run, the sampled path sums many
+/// Snapshot/delta accumulator for detailed measurement: the exact driver
+/// sums its chunks (one without checkpointing), the sampled driver its
 /// windows (plus per-window CPI samples for the confidence interval).
 struct system::window_totals {
-    std::uint64_t instructions = 0;
-    std::uint64_t cycles = 0;
+    std::uint64_t instructions = 0; ///< all lanes together
+    std::uint64_t cycles = 0;       ///< engine cycles of the measured spans
     std::vector<double> window_cpi; ///< one sample per window (CI input)
+    /// Per lane: committed instructions and cycles up to the lane's own
+    /// committing tick (per-core IPC).
+    std::vector<std::uint64_t> lane_instructions;
+    std::vector<std::uint64_t> lane_cycles;
 
     std::uint64_t l2_read_hits = 0;
     std::vector<std::uint64_t> fabric_read_hits;
@@ -416,6 +404,8 @@ struct system::window_totals {
         ar(instructions);
         ar(cycles);
         ar(window_cpi);
+        ar(lane_instructions);
+        ar(lane_cycles);
         ar(l2_read_hits);
         ar(fabric_read_hits);
         ar(transport_actual);
@@ -437,7 +427,7 @@ struct system::window_totals {
 
 /// Baseline counter values for one measured span; harvest_levels() turns
 /// the snapshot and the post-span counters into window_totals deltas. One
-/// snapshot/delta implementation serves the exact, sampled and CMP drivers.
+/// snapshot/delta implementation serves both drivers.
 struct system::level_snapshot {
     std::vector<counter_set> l1;
     counter_set l2, l3, fabric, dnuca, memory;
@@ -595,10 +585,12 @@ std::uint64_t mix_str(std::uint64_t h, const std::string& s)
 
 std::uint64_t system::ckpt_config_hash() const
 {
-    // Everything that decides which driver runs, which sections exist and
-    // how the components are sized. Deliberately not every tuning knob: the
-    // per-component payloads carry their own structure (vector sizes), so a
-    // resized cache fails the section load loudly even if the hash passed.
+    // Everything that decides which driver runs, which sections exist, how
+    // the components are sized and - through checkpoint.every, which sets
+    // the exact driver's chunk boundaries and drains - the schedule itself.
+    // Deliberately not every tuning knob: the per-component payloads carry
+    // their own structure (vector sizes), so a resized cache fails the
+    // section load loudly even if the hash passed.
     std::uint64_t h = 0x4c4e4b50'54310001ULL;
     h = mix_str(h, config_.name);
     h = mix(h, std::uint64_t(config_.kind));
@@ -609,6 +601,7 @@ std::uint64_t system::ckpt_config_hash() const
     h = mix(h, config_.sampling.detail_instructions);
     h = mix(h, config_.sampling.detail_warmup);
     h = mix(h, config_.sampling.period_instructions);
+    h = mix(h, config_.checkpoint.every);
     h = mix(h, config_.l1.size_bytes);
     h = mix(h, config_.l2.size_bytes);
     h = mix(h, config_.l3.size_bytes);
@@ -620,35 +613,45 @@ std::uint64_t system::ckpt_config_hash() const
     return h;
 }
 
+template <class F> void system::for_each_component(F&& f) const
+{
+    using ckpt::section_id;
+    for (std::size_t i = 0; i < cores_.size(); ++i)
+        f(section_id::core, std::uint32_t(i), *cores_[i]);
+    for (std::size_t i = 0; i < l1s_.size(); ++i)
+        f(section_id::l1, std::uint32_t(i), *l1s_[i]);
+    if (hub_)
+        f(section_id::hub, 0u, *hub_);
+    if (l1_l2_bus_)
+        f(section_id::bus, 0u, *l1_l2_bus_);
+    if (l2_)
+        f(section_id::l2, 0u, *l2_);
+    if (l3_)
+        f(section_id::l3, 0u, *l3_);
+    if (fabric_)
+        f(section_id::fabric, 0u, *fabric_);
+    if (dnuca_)
+        f(section_id::dnuca, 0u, *dnuca_);
+    f(section_id::memory, 0u, *memory_);
+}
+
 std::vector<std::pair<std::string, std::uint64_t>>
 system::component_digests() const
 {
     std::vector<std::pair<std::string, std::uint64_t>> digests;
-    for (std::size_t i = 0; i < cores_.size(); ++i)
-        digests.emplace_back("core" + std::to_string(i),
-                             cores_[i]->state_digest());
-    for (std::size_t i = 0; i < l1s_.size(); ++i)
-        digests.emplace_back("l1#" + std::to_string(i),
-                             l1s_[i]->state_digest());
-    if (hub_)
-        digests.emplace_back("hub", hub_->state_digest());
-    if (l1_l2_bus_)
-        digests.emplace_back("bus", l1_l2_bus_->state_digest());
-    if (l2_)
-        digests.emplace_back("l2", l2_->state_digest());
-    if (l3_)
-        digests.emplace_back("l3", l3_->state_digest());
-    if (fabric_)
-        digests.emplace_back("fabric", fabric_->state_digest());
-    if (dnuca_)
-        digests.emplace_back("dnuca", dnuca_->state_digest());
-    digests.emplace_back("memory", memory_->state_digest());
+    for_each_component([&](ckpt::section_id id, std::uint32_t index,
+                           const auto& component) {
+        std::string name = ckpt::to_string(id);
+        if (id == ckpt::section_id::core || id == ckpt::section_id::l1)
+            name += "#" + std::to_string(index);
+        digests.emplace_back(std::move(name), component.state_digest());
+    });
     return digests;
 }
 
 void system::save_checkpoint(
     std::uint64_t run_instructions, std::uint64_t run_warmup,
-    const std::function<void(ckpt::writer&)>& driver_save)
+    const std::function<void(ckpt::saver&)>& progress)
 {
     using ckpt::section_id;
     try {
@@ -677,49 +680,12 @@ void system::save_checkpoint(
         }
         w.end_section();
 
-        for (std::size_t i = 0; i < cores_.size(); ++i) {
-            w.begin_section(section_id::core, std::uint32_t(i));
-            cores_[i]->save_state(w);
+        for_each_component([&](section_id id, std::uint32_t index,
+                               const auto& component) {
+            w.begin_section(id, index);
+            component.save_state(w);
             w.end_section();
-        }
-        for (std::size_t i = 0; i < l1s_.size(); ++i) {
-            w.begin_section(section_id::l1, std::uint32_t(i));
-            l1s_[i]->save_state(w);
-            w.end_section();
-        }
-        if (hub_) {
-            w.begin_section(section_id::hub);
-            hub_->save_state(w);
-            w.end_section();
-        }
-        if (l1_l2_bus_) {
-            w.begin_section(section_id::bus);
-            l1_l2_bus_->save_state(w);
-            w.end_section();
-        }
-        if (l2_) {
-            w.begin_section(section_id::l2);
-            l2_->save_state(w);
-            w.end_section();
-        }
-        if (l3_) {
-            w.begin_section(section_id::l3);
-            l3_->save_state(w);
-            w.end_section();
-        }
-        if (fabric_) {
-            w.begin_section(section_id::fabric);
-            fabric_->save_state(w);
-            w.end_section();
-        }
-        if (dnuca_) {
-            w.begin_section(section_id::dnuca);
-            dnuca_->save_state(w);
-            w.end_section();
-        }
-        w.begin_section(section_id::memory);
-        memory_->save_state(w);
-        w.end_section();
+        });
 
         for (std::size_t i = 0; i < streams_.size(); ++i) {
             w.begin_section(section_id::stream, std::uint32_t(i));
@@ -728,7 +694,10 @@ void system::save_checkpoint(
         }
 
         w.begin_section(section_id::driver);
-        driver_save(w);
+        {
+            ckpt::saver ar(w);
+            progress(ar);
+        }
         w.end_section();
 
         // Digest values in component_digests() order; restore recomputes
@@ -753,7 +722,7 @@ void system::save_checkpoint(
 
 bool system::try_load_checkpoint(
     std::uint64_t run_instructions, std::uint64_t run_warmup,
-    const std::function<void(ckpt::reader&)>& driver_load)
+    const std::function<void(ckpt::loader&)>& progress)
 {
     using ckpt::section_id;
     const checkpoint_config& cc = config_.checkpoint;
@@ -807,49 +776,12 @@ bool system::try_load_checkpoint(
         }
         r.close_section();
 
-        for (std::size_t i = 0; i < cores_.size(); ++i) {
-            r.open_section(section_id::core, std::uint32_t(i));
-            cores_[i]->load_state(r);
+        for_each_component([&](section_id id, std::uint32_t index,
+                               auto& component) {
+            r.open_section(id, index);
+            component.load_state(r);
             r.close_section();
-        }
-        for (std::size_t i = 0; i < l1s_.size(); ++i) {
-            r.open_section(section_id::l1, std::uint32_t(i));
-            l1s_[i]->load_state(r);
-            r.close_section();
-        }
-        if (hub_) {
-            r.open_section(section_id::hub);
-            hub_->load_state(r);
-            r.close_section();
-        }
-        if (l1_l2_bus_) {
-            r.open_section(section_id::bus);
-            l1_l2_bus_->load_state(r);
-            r.close_section();
-        }
-        if (l2_) {
-            r.open_section(section_id::l2);
-            l2_->load_state(r);
-            r.close_section();
-        }
-        if (l3_) {
-            r.open_section(section_id::l3);
-            l3_->load_state(r);
-            r.close_section();
-        }
-        if (fabric_) {
-            r.open_section(section_id::fabric);
-            fabric_->load_state(r);
-            r.close_section();
-        }
-        if (dnuca_) {
-            r.open_section(section_id::dnuca);
-            dnuca_->load_state(r);
-            r.close_section();
-        }
-        r.open_section(section_id::memory);
-        memory_->load_state(r);
-        r.close_section();
+        });
 
         for (std::size_t i = 0; i < streams_.size(); ++i) {
             r.open_section(section_id::stream, std::uint32_t(i));
@@ -858,7 +790,10 @@ bool system::try_load_checkpoint(
         }
 
         r.open_section(section_id::driver);
-        driver_load(r);
+        {
+            ckpt::loader ar(r);
+            progress(ar);
+        }
         r.close_section();
 
         // Digest verification: the save-time digests must match the values
@@ -900,7 +835,7 @@ bool system::try_load_checkpoint(
 void system::checkpoint_boundary(
     std::uint64_t retired, std::uint64_t run_instructions,
     std::uint64_t run_warmup,
-    const std::function<void(ckpt::writer&)>& driver_save)
+    const std::function<void(ckpt::saver&)>& progress)
 {
     const checkpoint_config& cc = config_.checkpoint;
     if (!cc.enabled())
@@ -909,7 +844,7 @@ void system::checkpoint_boundary(
     if (!signalled && retired - ckpt_last_save_ < cc.every)
         return;
 
-    save_checkpoint(run_instructions, run_warmup, driver_save);
+    save_checkpoint(run_instructions, run_warmup, progress);
     ckpt_last_save_ = retired;
     ++ckpt_saves_;
 
@@ -932,199 +867,53 @@ void system::checkpoint_complete()
         ::unlink(config_.checkpoint.path.c_str());
 }
 
-run_result system::run(std::uint64_t instructions, std::uint64_t warmup)
+// ---------------------------------------------------------------------------
+// The run drivers. Every lane retires the same per-lane instruction count;
+// a single core is one lane whose fast-forward rate is always 1.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Cycle ceiling for a span of `instructions` per lane: generous (contended
+/// CMP lanes run far slower than a lone core), so only runaways reach it.
+cycle_t cycle_ceiling(std::uint64_t instructions)
 {
-    if (cores_.size() > 1) {
-        if (config_.sampling.enabled && instructions > 0)
-            return run_cmp_sampled(instructions, warmup);
-        return run_cmp(instructions, warmup);
-    }
+    return 600 * instructions + 2'000'000;
+}
 
-    // A zero-instruction request has no windows to place; the exact path
-    // handles it as a degenerate (empty) measurement.
-    if (config_.sampling.enabled && instructions > 0)
-        return run_sampled(instructions, warmup);
+double seconds_since(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
 
-    cpu::ooo_core* core = cores_.front().get();
-    const cycle_t max_cycles = 400 * (instructions + warmup) + 2'000'000;
-
-    // Measurement cursor + accumulated totals: together the exact driver's
-    // entire progress state, so they are what the `driver` section carries.
-    window_totals totals;
-    std::uint64_t done = 0;
-
-    const bool restored =
-        try_load_checkpoint(instructions, warmup, [&](ckpt::reader& r) {
-            ckpt::loader ar(r);
-            ar(done);
-            ar(totals);
-        });
-    if (restored) {
-        ckpt_last_save_ = done;
-    } else {
-        // Warm-up window. Not checkpointed: a kill during warm-up restarts
-        // cold, losing at most the warm-up itself.
-        core->set_instruction_limit(warmup);
-        engine_.run_until([&] { return core->done(); }, max_cycles);
-    }
-
-    // Measurement: the same snapshot/delta harvest the sampled driver uses
-    // per window. Without checkpointing this is one segment covering the
-    // whole run (byte-for-byte the pre-checkpoint driver); with it, the run
-    // chops into checkpoint.every-instruction chunks separated by a drain
-    // (excluded from the measured cycles) and a quiescent snapshot.
-    const auto host_start = std::chrono::steady_clock::now();
-    const std::uint64_t chunk_size =
-        config_.checkpoint.enabled() ? config_.checkpoint.every : 0;
-    // `first` keeps the degenerate zero-instruction run on the historical
-    // path: one empty measured segment, not zero segments.
-    bool first = !restored;
-    while (first || done < instructions) {
-        first = false;
-        const std::uint64_t chunk =
-            chunk_size == 0 ? instructions - done
-                            : std::min(chunk_size, instructions - done);
-        detailed_segment(chunk, max_cycles, &totals);
-        done += core->committed();
-        if (core->committed() < chunk)
-            break; // cycle ceiling hit; mirror the single-segment bail-out
-        if (done < instructions && config_.checkpoint.enabled()) {
-            drain(max_cycles);
-            checkpoint_boundary(done, instructions, warmup,
-                                [&](ckpt::writer& w) {
-                                    ckpt::saver ar(w);
-                                    ar(done);
-                                    ar(totals);
-                                });
-        }
-    }
-    checkpoint_complete();
-    const double host_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      host_start)
-            .count();
-
-    run_result r;
-    r.config_name = config_.name;
-    r.workload_name = streams_.front()->profile().name;
-    r.floating_point = streams_.front()->profile().floating_point;
-    r.instructions = totals.instructions;
-    r.cycles = totals.cycles;
-    r.ipc = r.cycles == 0 ? 0.0 : double(r.instructions) / double(r.cycles);
+void set_host_timing(run_result& r, double host_seconds)
+{
     r.host_seconds = host_seconds;
     r.sim_cycles_per_second =
         host_seconds > 0.0 ? double(r.cycles) / host_seconds : 0.0;
     r.sim_instructions_per_second =
         host_seconds > 0.0 ? double(r.instructions) / host_seconds : 0.0;
-
-    apply_totals(r, totals);
-    return r;
 }
 
-// ---------------------------------------------------------------------------
-// CMP execution: run every core to its committed-instruction target under
-// full detail, derive per-core IPC from each core's own finish cycle
-// (schedule-independent: recorded at the committing tick), and aggregate
-// the shared-level deltas exactly like the single-core harvest.
-// ---------------------------------------------------------------------------
+} // namespace
 
-run_result system::run_cmp(std::uint64_t instructions, std::uint64_t warmup)
+run_result system::run(std::uint64_t instructions, std::uint64_t warmup)
 {
-    const cycle_t max_cycles =
-        600 * (instructions + warmup) + 2'000'000;
-    const std::size_t n_cores = cores_.size();
-    const auto all_done = [&] {
-        for (const auto& core : cores_)
-            if (!core->done())
-                return false;
-        return true;
-    };
+    // A zero-instruction request has no windows to place; the exact driver
+    // handles it as a degenerate (empty) measurement.
+    if (config_.sampling.enabled && instructions > 0)
+        return run_sampled(instructions, warmup);
+    return run_exact(instructions, warmup);
+}
 
-    // Progress state for the `driver` checkpoint section: per-lane cursor,
-    // accumulated measurement totals, per-core instruction/cycle sums and
-    // the wall-cycle sum. One chunk covering the whole run reproduces the
-    // pre-checkpoint arithmetic exactly (per-core cycles are measured from
-    // each core's own committing tick relative to the segment start).
-    window_totals totals;
-    std::uint64_t done = 0;
-    std::uint64_t wall_cycles = 0;
-    std::vector<std::uint64_t> core_instr(n_cores, 0);
-    std::vector<std::uint64_t> core_cycles(n_cores, 0);
-
-    const bool restored =
-        try_load_checkpoint(instructions, warmup, [&](ckpt::reader& r) {
-            ckpt::loader ar(r);
-            ar(done);
-            ar(wall_cycles);
-            ar(core_instr);
-            ar(core_cycles);
-            ar(totals);
-        });
-    if (restored) {
-        ckpt_last_save_ = done;
-    } else {
-        // Warm-up: every core runs its warm-up quota; early finishers idle
-        // (standard fixed-instruction multiprogrammed methodology). Not
-        // checkpointed - a kill during warm-up restarts cold.
-        for (auto& core : cores_)
-            core->set_instruction_limit(warmup);
-        engine_.run_until(all_done, max_cycles);
-    }
-
-    const auto host_start = std::chrono::steady_clock::now();
-    const std::uint64_t chunk_size =
-        config_.checkpoint.enabled() ? config_.checkpoint.every : 0;
-    bool ceiling_hit = false;
-    // `first` keeps the degenerate zero-instruction run on the historical
-    // path: one empty measured segment, not zero segments.
-    bool first = !restored;
-    while (first || (done < instructions && !ceiling_hit)) {
-        first = false;
-        const std::uint64_t chunk =
-            chunk_size == 0 ? instructions - done
-                            : std::min(chunk_size, instructions - done);
-        const cycle_t seg_start = engine_.now();
-        detailed_segment(chunk, max_cycles, &totals);
-        cycle_t last_finish = seg_start;
-        for (std::size_t i = 0; i < n_cores; ++i) {
-            // Per-core cycles from each core's own finish cycle
-            // (schedule-independent: recorded at the committing tick).
-            const cycle_t fin = cores_[i]->finished_at() == no_cycle
-                                    ? engine_.now()
-                                    : cores_[i]->finished_at();
-            last_finish = std::max(last_finish, fin);
-            core_instr[i] += cores_[i]->committed();
-            core_cycles[i] += fin + 1 - seg_start;
-            ceiling_hit = ceiling_hit || cores_[i]->committed() < chunk;
-        }
-        wall_cycles += last_finish + 1 - seg_start;
-        done += chunk;
-        if (ceiling_hit)
-            LNUCA_WARN("CMP measurement hit the cycle ceiling before every "
-                       "core committed ", chunk, " instructions");
-        else if (done < instructions && config_.checkpoint.enabled()) {
-            drain(max_cycles);
-            checkpoint_boundary(done, instructions, warmup,
-                                [&](ckpt::writer& w) {
-                                    ckpt::saver ar(w);
-                                    ar(done);
-                                    ar(wall_cycles);
-                                    ar(core_instr);
-                                    ar(core_cycles);
-                                    ar(totals);
-                                });
-        }
-    }
-    checkpoint_complete();
-    const double host_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      host_start)
-            .count();
-
+run_result system::lane_result(const window_totals& totals) const
+{
     run_result r;
     r.config_name = config_.name;
     r.floating_point = streams_.front()->profile().floating_point;
-    r.cores = std::uint32_t(n_cores);
+    r.cores = std::uint32_t(cores_.size());
 
     // Workload label: the mix's distinct names, first-appearance order.
     std::vector<std::string> seen;
@@ -1137,79 +926,107 @@ run_result system::run_cmp(std::uint64_t instructions, std::uint64_t warmup)
     for (std::size_t i = 1; i < seen.size(); ++i)
         r.workload_name += "+" + seen[i];
 
-    for (std::size_t i = 0; i < n_cores; ++i) {
-        r.per_core_ipc.push_back(core_cycles[i] == 0
-                                     ? 0.0
-                                     : double(core_instr[i]) /
-                                           double(core_cycles[i]));
-        r.instructions += core_instr[i];
-    }
-    r.cycles = wall_cycles;
-    r.ipc = r.cycles == 0 ? 0.0 : double(r.instructions) / double(r.cycles);
-    r.host_seconds = host_seconds;
-    r.sim_cycles_per_second =
-        host_seconds > 0.0 ? double(r.cycles) / host_seconds : 0.0;
-    r.sim_instructions_per_second =
-        host_seconds > 0.0 ? double(r.instructions) / host_seconds : 0.0;
+    // Single-core rows carry no per-core array (their ipc is the one lane).
+    if (cores_.size() > 1)
+        for (std::size_t i = 0; i < cores_.size(); ++i)
+            r.per_core_ipc.push_back(
+                totals.lane_cycles[i] == 0
+                    ? 0.0
+                    : double(totals.lane_instructions[i]) /
+                          double(totals.lane_cycles[i]));
+    return r;
+}
 
+run_result system::run_exact(std::uint64_t instructions, std::uint64_t warmup)
+{
+    const cycle_t max_cycles = cycle_ceiling(instructions + warmup);
+
+    // Per-lane measurement cursor + accumulated totals: the driver's entire
+    // progress state, so they are what the `driver` section carries.
+    window_totals totals;
+    std::uint64_t done = 0;
+    const auto progress = [&](auto& ar) {
+        ar(done);
+        ar(totals);
+    };
+
+    const bool restored = try_load_checkpoint(instructions, warmup, progress);
+    if (restored) {
+        ckpt_last_save_ = done;
+    } else {
+        // Warm-up: every core runs its warm-up quota; early finishers idle
+        // (standard fixed-instruction multiprogrammed methodology). Not
+        // checkpointed - a kill during warm-up restarts cold, losing at
+        // most the warm-up itself.
+        for (auto& core : cores_)
+            core->set_instruction_limit(warmup);
+        engine_.run_until([&] { return all_done(); }, max_cycles);
+    }
+
+    // Measurement. Without checkpointing this is one segment covering the
+    // whole run; with it, the run chops into checkpoint.every-instruction
+    // chunks separated by a drain (excluded from the measured cycles) and a
+    // quiescent snapshot. A lane may commit a few instructions past its
+    // chunk quota (commit width), so the cursor advances by the slowest
+    // lane's actual count.
+    const auto host_start = std::chrono::steady_clock::now();
+    const std::uint64_t chunk_size =
+        config_.checkpoint.enabled() ? config_.checkpoint.every : 0;
+    // `first` keeps the degenerate zero-instruction run on the historical
+    // path: one empty measured segment, not zero segments.
+    bool first = !restored;
+    while (first || done < instructions) {
+        first = false;
+        const std::uint64_t chunk =
+            chunk_size == 0 ? instructions - done
+                            : std::min(chunk_size, instructions - done);
+        detailed_segment(chunk, max_cycles, &totals);
+        std::uint64_t slowest = cores_.front()->committed();
+        for (const auto& core : cores_)
+            slowest = std::min(slowest, core->committed());
+        done += slowest;
+        if (slowest < chunk)
+            break; // cycle ceiling hit (detailed_segment warned)
+        if (done < instructions && config_.checkpoint.enabled()) {
+            drain(max_cycles);
+            checkpoint_boundary(done, instructions, warmup, progress);
+        }
+    }
+    checkpoint_complete();
+    const double host_seconds = seconds_since(host_start);
+
+    run_result r = lane_result(totals);
+    r.instructions = totals.instructions;
+    r.cycles = totals.cycles;
+    r.ipc = r.cycles == 0 ? 0.0 : double(r.instructions) / double(r.cycles);
+    set_host_timing(r, host_seconds);
     apply_totals(r, totals);
     return r;
 }
 
-// ---------------------------------------------------------------------------
-// Sampled execution (SMARTS-style): functional fast-forward punctuated by
-// periodically placed detailed windows. See DESIGN.md, "Sampling and
-// statistical confidence".
-// ---------------------------------------------------------------------------
+bool system::all_done() const
+{
+    for (const auto& core : cores_)
+        if (!core->done())
+            return false;
+    return true;
+}
 
 bool system::quiescent() const
 {
-    for (const auto& core : cores_)
-        if (!core->quiescent())
-            return false;
-    for (const auto& l1 : l1s_)
-        if (!l1->quiescent())
-            return false;
-    return (!hub_ || hub_->quiescent()) &&
-           (!l1_l2_bus_ || l1_l2_bus_->quiescent()) &&
-           (!l2_ || l2_->quiescent()) && (!l3_ || l3_->quiescent()) &&
-           (!fabric_ || fabric_->quiescent()) &&
-           (!dnuca_ || dnuca_->quiescent()) && memory_->quiescent();
+    bool idle = true;
+    for_each_component([&](ckpt::section_id, std::uint32_t,
+                           const auto& component) {
+        idle = idle && component.quiescent();
+    });
+    return idle;
 }
 
 void system::drain(cycle_t max_cycles)
 {
     if (!engine_.run_until([&] { return quiescent(); }, max_cycles))
-        LNUCA_WARN("sampled run: hierarchy failed to drain within ",
-                   max_cycles, " cycles; fast-forwarding anyway");
-}
-
-void system::fast_forward(std::uint64_t count)
-{
-    if (count == 0)
-        return;
-    if (cores_.size() == 1) {
-        cores_.front()->warm_retire(count);
-    } else {
-        // Round-robin functional retirement in small chunks so the lanes'
-        // warm accesses interleave at a fine grain: coherence behaviour
-        // (invalidations, downgrades, cache-to-cache migration) depends on
-        // the interleave, and retiring whole lanes back-to-back would let
-        // one lane monopolise every contended line before the next starts.
-        constexpr std::uint64_t chunk = 64;
-        for (std::uint64_t done = 0; done < count; done += chunk) {
-            const std::uint64_t n = std::min(chunk, count - done);
-            for (auto& core : cores_)
-                core->warm_retire(n);
-        }
-        // The warm MESI transitions must leave the directory sound after
-        // every functional segment; paranoid runs assert it.
-        if (hub_ && config_.engine_mode == sim::schedule_mode::paranoid)
-            hub_->check_invariants();
-    }
-    // The clock advances at a nominal CPI of 1: reported cycles come from
-    // the window estimate, so the rate only keeps timestamps monotone.
-    engine_.advance(count);
+        LNUCA_WARN("hierarchy failed to drain within ", max_cycles,
+                   " cycles; continuing anyway");
 }
 
 void system::fast_forward_rated(std::uint64_t count,
@@ -1231,8 +1048,12 @@ void system::fast_forward_rated(std::uint64_t count,
         const double share =
             std::max(rates[i], 1e-6) * double(n_cores) / sum;
         remaining[i] = std::uint64_t(std::llround(double(count) * share));
-        // Fine-grained proportional interleave (see fast_forward): each
-        // round hands lane i ~64 * share instructions.
+        // Round-robin functional retirement in small chunks (~64 * share
+        // instructions per lane per round) so the lanes' warm accesses
+        // interleave at a fine grain: coherence behaviour (invalidations,
+        // downgrades, cache-to-cache migration) depends on the interleave,
+        // and retiring whole lanes back-to-back would let one lane
+        // monopolise every contended line before the next starts.
         chunk[i] = std::max<std::uint64_t>(
             1, std::uint64_t(std::llround(64.0 * share)));
     }
@@ -1248,25 +1069,30 @@ void system::fast_forward_rated(std::uint64_t count,
             any = any || remaining[i] > 0;
         }
     }
+    // The warm MESI transitions must leave the directory sound after every
+    // functional segment; paranoid runs assert it.
     if (hub_ && config_.engine_mode == sim::schedule_mode::paranoid)
         hub_->check_invariants();
+    // The clock advances at a nominal CPI of 1: reported cycles come from
+    // the window estimate, so the rate only keeps timestamps monotone.
     engine_.advance(count);
+}
+
+cycle_t system::lane_cycles(std::size_t i, cycle_t start) const
+{
+    // The committing tick is recorded by the core itself, so this is
+    // schedule-independent (dense == idle-skip).
+    const cycle_t fin = cores_[i]->finished_at() == no_cycle
+                            ? engine_.now()
+                            : cores_[i]->finished_at();
+    return fin + 1 - start;
 }
 
 void system::detailed_segment(std::uint64_t instructions, cycle_t max_cycles,
                               window_totals* totals)
 {
-    // One implementation for both drivers: with a single core this is
-    // byte-for-byte the original single-core segment; with several, every
-    // lane gets the same committed-instruction quota and the window CPI is
-    // the aggregate (total instructions over wall cycles), matching
-    // run_cmp's aggregate-IPC convention.
-    const auto all_done = [&] {
-        for (const auto& core : cores_)
-            if (!core->done())
-                return false;
-        return true;
-    };
+    // Every lane gets the same committed-instruction quota; the window CPI
+    // is the aggregate (total instructions over engine cycles).
     for (auto& core : cores_)
         core->reset_stats();
     if (totals == nullptr) {
@@ -1274,7 +1100,7 @@ void system::detailed_segment(std::uint64_t instructions, cycle_t max_cycles,
         // full timing; measurements are discarded.
         for (auto& core : cores_)
             core->set_instruction_limit(instructions);
-        engine_.run_until(all_done, max_cycles);
+        engine_.run_until([&] { return all_done(); }, max_cycles);
         return;
     }
 
@@ -1283,14 +1109,20 @@ void system::detailed_segment(std::uint64_t instructions, cycle_t max_cycles,
     const cycle_t start = engine_.now();
     for (auto& core : cores_)
         core->set_instruction_limit(instructions);
-    const bool finished = engine_.run_until(all_done, max_cycles);
+    const bool finished =
+        engine_.run_until([&] { return all_done(); }, max_cycles);
     if (!finished)
         LNUCA_WARN("measurement window hit the cycle ceiling before "
                    "committing ", instructions, " instructions");
 
+    totals->lane_instructions.resize(cores_.size());
+    totals->lane_cycles.resize(cores_.size());
     std::uint64_t instr = 0;
-    for (const auto& core : cores_)
-        instr += core->committed();
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        instr += cores_[i]->committed();
+        totals->lane_instructions[i] += cores_[i]->committed();
+        totals->lane_cycles[i] += lane_cycles(i, start);
+    }
     const std::uint64_t cycles = engine_.now() - start;
     totals->instructions += instr;
     totals->cycles += cycles;
@@ -1302,15 +1134,38 @@ void system::detailed_segment(std::uint64_t instructions, cycle_t max_cycles,
         harvest_core(*core, *totals);
 }
 
+// ---------------------------------------------------------------------------
+// Sampled execution (SMARTS-style): functional fast-forward punctuated by
+// periodically placed detailed windows. See DESIGN.md, "Sampling and
+// statistical confidence".
+// ---------------------------------------------------------------------------
+
 run_result system::run_sampled(std::uint64_t instructions, std::uint64_t warmup)
 {
-    cpu::ooo_core* core = cores_.front().get();
+    // Sampled multi-core fast-forward is only coherence-correct through the
+    // hub's warm MESI path: without it, functional retirement would desync
+    // the private L1s' permission state from the directory.
+    if (cores_.size() > 1) {
+        if (!hub_)
+            throw std::runtime_error(
+                "sampled CMP execution requires the coherence hub; this "
+                "hierarchy cannot honor the CMP warm_access contract "
+                "(run with --sampling off)");
+        for (const auto& l1 : l1s_)
+            if (!l1->config().coherent)
+                throw std::runtime_error(
+                    "sampled CMP execution requires coherent private L1s; "
+                    "this hierarchy cannot honor the CMP warm_access "
+                    "contract (run with --sampling off)");
+    }
+
     const sampling_config& sc = config_.sampling;
     const auto host_start = std::chrono::steady_clock::now();
-    // Generous per-segment ceiling: segments are short, runaways are bugs.
+    // Per-segment ceiling: segments are short, runaways are bugs.
     const cycle_t segment_budget =
-        400 * (sc.detail_instructions + sc.detail_warmup) + 2'000'000;
+        cycle_ceiling(sc.detail_instructions + sc.detail_warmup);
 
+    // Window arithmetic is per lane: every core retires `instructions`.
     const std::uint64_t detail =
         std::min(std::max<std::uint64_t>(sc.detail_instructions, 1),
                  std::max<std::uint64_t>(instructions, 1));
@@ -1329,79 +1184,91 @@ run_result system::run_sampled(std::uint64_t instructions, std::uint64_t warmup)
     // seed alone - thread count and shard layout cannot move a window.
     rng placement(rng::split(seed_, 0x5a3b11d6ULL, windows, 0));
 
-    // Driver checkpoint state: next window index, retired cursor, totals
-    // and the placement rng (already advanced past the restored windows).
-    window_totals totals;
+    // Driver checkpoint state: next window, per-lane retired cursor, the
+    // placement rng (already advanced past the restored windows), the
+    // fast-forward rates and the totals.
+    std::uint64_t k = 0;
     std::uint64_t retired = 0;
-    std::uint64_t first_window = 0;
+    // Per-lane retirement rate measured in the most recent detailed
+    // window, fed back into the fast-forward (see fast_forward_rated):
+    // sharing-heavy lane sets (producer/consumer hand-offs) see a very
+    // different coherence pattern at zero lag than at the dense lag. The
+    // run-level warm-up and the first window's fast-forward run in
+    // lockstep (no measurement yet).
+    std::vector<double> rates(cores_.size(), 1.0);
+    window_totals totals;
+    const auto progress = [&](auto& ar) {
+        ar(k);
+        ar(retired);
+        ar(placement);
+        ar(rates);
+        ar(totals);
+    };
 
-    const bool restored =
-        try_load_checkpoint(instructions, warmup, [&](ckpt::reader& r) {
-            ckpt::loader ar(r);
-            ar(first_window);
-            ar(retired);
-            ar(placement);
-            ar(totals);
-        });
-    if (restored)
+    if (try_load_checkpoint(instructions, warmup, progress))
         ckpt_last_save_ = retired;
     else
         // The run-level warm-up executes functionally: large-structure
         // warmth comes from prewarm() plus the warm_access() path, timing
         // warmth from each window's detailed warm-up segment.
-        fast_forward(warmup);
+        fast_forward_rated(warmup, rates);
 
-    for (std::uint64_t k = first_window; k < windows; ++k) {
+    const auto furthest = [&] {
+        std::uint64_t m = 0;
+        for (const auto& core : cores_)
+            m = std::max(m, core->committed());
+        return m;
+    };
+
+    while (k < windows) {
         const std::uint64_t span = k + 1 == windows
                                        ? instructions - (windows - 1) * base_span
                                        : base_span;
         const std::uint64_t slack = span - detail - window_warmup;
         const std::uint64_t offset = placement.below(slack + 1);
 
-        fast_forward(offset);
+        fast_forward_rated(offset, rates);
+        // `used` tracks the furthest lane's position inside the window;
+        // slower lanes drift a few instructions behind the nominal
+        // placement, which the estimate absorbs (sampling is statistical).
         std::uint64_t used = offset;
         if (window_warmup > 0) {
             detailed_segment(window_warmup, segment_budget, nullptr);
-            used += core->committed();
+            used += furthest();
         }
+        const cycle_t start = engine_.now();
         detailed_segment(detail, segment_budget, &totals);
-        used += core->committed();
+        for (std::size_t i = 0; i < cores_.size(); ++i) {
+            const cycle_t window_cycles = lane_cycles(i, start);
+            rates[i] = window_cycles == 0
+                           ? 1.0
+                           : double(cores_[i]->committed()) /
+                                 double(window_cycles);
+        }
+        used += furthest();
         drain(segment_budget);
-        fast_forward(span > used ? span - used : 0);
+        fast_forward_rated(span > used ? span - used : 0, rates);
         retired += std::max(span, used);
 
         // Window boundaries are already quiescent (drain + functional
         // fast-forward), so the sampled snapshot costs no extra drain and
-        // perturbs nothing.
-        if (k + 1 < windows)
-            checkpoint_boundary(retired, instructions, warmup,
-                                [&, k](ckpt::writer& w) {
-                                    ckpt::saver ar(w);
-                                    std::uint64_t next = k + 1;
-                                    ar(next);
-                                    ar(retired);
-                                    ar(placement);
-                                    ar(totals);
-                                });
+        // perturbs nothing. The cadence runs on the per-lane cursor.
+        if (++k < windows)
+            checkpoint_boundary(retired, instructions, warmup, progress);
     }
     checkpoint_complete();
+    const double host_seconds = seconds_since(host_start);
 
-    const double host_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      host_start)
-            .count();
-
-    run_result r;
-    r.config_name = config_.name;
-    r.workload_name = streams_.front()->profile().name;
-    r.floating_point = streams_.front()->profile().floating_point;
-    assemble_sampled(r, totals, retired, host_seconds);
+    // The window CPI series is aggregate (total instructions over engine
+    // cycles), so the estimate covers all lanes' retirement together.
+    run_result r = lane_result(totals);
+    assemble_sampled(r, totals, retired * cores_.size());
+    set_host_timing(r, host_seconds);
     return r;
 }
 
 void system::assemble_sampled(run_result& r, const window_totals& totals,
-                              std::uint64_t retired,
-                              double host_seconds) const
+                              std::uint64_t retired) const
 {
     // Point estimate and confidence interval. Windows are (near) equal
     // size, so the run's CPI estimate is the plain mean of per-window CPI;
@@ -1428,11 +1295,6 @@ void system::assemble_sampled(run_result& r, const window_totals& totals,
     r.ipc = mean_cpi > 0.0 ? 1.0 / mean_cpi : 0.0;
     r.ipc_ci95 = mean_cpi > 0.0 ? ci_cpi / (mean_cpi * mean_cpi) : 0.0;
     r.cycles = cycle_t(std::llround(double(retired) * mean_cpi));
-    r.host_seconds = host_seconds;
-    r.sim_cycles_per_second =
-        host_seconds > 0.0 ? double(r.cycles) / host_seconds : 0.0;
-    r.sim_instructions_per_second =
-        host_seconds > 0.0 ? double(r.instructions) / host_seconds : 0.0;
 
     // Extrapolate measured event counts to the whole run.
     const double factor = totals.instructions == 0
@@ -1480,189 +1342,6 @@ void system::assemble_sampled(run_result& r, const window_totals& totals,
     in.dnuca_flit_hops = scaled(in.dnuca_flit_hops);
     in.memory_transfers = scaled(in.memory_transfers);
     r.energy = power::compute_energy(in);
-}
-
-run_result system::run_cmp_sampled(std::uint64_t instructions,
-                                   std::uint64_t warmup)
-{
-    // Sampled fast-forward is only coherence-correct through the hub's
-    // warm MESI path: without it, functional retirement would desync the
-    // private L1s' permission state from the directory.
-    if (!hub_)
-        throw std::runtime_error(
-            "sampled CMP execution requires the coherence hub; this "
-            "hierarchy cannot honor the CMP warm_access contract "
-            "(run with --sampling off)");
-    for (const auto& l1 : l1s_)
-        if (!l1->config().coherent)
-            throw std::runtime_error(
-                "sampled CMP execution requires coherent private L1s; "
-                "this hierarchy cannot honor the CMP warm_access contract "
-                "(run with --sampling off)");
-
-    const sampling_config& sc = config_.sampling;
-    const auto host_start = std::chrono::steady_clock::now();
-    // Same generous per-segment ceiling as run_cmp's (contended lanes run
-    // slower than a lone core, so the single-core 400 factor is too tight).
-    const cycle_t segment_budget =
-        600 * (sc.detail_instructions + sc.detail_warmup) + 2'000'000;
-
-    // Window arithmetic is per lane - every core retires `instructions` -
-    // and identical to run_sampled's, so the single-core and CMP drivers
-    // place windows the same way for the same spec.
-    const std::uint64_t detail =
-        std::min(std::max<std::uint64_t>(sc.detail_instructions, 1),
-                 std::max<std::uint64_t>(instructions, 1));
-    const std::uint64_t window_warmup =
-        std::min(sc.detail_warmup,
-                 instructions > detail ? instructions - detail : 0);
-    const std::uint64_t period =
-        std::max(sc.period_instructions, detail + window_warmup);
-    const std::uint64_t windows =
-        std::max<std::uint64_t>(1, instructions / period);
-    const std::uint64_t base_span = std::max<std::uint64_t>(
-        instructions / windows, detail + window_warmup);
-
-    rng placement(rng::split(seed_, 0x5a3b11d6ULL, windows, 0));
-
-    const std::size_t n_cores = cores_.size();
-    window_totals totals;
-    std::uint64_t retired_per_lane = 0;
-    std::uint64_t first_window = 0;
-    std::vector<std::uint64_t> core_instr(n_cores, 0);
-    std::vector<std::uint64_t> core_cycles(n_cores, 0);
-    // Per-lane retirement rate measured in the most recent detailed
-    // window, fed back into the fast-forward (see fast_forward_rated):
-    // dense CMP execution lets fast lanes drift ahead of slow ones, and
-    // sharing-heavy lane sets (producer/consumer hand-offs) see a very
-    // different coherence pattern at zero lag than at the dense lag. The
-    // first fast-forward runs in lockstep (no measurement yet).
-    std::vector<double> rates(n_cores, 1.0);
-    bool rates_known = false;
-
-    const bool restored =
-        try_load_checkpoint(instructions, warmup, [&](ckpt::reader& r) {
-            ckpt::loader ar(r);
-            ar(first_window);
-            ar(retired_per_lane);
-            ar(placement);
-            ar(core_instr);
-            ar(core_cycles);
-            ar(rates);
-            ar(rates_known);
-            ar(totals);
-        });
-    if (restored)
-        ckpt_last_save_ = retired_per_lane;
-    else
-        // Run-level warm-up executes functionally on every lane (see
-        // fast_forward: round-robin chunks through the warm MESI path).
-        fast_forward(warmup);
-
-    const auto ff = [&](std::uint64_t count) {
-        if (rates_known)
-            fast_forward_rated(count, rates);
-        else
-            fast_forward(count);
-    };
-    const auto max_committed = [&] {
-        std::uint64_t m = 0;
-        for (const auto& core : cores_)
-            m = std::max(m, core->committed());
-        return m;
-    };
-
-    for (std::uint64_t k = first_window; k < windows; ++k) {
-        const std::uint64_t span = k + 1 == windows
-                                       ? instructions - (windows - 1) * base_span
-                                       : base_span;
-        const std::uint64_t slack = span - detail - window_warmup;
-        const std::uint64_t offset = placement.below(slack + 1);
-
-
-        ff(offset);
-        // `used` tracks the furthest lane's position inside the window;
-        // slower lanes drift a few instructions behind the nominal
-        // placement, which the estimate absorbs (sampling is statistical).
-        std::uint64_t used = offset;
-        if (window_warmup > 0) {
-            detailed_segment(window_warmup, segment_budget, nullptr);
-            used += max_committed();
-        }
-        const cycle_t seg_start = engine_.now();
-        detailed_segment(detail, segment_budget, &totals);
-        for (std::size_t i = 0; i < n_cores; ++i) {
-            // Per-core cycles from each core's own finish cycle, exactly
-            // like run_cmp: early finishers stop accruing.
-            const cycle_t fin = cores_[i]->finished_at() == no_cycle
-                                    ? engine_.now()
-                                    : cores_[i]->finished_at();
-            core_instr[i] += cores_[i]->committed();
-            core_cycles[i] += fin + 1 - seg_start;
-            const cycle_t window_cycles = fin + 1 - seg_start;
-            rates[i] = window_cycles == 0
-                           ? 1.0
-                           : double(cores_[i]->committed()) /
-                                 double(window_cycles);
-        }
-        rates_known = true;
-        used += max_committed();
-        drain(segment_budget);
-        ff(span > used ? span - used : 0);
-        retired_per_lane += std::max(span, used);
-
-        // Quiescent window boundary; cadence runs on the per-lane cursor
-        // (checkpoint.every is per-lane instructions, like run_cmp's
-        // chunks).
-        if (k + 1 < windows)
-            checkpoint_boundary(retired_per_lane, instructions, warmup,
-                                [&, k](ckpt::writer& w) {
-                                    ckpt::saver ar(w);
-                                    std::uint64_t next = k + 1;
-                                    ar(next);
-                                    ar(retired_per_lane);
-                                    ar(placement);
-                                    ar(core_instr);
-                                    ar(core_cycles);
-                                    ar(rates);
-                                    ar(rates_known);
-                                    ar(totals);
-                                });
-    }
-    checkpoint_complete();
-
-    const double host_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      host_start)
-            .count();
-
-    run_result r;
-    r.config_name = config_.name;
-    r.floating_point = streams_.front()->profile().floating_point;
-    r.cores = std::uint32_t(n_cores);
-
-    // Workload label: the mix's distinct names, first-appearance order
-    // (same convention as run_cmp).
-    std::vector<std::string> seen;
-    for (const auto& stream : streams_) {
-        const std::string& name = stream->profile().name;
-        if (std::find(seen.begin(), seen.end(), name) == seen.end())
-            seen.push_back(name);
-    }
-    r.workload_name = seen.front();
-    for (std::size_t i = 1; i < seen.size(); ++i)
-        r.workload_name += "+" + seen[i];
-
-    // The window CPI series is aggregate (total instructions over wall
-    // cycles), so the assembled ipc/cycles estimate run_cmp's aggregate
-    // IPC and wall cycles for the whole-run lane length.
-    assemble_sampled(r, totals, retired_per_lane * n_cores, host_seconds);
-    for (std::size_t i = 0; i < n_cores; ++i)
-        r.per_core_ipc.push_back(core_cycles[i] == 0
-                                     ? 0.0
-                                     : double(core_instr[i]) /
-                                           double(core_cycles[i]));
-    return r;
 }
 
 run_result run_one(const system_config& config,

@@ -2,6 +2,7 @@
 // run driver (warm-up, measurement window, statistics harvesting).
 #pragma once
 
+#include "src/ckpt/archive.h"
 #include "src/coh/coherence_hub.h"
 #include "src/cpu/ooo_core.h"
 #include "src/dnuca/dnuca_cache.h"
@@ -152,15 +153,15 @@ public:
     /// Writes the capture file (config.capture_path), if one was recorded.
     ~system();
 
-    /// Run `warmup` instructions (discarded), then `instructions` measured.
-    /// When config.sampling.enabled, the measured span executes as
-    /// fast-forward + periodic detailed windows and the result carries
-    /// statistical estimates (run_result::sampled). CMP runs (cores > 1)
-    /// sample too: functional retirement round-robins across the lanes and
-    /// the coherence hub applies warm MESI transitions, so directory and
-    /// L1 permission state stay exact across fast-forward (requires the
-    /// coherence hub - a hierarchy without one cannot honor the CMP warm
-    /// contract and run() throws).
+    /// Run `warmup` instructions (discarded), then `instructions` measured,
+    /// on every lane. When config.sampling.enabled, the measured span
+    /// executes as fast-forward + periodic detailed windows and the result
+    /// carries statistical estimates (run_result::sampled). CMP runs
+    /// (cores > 1) sample too: functional retirement round-robins across
+    /// the lanes and the coherence hub applies warm MESI transitions, so
+    /// directory and L1 permission state stay exact across fast-forward
+    /// (requires the coherence hub - a hierarchy without one cannot honor
+    /// the CMP warm contract and run() throws).
     run_result run(std::uint64_t instructions, std::uint64_t warmup);
 
     unsigned cores() const { return unsigned(cores_.size()); }
@@ -190,8 +191,10 @@ private:
     };
     level_set levels() const;
 
-    void build_single(const lane_spec& lane);
-    void build_cmp(const std::vector<lane_spec>& lanes);
+    /// One loop over the lanes: core i, its private L1 and, when there is
+    /// more than one core, the coherence hub they share. A single lane
+    /// keeps the pre-CMP seeds, L1 settings and registration order.
+    void build(const std::vector<lane_spec>& lanes);
     /// Realise one lane's stream: synthetic generator, trace replay, or
     /// scenario lane - wrapped for capture when config.capture_path is set.
     std::unique_ptr<wl::workload_stream> make_lane_stream(const lane_spec& spec,
@@ -205,41 +208,52 @@ private:
     /// the coherence hub) and return its entry port. Registers memory.
     mem::mem_port* wire_shared_level(mem::mem_client* above);
     void prewarm();
-    run_result run_cmp(std::uint64_t instructions, std::uint64_t warmup);
+    /// Visit the timed components in the fixed checkpoint section order -
+    /// cores, L1s, hub, bus, L2, L3, fabric, D-NUCA, memory - as
+    /// f(section_id, index, component&). Save, restore, the digest list and
+    /// quiescent() all walk this one list.
+    template <class F> void for_each_component(F&& f) const;
+
+    // The two run drivers. Both run every lane to the same per-lane
+    // instruction count; one core is simply one lane.
+
+    /// Exact: detailed warm-up, then detailed measurement, in
+    /// checkpoint.every-instruction chunks when checkpointing is on. The
+    /// chunk cursor advances by the slowest lane's committed count.
+    run_result run_exact(std::uint64_t instructions, std::uint64_t warmup);
+    /// Sampled (SMARTS-style): functional fast-forward punctuated by
+    /// periodically placed detailed windows; per-core IPC is measured
+    /// inside the windows.
     run_result run_sampled(std::uint64_t instructions, std::uint64_t warmup);
-    /// Sampled CMP: run_sampled's window placement and statistics with
-    /// per-lane functional retirement (see fast_forward) and per-core IPC
-    /// measured inside the detailed windows.
-    run_result run_cmp_sampled(std::uint64_t instructions,
-                               std::uint64_t warmup);
-    /// Shared tail of the sampled drivers: mean-CPI point estimate +
-    /// delta-method 95% CI from the per-window series, extrapolation of the
-    /// measured event counts to `retired` instructions. Fills every
-    /// run_result field except the identity ones (names, cores,
-    /// per_core_ipc).
+    /// The sampled driver's estimate: mean-CPI point estimate + delta-method
+    /// 95% CI from the per-window series, extrapolation of the measured
+    /// event counts to `retired` instructions (all lanes together).
     void assemble_sampled(run_result& r, const window_totals& totals,
-                          std::uint64_t retired, double host_seconds) const;
+                          std::uint64_t retired) const;
+    /// Identity fields (names, cores) and per-core IPC of a finished run.
+    run_result lane_result(const window_totals& totals) const;
+    /// Every core has committed its instruction limit.
+    bool all_done() const;
     /// All components idle (nothing in flight anywhere).
     bool quiescent() const;
     /// Run detailed until quiescent (pre-fast-forward drain).
     void drain(cycle_t max_cycles);
-    /// Fast-forward `count` instructions functionally and advance the clock.
-    void fast_forward(std::uint64_t count);
-    /// CMP fast-forward with rate matching: lane i advances by
-    /// count * rates[i] / mean(rates) (mean-normalised, so the aggregate
-    /// retirement still equals count * cores). Dense CMP execution lets
-    /// fast lanes drift ahead of slow ones; feeding back the per-lane IPC
-    /// measured in the previous detailed window reproduces that drift, so
-    /// windows observe the same lane alignment (and hence the same
-    /// sharing/migration pattern) the dense reference reaches.
+    /// Functional fast-forward with rate matching: lane i retires
+    /// count * rates[i] / mean(rates), so the lanes drift apart as they do
+    /// under dense execution (rates come from the previous detailed window;
+    /// all 1.0 is lockstep), then the clock advances by `count`.
     void fast_forward_rated(std::uint64_t count,
                             const std::vector<double>& rates);
-    /// One detailed segment of `instructions`; when `totals` is non-null the
-    /// segment is measured into it (otherwise it only re-warms timing state).
+    /// One detailed segment of `instructions` per lane; when `totals` is
+    /// non-null the segment is measured into it (otherwise it only re-warms
+    /// timing state).
     void detailed_segment(std::uint64_t instructions, cycle_t max_cycles,
                           window_totals* totals);
-    // Counter-snapshot/harvest plumbing shared by the exact, sampled and
-    // CMP drivers (one implementation of the delta arithmetic each).
+    /// Cycles lane i took in the segment that started at `start`, up to
+    /// its own committing tick (early finishers stop accruing).
+    cycle_t lane_cycles(std::size_t i, cycle_t start) const;
+    // Counter-snapshot/harvest plumbing shared by both drivers (one
+    // implementation of the delta arithmetic each).
     level_snapshot snap_levels() const;
     void harvest_levels(const level_snapshot& snap, window_totals& totals);
     void harvest_core(cpu::ooo_core& core, window_totals& totals) const;
@@ -251,13 +265,14 @@ private:
     // The drivers call checkpoint_boundary() at every quiescent chunk or
     // window boundary; save_checkpoint/try_load_checkpoint own the section
     // layout (one section per component, see ckpt::section_id), while the
-    // driver-specific progress cursor travels through the save/load
-    // callbacks into the `driver` section.
+    // driver's progress state travels through the `progress` callback -
+    // one function per driver, listing its fields once for both
+    // directions - into the `driver` section.
 
     /// Identity hash stored in the file header: config name/kind/cores,
-    /// seed, engine mode, sampling spec, lane profiles and the major
-    /// capacity parameters. A checkpoint from any other run is rejected
-    /// before a single byte of state is restored.
+    /// seed, engine mode, sampling spec, checkpoint cadence, lane profiles
+    /// and the major capacity parameters. A checkpoint from any other run
+    /// is rejected before a single byte of state is restored.
     std::uint64_t ckpt_config_hash() const;
     /// Component digest list in the fixed section order (save writes it
     /// into the `digests` section; restore recomputes and compares).
@@ -267,7 +282,7 @@ private:
     /// run it protects carries on.
     void save_checkpoint(std::uint64_t run_instructions,
                          std::uint64_t run_warmup,
-                         const std::function<void(ckpt::writer&)>& driver_save);
+                         const std::function<void(ckpt::saver&)>& progress);
     /// Restore from config_.checkpoint.path when checkpoint.resume is set.
     /// Returns false on the normal cold starts (resume off, no file yet) and
     /// on any defect detected before state is touched (CRC, version, config
@@ -277,7 +292,7 @@ private:
     /// (exp::execute_job does).
     bool try_load_checkpoint(
         std::uint64_t run_instructions, std::uint64_t run_warmup,
-        const std::function<void(ckpt::reader&)>& driver_load);
+        const std::function<void(ckpt::loader&)>& progress);
     /// Cadence/signal check at a quiescent boundary: saves when `retired`
     /// crossed checkpoint.every since the last save or a SIGTERM/SIGINT is
     /// latched, then fires the halt_after and LNUCA_CKPT_EXIT_AFTER test
@@ -285,7 +300,7 @@ private:
     void checkpoint_boundary(
         std::uint64_t retired, std::uint64_t run_instructions,
         std::uint64_t run_warmup,
-        const std::function<void(ckpt::writer&)>& driver_save);
+        const std::function<void(ckpt::saver&)>& progress);
     /// Successful completion: unlink the snapshot (a stale one would
     /// "resume" a finished run).
     void checkpoint_complete();

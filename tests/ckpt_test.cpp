@@ -334,6 +334,66 @@ TEST(ckpt_damage, shorter_run_rejects_longer_runs_snapshot)
     expect_sim_fields_identical(clean, r);
 }
 
+TEST(ckpt_damage, other_cadence_snapshot_is_rejected_cold)
+{
+    // In exact mode checkpoint.every sets the chunk boundaries and their
+    // drains, so it is part of the schedule: a snapshot taken at every=3000
+    // resumed under every=7000 would finish with a row matching neither
+    // cadence. The identity hash covers the cadence, so the resume starts
+    // cold and reproduces the clean every=7000 run.
+    const wl::workload_profile workload = *wl::find_spec2006("429.mcf");
+    const std::string path = temp_path("cadence.ckpt");
+    const hier::system_config every7000 =
+        with_checkpoint(hier::presets::l2_256kb(), path, 7000);
+    const auto clean = run_clean(every7000, workload, 20'000, 2'000, 5);
+
+    leave_snapshot(with_checkpoint(hier::presets::l2_256kb(), path, 3000),
+                   workload, 20'000, 2'000, 5);
+    hier::system_config resumed = every7000;
+    resumed.checkpoint.resume = true;
+    const auto r = hier::run_one(resumed, workload, 20'000, 2'000, 5);
+    expect_sim_fields_identical(clean, r);
+}
+
+TEST(ckpt_damage, version_1_file_is_rejected_cold)
+{
+    // The run drivers' `driver` section layout changed in format version
+    // 2. A version-1 snapshot (otherwise intact, header CRC re-signed) must
+    // be refused at open and the resumed run must start cold.
+    const hier::system_config config = with_checkpoint(
+        hier::presets::l2_256kb(), temp_path("version1.ckpt"), 4000);
+    const wl::workload_profile workload = *wl::find_spec2006("429.mcf");
+    const auto clean = run_clean(config, workload, 12'000, 1'000, 7);
+
+    leave_snapshot(config, workload, 12'000, 1'000, 7);
+    {
+        std::fstream f(config.checkpoint.path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f.good());
+        ckpt::file_header header{};
+        f.read(reinterpret_cast<char*>(&header), sizeof header);
+        ASSERT_EQ(header.version, ckpt::k_version);
+        header.version = 1;
+        header.header_crc = 0;
+        header.header_crc = ckpt::crc32(&header, sizeof header);
+        f.seekp(0);
+        f.write(reinterpret_cast<const char*>(&header), sizeof header);
+    }
+    try {
+        const ckpt::reader r(config.checkpoint.path);
+        FAIL() << "a version-1 file must not open";
+    } catch (const ckpt::ckpt_error& e) {
+        EXPECT_NE(std::string(e.what()).find("format version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    hier::system_config resumed = config;
+    resumed.checkpoint.resume = true;
+    const auto r = hier::run_one(resumed, workload, 12'000, 1'000, 7);
+    expect_sim_fields_identical(clean, r);
+}
+
 // ---------------------------------------------------------------------------
 // exp wiring: execute_job stamps per-job checkpoint files, interruption
 // becomes a structured row, resume completes bit-identically.

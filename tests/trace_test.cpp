@@ -378,8 +378,8 @@ TEST(lane_specs, overlapping_regions_enable_sharing)
     EXPECT_EQ(disjoint.hub()->counters().get("c2c_transfers"), 0u);
 
     // Same base for both lanes: the footprints coincide and coherence
-    // traffic appears - the overlap run_cmp's hardcoded layout could not
-    // express before lane_spec.
+    // traffic appears - the overlap the default disjoint layout cannot
+    // express.
     hier::system overlapping(
         config,
         std::vector<hier::lane_spec>{{p, 0x1000'0000}, {p, 0x1000'0000}}, 5);

@@ -13,6 +13,9 @@ Subcommands:
   aggregate  mean / median / 95% CI of a metric, grouped by any column set
              (default: config).
   query      raw SQL passthrough, rows as TSV with a header line.
+  digest     row count and sha256 of each JSONL file over every field
+             except the host-timing trio; exits 1 when the files disagree
+             (or, with --rows N, when any file does not hold N rows).
 
 Only the Python standard library is used (sqlite3, json). Every run_result
 field of the JSONL schema (src/exp/sink.cpp) has a typed column; the two
@@ -23,6 +26,7 @@ SQLite's signed INTEGER cannot hold.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -94,6 +98,11 @@ CREATE INDEX IF NOT EXISTS runs_by_config ON runs (config, workload);
 
 # JSONL keys folded into their typed column instead of matching by name.
 ENERGY_KEYS = ("dynamic_j", "static_l1_j", "static_storage_j", "static_l3_j")
+
+# The only non-deterministic row fields: they measure the host, not the
+# simulation, so row digests leave them out.
+HOST_TIMING_KEYS = ("host_seconds", "sim_cycles_per_second",
+                    "sim_instructions_per_second")
 
 
 def open_db(path):
@@ -244,6 +253,34 @@ def cmd_query(args):
     return 0
 
 
+def row_digest(path):
+    """(row count, sha256 hex) over the rows with the host-timing trio
+    dropped and keys sorted, so key order and host speed never matter."""
+    rows = []
+    with open(path) as f:
+        for line in f:
+            record = json.loads(line)
+            for key in HOST_TIMING_KEYS:
+                record.pop(key, None)
+            rows.append(json.dumps(record, sort_keys=True))
+    return len(rows), hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def cmd_digest(args):
+    digests = [row_digest(path) for path in args.files]
+    for path, (rows, sha) in zip(args.files, digests):
+        print(f"{rows}\t{sha}\t{path}")
+    if args.rows is not None and any(rows != args.rows
+                                     for rows, _ in digests):
+        print(f"results_db: expected {args.rows} rows in every file",
+              file=sys.stderr)
+        return 1
+    if len(set(digests)) > 1:
+        print("results_db: row digests differ", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -275,6 +312,13 @@ def main():
     p.add_argument("--db", required=True)
     p.add_argument("sql", help="SQL statement to run")
     p.set_defaults(fn=cmd_query)
+
+    p = sub.add_parser("digest",
+                       help="row count + sha256 without host timing")
+    p.add_argument("--rows", type=int,
+                   help="fail unless every file holds this many rows")
+    p.add_argument("files", nargs="+", help="JSONL files to digest")
+    p.set_defaults(fn=cmd_digest)
 
     args = parser.parse_args()
     return args.fn(args)
