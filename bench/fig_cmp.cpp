@@ -3,184 +3,61 @@
 // against each backend's single-core baseline.
 //
 // The sweep runs every (backend, cores) preset over a 4-proxy mix set
-// through the exp runner. run_result::weighted_speedup is filled by a
-// row hook *during* the sweep: the cores=1 baseline of a backend always
-// has a lower flat index than its CMP rows, so by the time a CMP row is
-// emitted (in flat order) its baseline is final — the JSON-lines/CSV
-// trajectories carry WS while keeping the runner's streaming crash
-// safety (--resume works on sharded fig_cmp sweeps).
+// through exp::run_app. Each backend's cores=1 preset is the weighted-
+// speedup partner of its CMP presets; run_app fills
+// run_result::weighted_speedup in-stream, so the JSON-lines/CSV
+// trajectories carry WS while keeping the runner's streaming crash safety
+// (--resume works on sharded fig_cmp sweeps).
 #include "src/lnuca.h"
 
-#include <cstdio>
+#include <iostream>
 
 using namespace lnuca;
 
 namespace {
 
 constexpr unsigned k_core_counts[] = {1, 2, 4};
+constexpr std::size_t k_per_backend = std::size(k_core_counts);
+
+std::vector<hier::system_config> backends()
+{
+    return {hier::presets::l2_256kb(), hier::presets::lnuca_l3(2),
+            hier::presets::lnuca_l3(3), hier::presets::lnuca_l3(4),
+            hier::presets::dnuca_4x8()};
+}
 
 std::vector<wl::workload_profile> cmp_workloads()
 {
     // Two integer and two floating-point proxies spanning cache-friendly
     // to memory-bound behaviour.
     std::vector<wl::workload_profile> out;
-    for (const char* name :
-         {"456.hmmer", "429.mcf", "433.milc", "470.lbm"})
+    for (const char* name : {"456.hmmer", "429.mcf", "433.milc", "470.lbm"})
         if (const auto profile = wl::find_spec2006(name))
             out.push_back(*profile);
     return out;
 }
 
-} // namespace
-
-int main(int argc, char** argv)
+void render(const exp::report& rep, const exp::app_options&)
 {
-    const cli_args args(argc, argv);
-    const exp::app_options opt = exp::parse_app_options(args);
-    if (opt.cli_error) {
-        std::fprintf(stderr, "%s\n", opt.cli_error_text.c_str());
-        return exp::exit_cli_error;
-    }
-
-    // --manifest: the manifest's expanded configs replace the preset grid;
-    // its baseline_config map then drives the WS hook instead of the
-    // fixed per-backend stride.
-    std::optional<exp::manifest> man;
-    if (!opt.manifest_path.empty()) {
-        std::string manifest_error;
-        man = exp::load_manifest(opt.manifest_path, &manifest_error);
-        if (!man) {
-            std::fprintf(stderr, "%s\n", manifest_error.c_str());
-            return exp::exit_cli_error;
-        }
-    }
-
-    std::vector<hier::system_config> configs;
-    std::vector<std::string> backend_names;
-    if (man) {
-        configs = man->configs;
-    } else {
-        for (const auto& base :
-             {hier::presets::l2_256kb(), hier::presets::lnuca_l3(2),
-              hier::presets::lnuca_l3(3), hier::presets::lnuca_l3(4),
-              hier::presets::dnuca_4x8()}) {
-            backend_names.push_back(base.name);
-            for (const unsigned cores : k_core_counts)
-                configs.push_back(
-                    cores == 1 ? base : hier::presets::cmp(base, cores));
-        }
-        for (auto& config : configs) {
-            config.engine_mode = opt.engine_mode;
-            config.sampling = opt.sampling;
-        }
-    }
-    const std::size_t per_backend = std::size(k_core_counts);
-
-    exp::sweep s;
-    s.add_configs(configs)
-        .add_workloads(man ? man->workloads
-                           : (opt.workload_override.empty()
-                                  ? cmp_workloads()
-                                  : opt.workload_override))
-        .replicates(man ? man->replicates : opt.replicates)
-        .instructions(man ? man->instructions : opt.instructions)
-        .warmup(man ? man->warmup : opt.warmup)
-        .base_seed(man ? man->base_seed : opt.seed)
-        .manifest_hash(man ? man->hash : 0)
-        .shard(opt.shard_index, opt.shard_count);
-
-    exp::resume_scan scan;
-    if (opt.resume && !exp::scan_resume_file(opt, s, scan))
-        return exp::exit_cli_error;
-    if (opt.resume && !opt.quiet)
-        std::fprintf(stderr,
-                     "resume: %zu rows on disk, %zu reusable, %zu failed "
-                     "rows will re-run%s\n",
-                     scan.rows, scan.completed.size(), scan.rerun_failed,
-                     scan.truncated_tail ? "; torn trailing line removed"
-                                         : "");
-
-    if (!exp::setup_checkpoints(opt))
-        return exp::exit_cli_error;
-
-    exp::sink_set sinks = exp::make_sinks(opt, !opt.quiet);
-    if (!sinks.ok)
-        return exp::exit_cli_error;
-
-    // Weighted speedup, filled in-stream: each CMP row against its
-    // backend's cores=1 baseline on the same workload/replicate. Sharded
-    // runs may lack the baseline cell; those rows keep WS = 0. Resumed
-    // rows already carry the WS computed when they were first written.
-    bool missing_baseline = false;
-    exp::run_options ro =
-        exp::make_run_options(opt, opt.resume ? &scan : nullptr);
-    ro.row_hook = [&](const exp::job& j, hier::run_result& r,
-                      const exp::report& rep) {
-        if (r.status != hier::run_status::ok)
-            return;
-        if (configs[j.key.config].cores <= 1)
-            return;
-        std::size_t base_config;
-        if (man) {
-            const auto baseline = man->baseline_config[j.key.config];
-            if (!baseline) { // no cores=1 point on these axis coordinates
-                missing_baseline = true;
-                return;
-            }
-            base_config = *baseline;
-        } else {
-            base_config = (j.key.config / per_backend) * per_backend;
-        }
-        const hier::run_result* base =
-            rep.find(base_config, j.key.workload, j.key.replicate);
-        if (base == nullptr || (base->status != hier::run_status::ok &&
-                                base->status !=
-                                    hier::run_status::skipped_resumed)) {
-            missing_baseline = true;
-            return;
-        }
-        r.weighted_speedup = hier::weighted_speedup(r, *base);
-    };
-
-    const exp::report rep = exp::run_sweep(s, ro, sinks.sinks);
-    if (missing_baseline)
-        std::fprintf(stderr,
-                     "fig_cmp: some cores=1 baseline cells fell outside "
-                     "this shard or failed; their rows carry "
-                     "weighted_speedup=0\n");
-    if (const int rc = exp::finish_sweep(rep); rc >= 0)
-        return rc;
-    if (exp::report_failures(rep) > 0)
-        return exp::exit_job_failure;
-
-    if (opt.quiet || opt.shard_count > 1 || man) {
-        if (opt.shard_count > 1)
-            std::printf("shard %zu/%zu: summary tables suppressed - merge "
-                        "the per-shard JSON-lines outputs\n",
-                        opt.shard_index, opt.shard_count);
-        // Manifest mode: the backend x cores grid below assumes the
-        // bench's own preset layout; query the results store instead.
-        return exp::exit_ok;
-    }
+    exp::table_sink log(std::cout);
+    for (std::size_t i = 0; i < rep.jobs.size(); ++i)
+        log.consume(rep.jobs[i], rep.results[i]);
+    log.finish();
 
     // Summary: per backend x core count, harmonic-mean IPC over the mix
     // set, mean per-core IPC, and mean weighted speedup.
-    const std::size_t workload_count = rep.workload_count;
+    const std::vector<hier::system_config> bases = backends();
     text_table t("CMP scaling: cores x shared-fabric backend");
     t.set_header({"backend", "cores", "HM IPC", "mean IPC/core",
                   "weighted speedup", "peer-L1 loads"});
-    for (std::size_t b = 0; b < backend_names.size(); ++b) {
-        for (std::size_t k = 0; k < per_backend; ++k) {
-            const std::size_t c = b * per_backend + k;
+    for (std::size_t b = 0; b < bases.size(); ++b) {
+        for (std::size_t k = 0; k < k_per_backend; ++k) {
+            const std::vector<hier::run_result> row =
+                rep.row(b * k_per_backend + k);
             std::vector<double> ipcs;
             double per_core_sum = 0.0, ws_sum = 0.0;
             std::uint64_t peer_loads = 0;
-            std::size_t rows = 0;
-            for (std::size_t i = 0; i < rep.jobs.size(); ++i) {
-                const exp::job& j = rep.jobs[i];
-                if (j.key.config != c || j.key.replicate != 0)
-                    continue;
-                const hier::run_result& r = rep.results[i];
+            for (const hier::run_result& r : row) {
                 ipcs.push_back(r.ipc);
                 double pc = r.ipc;
                 if (!r.per_core_ipc.empty()) {
@@ -192,16 +69,14 @@ int main(int argc, char** argv)
                 per_core_sum += pc;
                 ws_sum += r.weighted_speedup;
                 peer_loads += r.loads_peer;
-                ++rows;
             }
-            if (rows == 0)
-                continue;
             const unsigned cores = k_core_counts[k];
-            t.add_row({backend_names[b], std::to_string(cores),
+            const double n = double(row.size());
+            const std::string ws =
+                cores == 1 ? "1.00 (def)" : text_table::num(ws_sum / n, 2);
+            t.add_row({bases[b].name, std::to_string(cores),
                        text_table::num(harmonic_mean(ipcs), 3),
-                       text_table::num(per_core_sum / double(rows), 3),
-                       cores == 1 ? "1.00 (def)"
-                                  : text_table::num(ws_sum / double(rows), 2),
+                       text_table::num(per_core_sum / n, 3), ws,
                        std::to_string(peer_loads)});
         }
     }
@@ -210,21 +85,35 @@ int main(int argc, char** argv)
     // Per-workload weighted speedup at the largest core count.
     text_table d("Weighted speedup per workload (4 cores)");
     std::vector<std::string> header{"backend"};
-    for (std::size_t w = 0; w < workload_count; ++w)
-        if (const auto* r = rep.find(0, w))
-            header.push_back(r->workload_name);
+    for (const hier::run_result& r : rep.row(0))
+        header.push_back(r.workload_name);
     d.set_header(std::move(header));
-    for (std::size_t b = 0; b < backend_names.size(); ++b) {
-        const std::size_t c = b * per_backend + (per_backend - 1);
-        std::vector<std::string> row{backend_names[b]};
-        for (std::size_t i = 0; i < rep.jobs.size(); ++i) {
-            const exp::job& j = rep.jobs[i];
-            if (j.key.config == c && j.key.replicate == 0)
-                row.push_back(
-                    text_table::num(rep.results[i].weighted_speedup, 2));
-        }
+    for (std::size_t b = 0; b < bases.size(); ++b) {
+        std::vector<std::string> row{bases[b].name};
+        for (const hier::run_result& r :
+             rep.row(b * k_per_backend + k_per_backend - 1))
+            row.push_back(text_table::num(r.weighted_speedup, 2));
         d.add_row(std::move(row));
     }
     d.print();
-    return exp::exit_ok;
+}
+
+} // namespace
+
+int main(int argc, char** argv)
+{
+    // Backend-major grid; every preset's partner is its backend's first
+    // (cores=1) entry.
+    std::vector<hier::system_config> configs;
+    exp::baseline_list partners;
+    for (const hier::system_config& base : backends()) {
+        const std::size_t single = configs.size();
+        for (const unsigned cores : k_core_counts) {
+            configs.push_back(cores == 1 ? base
+                                         : hier::presets::cmp(base, cores));
+            partners.push_back(single);
+        }
+    }
+    return exp::run_app(argc, argv, std::move(configs), cmp_workloads(),
+                        render, std::move(partners));
 }

@@ -7,17 +7,6 @@ namespace lnuca::exp {
 
 namespace {
 
-// Canonical deterministic encoding of a row: the encode_json_line() bytes
-// with the host-timing trio (the only nondeterministic fields) zeroed.
-// Two runs of the same job must agree on this string bit-for-bit.
-std::string deterministic_encoding(const job& j, hier::run_result r)
-{
-    r.host_seconds = 0.0;
-    r.sim_cycles_per_second = 0.0;
-    r.sim_instructions_per_second = 0.0;
-    return encode_json_line(j, r);
-}
-
 std::string flat_list(const std::vector<std::size_t>& flats)
 {
     // Compact "0-3,7,9-11" ranges; a 10k-row sweep with one shard missing
@@ -56,7 +45,7 @@ bool merge_results(const manifest& m, const std::vector<merge_input>& inputs,
     struct best_row {
         bool ok = false;
         hier::run_result result;
-        std::string canonical; ///< deterministic_encoding, ok rows only
+        std::string canonical; ///< encode_deterministic_line, ok rows only
     };
     std::map<std::size_t, best_row> rows;
 
@@ -127,7 +116,8 @@ bool merge_results(const manifest& m, const std::vector<merge_input>& inputs,
                     slot.result = decoded->result;
                 continue;
             }
-            std::string canonical = deterministic_encoding(j, decoded->result);
+            std::string canonical =
+                encode_deterministic_line(j, decoded->result);
             if (slot.ok) {
                 if (slot.canonical != canonical)
                     return fail(input.first, line_no,

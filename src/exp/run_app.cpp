@@ -13,7 +13,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <memory>
 
 namespace lnuca::exp {
 
@@ -55,6 +57,94 @@ std::string workload_spec_of(const wl::workload_profile& w)
     if (!w.trace_path.empty())
         return "trace:" + w.trace_path;
     return w.name;
+}
+
+/// The JSONL/CSV sinks an app_options asks for, with their backing
+/// streams. `ok` is false when an output file could not be opened (already
+/// reported to stderr).
+struct sink_set {
+    std::vector<sink*> sinks;
+    bool ok = true;
+
+    // Owned plumbing behind `sinks` (order matters: streams before sinks).
+    std::unique_ptr<std::ofstream> csv_file;
+    std::unique_ptr<jsonl_sink> json;
+    std::unique_ptr<csv_sink> csv;
+};
+
+/// Wire the sinks requested by `opt` ("-" streams to stdout).
+sink_set make_sinks(const app_options& opt)
+{
+    // "-" streams to stdout. The JSON-lines file opens O_APPEND (as
+    // documented: successive runs/shards/resumes accumulate into one
+    // trajectory, and appends are newline-atomic for crash safety); the
+    // CSV file truncates, since its header row only makes sense once.
+    sink_set set;
+    if (!opt.json_path.empty()) {
+        if (opt.json_path == "-") {
+            set.json = std::make_unique<jsonl_sink>(std::cout);
+        } else {
+            // --durable N: write every row immediately, fsync every N.
+            const std::size_t flush_rows = opt.durable_rows > 0 ? 1 : 64;
+            set.json = std::make_unique<jsonl_sink>(opt.json_path, flush_rows,
+                                                    opt.durable_rows);
+            if (!set.json->ok()) {
+                std::fprintf(stderr, "cannot open '%s' for writing\n",
+                             opt.json_path.c_str());
+                set.ok = false;
+                return set;
+            }
+        }
+        set.sinks.push_back(set.json.get());
+    }
+    if (!opt.csv_path.empty()) {
+        if (opt.csv_path == "-") {
+            set.csv = std::make_unique<csv_sink>(std::cout);
+        } else {
+            set.csv_file = std::make_unique<std::ofstream>(opt.csv_path);
+            if (!*set.csv_file) {
+                std::fprintf(stderr, "cannot open '%s' for writing\n",
+                             opt.csv_path.c_str());
+                set.ok = false;
+                return set;
+            }
+            set.csv = std::make_unique<csv_sink>(*set.csv_file);
+        }
+        set.sinks.push_back(set.csv.get());
+    }
+    return set;
+}
+
+/// Post-sweep harness tally: the abandoned-worker / failed-sink warnings,
+/// then 128+signum when a latched SIGTERM/SIGINT preempted the sweep, or
+/// -1 when the normal exit path applies.
+int finish_sweep(const report& rep)
+{
+    // Harness-health tally: both counters are 0 on every clean sweep, and
+    // a non-zero value means work or rows were lost in a way the status
+    // column cannot show.
+    if (rep.abandoned_workers != 0)
+        std::fprintf(stderr, "WARNING: %zu pool worker(s) abandoned at "
+                             "shutdown (stuck tasks leaked)\n",
+                     rep.abandoned_workers);
+    if (rep.sink_failures != 0)
+        std::fprintf(stderr, "WARNING: %zu sink(s) failed mid-sweep; the "
+                             "output files are incomplete\n",
+                     rep.sink_failures);
+
+    // A latched SIGTERM/SIGINT preempted the sweep after each running job
+    // saved a checkpoint: distinct exit code (128+signum, the shell kill
+    // convention) so drivers re-run with --resume instead of triaging the
+    // "failed" rows.
+    if (ckpt::interrupt_requested()) {
+        report_failures(rep);
+        std::fprintf(stderr,
+                     "sweep interrupted by signal %d after checkpointing; "
+                     "re-run the same command with --resume to continue\n",
+                     ckpt::interrupt_signal());
+        return 128 + ckpt::interrupt_signal();
+    }
+    return -1;
 }
 
 } // namespace
@@ -181,52 +271,6 @@ app_options parse_app_options(const cli_args& args)
     return opt;
 }
 
-sink_set make_sinks(const app_options& opt, bool with_table)
-{
-    // "-" streams to stdout. The JSON-lines file opens O_APPEND (as
-    // documented: successive runs/shards/resumes accumulate into one
-    // trajectory, and appends are newline-atomic for crash safety); the
-    // CSV file truncates, since its header row only makes sense once.
-    sink_set set;
-    if (!opt.json_path.empty()) {
-        if (opt.json_path == "-") {
-            set.json = std::make_unique<jsonl_sink>(std::cout);
-        } else {
-            // --durable N: write every row immediately, fsync every N.
-            const std::size_t flush_rows = opt.durable_rows > 0 ? 1 : 64;
-            set.json = std::make_unique<jsonl_sink>(opt.json_path, flush_rows,
-                                                    opt.durable_rows);
-            if (!set.json->ok()) {
-                std::fprintf(stderr, "cannot open '%s' for writing\n",
-                             opt.json_path.c_str());
-                set.ok = false;
-                return set;
-            }
-        }
-        set.sinks.push_back(set.json.get());
-    }
-    if (!opt.csv_path.empty()) {
-        if (opt.csv_path == "-") {
-            set.csv = std::make_unique<csv_sink>(std::cout);
-        } else {
-            set.csv_file = std::make_unique<std::ofstream>(opt.csv_path);
-            if (!*set.csv_file) {
-                std::fprintf(stderr, "cannot open '%s' for writing\n",
-                             opt.csv_path.c_str());
-                set.ok = false;
-                return set;
-            }
-            set.csv = std::make_unique<csv_sink>(*set.csv_file);
-        }
-        set.sinks.push_back(set.csv.get());
-    }
-    if (with_table) {
-        set.table = std::make_unique<table_sink>(std::cout);
-        set.sinks.push_back(set.table.get());
-    }
-    return set;
-}
-
 bool scan_resume_file(const app_options& opt, const sweep& s, resume_scan& out)
 {
     out = resume_scan{};
@@ -324,71 +368,10 @@ bool scan_resume_file(const app_options& opt, const sweep& s, resume_scan& out)
     return true;
 }
 
-run_options make_run_options(const app_options& opt, const resume_scan* scan)
-{
-    run_options ro;
-    ro.threads = opt.threads;
-    ro.job_timeout_seconds = opt.timeout_seconds;
-    ro.job_retries = opt.retries;
-    ro.fault = opt.fault ? &*opt.fault : nullptr;
-    ro.resume = scan != nullptr ? &scan->completed : nullptr;
-    if (opt.checkpoint_every != 0) {
-        ro.checkpoint_dir = opt.checkpoint_dir;
-        ro.checkpoint_every = opt.checkpoint_every;
-        ro.checkpoint_resume = opt.resume;
-    }
-    return ro;
-}
-
-bool setup_checkpoints(const app_options& opt)
-{
-    if (opt.checkpoint_every == 0)
-        return true;
-    if (::mkdir(opt.checkpoint_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-        std::fprintf(stderr, "cannot create checkpoint dir '%s'\n",
-                     opt.checkpoint_dir.c_str());
-        return false;
-    }
-    // SIGTERM/SIGINT now latch instead of killing: each running job saves
-    // a final snapshot at its next boundary and finish_sweep() reports
-    // 128+signum, resumable with --resume.
-    ckpt::install_signal_handlers();
-    return true;
-}
-
-int finish_sweep(const report& rep)
-{
-    // Harness-health tally: both counters are 0 on every clean sweep, and
-    // a non-zero value means work or rows were lost in a way the status
-    // column cannot show.
-    if (rep.abandoned_workers != 0)
-        std::fprintf(stderr, "WARNING: %zu pool worker(s) abandoned at "
-                             "shutdown (stuck tasks leaked)\n",
-                     rep.abandoned_workers);
-    if (rep.sink_failures != 0)
-        std::fprintf(stderr, "WARNING: %zu sink(s) failed mid-sweep; the "
-                             "output files are incomplete\n",
-                     rep.sink_failures);
-
-    // A latched SIGTERM/SIGINT preempted the sweep after each running job
-    // saved a checkpoint: distinct exit code (128+signum, the shell kill
-    // convention) so drivers re-run with --resume instead of triaging the
-    // "failed" rows.
-    if (ckpt::interrupt_requested()) {
-        report_failures(rep);
-        std::fprintf(stderr,
-                     "sweep interrupted by signal %d after checkpointing; "
-                     "re-run the same command with --resume to continue\n",
-                     ckpt::interrupt_signal());
-        return 128 + ckpt::interrupt_signal();
-    }
-    return -1;
-}
-
 int run_app(int argc, const char* const* argv,
             std::vector<hier::system_config> configs,
             std::vector<wl::workload_profile> workloads,
-            const render_fn& render)
+            const render_fn& render, baseline_list baselines)
 {
     const cli_args args(argc, argv);
     const app_options opt = parse_app_options(args);
@@ -419,6 +402,7 @@ int run_app(int argc, const char* const* argv,
         base_seed = m->base_seed;
         replicates = m->replicates;
         manifest_hash = m->hash;
+        baselines = m->baseline_config;
     } else {
         if (!opt.workload_override.empty())
             workloads = opt.workload_override;
@@ -465,20 +449,70 @@ int run_app(int argc, const char* const* argv,
                                              : "");
     }
 
-    if (!setup_checkpoints(opt))
-        return exit_cli_error;
+    run_options ro;
+    ro.threads = opt.threads;
+    ro.job_timeout_seconds = opt.timeout_seconds;
+    ro.job_retries = opt.retries;
+    ro.fault = opt.fault ? &*opt.fault : nullptr;
+    ro.resume = opt.resume ? &scan.completed : nullptr;
+    if (opt.checkpoint_every != 0) {
+        ro.checkpoint_dir = opt.checkpoint_dir;
+        ro.checkpoint_every = opt.checkpoint_every;
+        ro.checkpoint_resume = opt.resume;
+        if (::mkdir(opt.checkpoint_dir.c_str(), 0755) != 0 &&
+            errno != EEXIST) {
+            std::fprintf(stderr, "cannot create checkpoint dir '%s'\n",
+                         opt.checkpoint_dir.c_str());
+            return exit_cli_error;
+        }
+        // SIGTERM/SIGINT now latch instead of killing: each running job
+        // saves a final snapshot at its next quiescent boundary and
+        // finish_sweep() reports 128+signum, resumable with --resume.
+        ckpt::install_signal_handlers();
+    }
 
     sink_set sinks = make_sinks(opt);
     if (!sinks.ok)
         return exit_cli_error;
 
+    // Weighted speedup, filled in-stream: each CMP row against its
+    // partner's cores=1 row on the same workload/replicate, which has a
+    // lower flat index and so is final by now. Sharded runs may lack the
+    // partner cell; those rows keep WS = 0. Resumed rows already carry the
+    // WS computed when they were first written.
+    bool missing_baseline = false;
+    if (!baselines.empty())
+        ro.row_hook = [&](const job& j, hier::run_result& r,
+                          const report& rep) {
+            if (r.status != hier::run_status::ok ||
+                configs[j.key.config].cores <= 1)
+                return;
+            const std::optional<std::size_t> partner =
+                j.key.config < baselines.size() ? baselines[j.key.config]
+                                                : std::nullopt;
+            const hier::run_result* base =
+                partner ? rep.find(*partner, j.key.workload, j.key.replicate)
+                        : nullptr;
+            if (base == nullptr || (base->status != hier::run_status::ok &&
+                                    base->status !=
+                                        hier::run_status::skipped_resumed)) {
+                missing_baseline = true;
+                return;
+            }
+            r.weighted_speedup = hier::weighted_speedup(r, *base);
+        };
+
     const auto wall_start = std::chrono::steady_clock::now();
-    const run_options ro = make_run_options(opt, opt.resume ? &scan : nullptr);
     const report rep = run_sweep(s, ro, sinks.sinks);
     const double wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
+    if (missing_baseline)
+        std::fprintf(stderr,
+                     "some CMP rows have no cores=1 baseline row in this "
+                     "run (outside this shard, failed, or absent from the "
+                     "sweep); they carry weighted_speedup=0\n");
 
     if (!opt.quiet) {
         double job_seconds = 0.0, total_cycles = 0.0, total_instructions = 0.0;

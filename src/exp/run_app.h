@@ -65,11 +65,13 @@
 //   --quiet            skip the paper-style rendered tables and the
 //                      throughput summary
 //
-// A bench passes its configs, workloads and a render callback; run_app
+// A bench passes its configs, workloads, a render callback and - for CMP
+// grids - each config's single-core weighted-speedup partner; run_app
 // expands the sweep, runs it on the pool, wires the requested sinks, and —
 // for unsharded runs — calls render with the completed report. Sharded runs
 // suppress rendering (the matrix is partial by construction) and tell the
-// operator to merge the JSON-lines shards instead.
+// operator to merge the JSON-lines shards instead. Every bench binary,
+// fig_cmp included, is one run_app call.
 //
 // Exit codes: 0 on success, exit_job_failure (1) when any job failed or
 // timed out (the failure summary on stderr names each one), and
@@ -82,10 +84,8 @@
 #include "src/exp/runner.h"
 #include "src/exp/sink.h"
 
-#include <fstream>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -138,27 +138,6 @@ struct app_options {
 /// Parse the shared options; unknown options are left for the caller.
 app_options parse_app_options(const cli_args& args);
 
-/// The JSONL/CSV (and optional rendered-table) sinks an app_options asks
-/// for, with their backing streams - one owner movable across the sweep.
-/// `ok` is false when an output file could not be opened (already
-/// reported to stderr); callers should exit with exit_cli_error.
-struct sink_set {
-    std::vector<sink*> sinks;
-    bool ok = true;
-
-    // Owned plumbing behind `sinks` (order matters: streams before sinks).
-    std::unique_ptr<std::ofstream> csv_file;
-    std::unique_ptr<jsonl_sink> json;
-    std::unique_ptr<csv_sink> csv;
-    std::unique_ptr<table_sink> table;
-};
-
-/// Wire the sinks requested by `opt` ("-" streams to stdout). The
-/// JSON-lines file appends (O_APPEND; --durable N adds write-per-row +
-/// fsync-every-N), the CSV truncates. `with_table` adds a rendered
-/// table_sink on stdout (fig_cmp-style row replay).
-sink_set make_sinks(const app_options& opt, bool with_table = false);
-
 /// Result of scanning an existing JSON-lines file for --resume.
 struct resume_scan {
     /// flat job index -> decoded result for rows that completed (status
@@ -181,35 +160,23 @@ struct resume_scan {
 bool scan_resume_file(const app_options& opt, const sweep& s,
                       resume_scan& out);
 
-/// run_options wired from the app flags (+ the resume scan, which must
-/// outlive the run_sweep call, as must `opt` itself for --fault).
-run_options make_run_options(const app_options& opt, const resume_scan* scan);
-
-/// Checkpoint prologue, shared with benches that own their main instead
-/// of delegating to run_app (fig_cmp): when --checkpoint-every is active,
-/// create the checkpoint directory and latch SIGTERM/SIGINT so each
-/// running job saves a final snapshot at its next quiescent boundary
-/// instead of dying mid-window. No-op when checkpointing is off. Returns
-/// false (message on stderr) when the directory cannot be created.
-bool setup_checkpoints(const app_options& opt);
-
-/// Post-sweep harness tally, the other half of setup_checkpoints():
-/// prints the abandoned-worker / failed-sink warnings (both 0 on every
-/// clean sweep), then returns 128+signum when a latched SIGTERM/SIGINT
-/// preempted the sweep after checkpointing (the shell kill convention, so
-/// drivers re-run with --resume instead of triaging "failed" rows), or -1
-/// when the sweep ran to completion and the caller's normal exit path
-/// applies.
-int finish_sweep(const report& rep);
-
 /// Render callback: the completed (unsharded) report plus the options.
 using render_fn = std::function<void(const report&, const app_options&)>;
 
+/// Per-config index of the cores == 1 config a CMP row's weighted speedup
+/// is measured against (nullopt: none). Partners must precede their CMP
+/// configs, so a baseline row is final before its CMP rows stream out.
+using baseline_list = std::vector<std::optional<std::size_t>>;
+
 /// Run a (configs x workloads) sweep under the shared command line.
-/// Returns the process exit code (see exit_* above).
+/// Every CMP row (cores > 1) gets run_result::weighted_speedup against its
+/// partner's row on the same workload and replicate; the partners come
+/// from the manifest's baseline_config under --manifest and from
+/// `baselines` otherwise (empty: the bench has no CMP partners). Returns
+/// the process exit code (see exit_* above).
 int run_app(int argc, const char* const* argv,
             std::vector<hier::system_config> configs,
             std::vector<wl::workload_profile> workloads,
-            const render_fn& render);
+            const render_fn& render, baseline_list baselines = {});
 
 } // namespace lnuca::exp

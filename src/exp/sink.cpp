@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -59,6 +60,87 @@ std::string csv_quote(const std::string& s)
     }
     out += '"';
     return out;
+}
+
+std::string hex64(std::uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx", (unsigned long long)v);
+    return buf;
+}
+
+template <class T> constexpr bool is_u64 =
+    std::is_integral_v<T> && std::is_unsigned_v<T> && !std::is_same_v<T, bool>;
+
+/// One value as flat text (see flat_column).
+template <class T> std::string flat_text(const hier::field& d, const T& v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        return v ? "1" : "0";
+    } else if constexpr (is_u64<T>) {
+        if (d.kind == hier::field_kind::hex64)
+            return v == 0 ? "" : hex64(v);
+        return std::to_string(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+        return fmt_double(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        return v;
+    } else if constexpr (std::is_same_v<T, hier::run_status>) {
+        return to_string(v);
+    } else {
+        std::string out;
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i != 0)
+                out += ';';
+            out += flat_text(d, v[i]);
+        }
+        return out;
+    }
+}
+
+/// One value as JSON.
+template <class T>
+void put_json(std::string& out, const hier::field& d, const T& v)
+{
+    using hier::field_kind;
+    if constexpr (std::is_same_v<T, bool>) {
+        out += v ? "true" : "false";
+    } else if constexpr (std::is_same_v<T, power::energy_breakdown>) {
+        out += '{';
+        hier::for_each_energy_part([&](const char* name, auto part) {
+            out += '"';
+            out += name;
+            out += "\":" + fmt_double(v.*part) + ',';
+        });
+        out += "\"total_j\":" + fmt_double(v.total()) + '}';
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint64_t>> ||
+                         std::is_same_v<T, std::vector<double>>) {
+        out += '[';
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i != 0)
+                out += ',';
+            put_json(out, d, v[i]);
+        }
+        out += ']';
+    } else if (d.kind == field_kind::text || d.kind == field_kind::status ||
+               d.kind == field_kind::hex64) {
+        // A hash is a string, not a JSON number: it would lose precision
+        // in any double-backed JSON reader (Python's json included).
+        out += '"' + json_escape(flat_text(d, v)) + '"';
+    } else {
+        out += flat_text(d, v);
+    }
+}
+
+const char* sql_type(hier::field_kind kind)
+{
+    switch (kind) {
+    case hier::field_kind::u64:
+    case hier::field_kind::flag: return "INTEGER";
+    case hier::field_kind::f64:
+    case hier::field_kind::energy: return "REAL";
+    default: return "TEXT"; // names, status, arrays, seeds (full 64-bit)
+    }
 }
 
 } // namespace
@@ -113,59 +195,54 @@ void table_sink::finish()
 // csv_sink
 // ---------------------------------------------------------------------------
 
+std::vector<flat_column> flat_columns(const job& j, const hier::run_result& r)
+{
+    std::vector<flat_column> out;
+    visit_row(j, r, [&](const hier::field& d, const auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, power::energy_breakdown>) {
+            const auto part = [&](const char* name, double value) {
+                out.push_back({std::string(d.name) + '_' + name,
+                               std::string(d.name) + '.' + name, d,
+                               fmt_double(value)});
+            };
+            hier::for_each_energy_part(
+                [&](const char* name, auto member) { part(name, v.*member); });
+            part("total_j", v.total());
+        } else {
+            out.push_back({d.name, d.name, d, flat_text(d, v)});
+        }
+    });
+    return out;
+}
+
+std::string store_schema()
+{
+    std::string out;
+    for (const flat_column& c : flat_columns(job{}, hier::run_result{}))
+        out += c.name + '\t' + sql_type(c.field.kind) + '\t' + c.json_path +
+               '\n';
+    return out;
+}
+
 void csv_sink::begin(std::size_t)
 {
-    out_ << "config,workload,config_index,workload_index,replicate,flat,seed,"
-            "manifest,status,error,"
-            "floating_point,cores,instructions,cycles,ipc,per_core_ipc,"
-            "weighted_speedup,sampled,sampled_windows,"
-            "measured_instructions,ipc_ci95,l2_read_hits,"
-            "transport_actual,transport_min,search_restarts,searches,"
-            "loads_l1,loads_fabric,loads_l2,loads_l3,loads_dnuca,"
-            "loads_memory,loads_peer,avg_load_latency,energy_dynamic_j,"
-            "energy_static_l1_j,energy_static_storage_j,energy_static_l3_j,"
-            "energy_total_j,host_seconds,sim_cycles_per_second,"
-            "sim_instructions_per_second\n";
+    const char* sep = "";
+    for (const flat_column& c : flat_columns(job{}, hier::run_result{})) {
+        out_ << sep << c.name;
+        sep = ",";
+    }
+    out_ << '\n';
 }
 
 void csv_sink::consume(const job& j, const hier::run_result& r)
 {
-    // per_core_ipc packs as a semicolon-joined list in one CSV field.
-    std::string per_core;
-    for (std::size_t i = 0; i < r.per_core_ipc.size(); ++i) {
-        if (i != 0)
-            per_core += ';';
-        per_core += fmt_double(r.per_core_ipc[i]);
+    const char* sep = "";
+    for (const flat_column& c : flat_columns(j, r)) {
+        out_ << sep << csv_quote(c.text);
+        sep = ",";
     }
-    char manifest_hex[24] = "";
-    if (j.manifest_hash != 0)
-        std::snprintf(manifest_hex, sizeof manifest_hex, "%016llx",
-                      (unsigned long long)j.manifest_hash);
-    out_ << csv_quote(r.config_name) << ',' << csv_quote(r.workload_name)
-         << ',' << j.key.config << ',' << j.key.workload << ','
-         << j.key.replicate << ',' << j.key.flat << ',' << j.seed << ','
-         << manifest_hex << ','
-         << to_string(r.status) << ',' << csv_quote(r.error) << ','
-         << (r.floating_point ? 1 : 0) << ',' << r.cores << ','
-         << r.instructions << ','
-         << r.cycles << ',' << fmt_double(r.ipc) << ',' << per_core << ','
-         << fmt_double(r.weighted_speedup) << ','
-         << (r.sampled ? 1 : 0) << ',' << r.sampled_windows << ','
-         << r.measured_instructions << ',' << fmt_double(r.ipc_ci95) << ','
-         << r.l2_read_hits
-         << ',' << r.transport_actual << ',' << r.transport_min << ','
-         << r.search_restarts << ',' << r.searches << ',' << r.loads_l1 << ','
-         << r.loads_fabric << ',' << r.loads_l2 << ',' << r.loads_l3 << ','
-         << r.loads_dnuca << ',' << r.loads_memory << ',' << r.loads_peer
-         << ',' << fmt_double(r.avg_load_latency) << ','
-         << fmt_double(r.energy.dynamic_j) << ','
-         << fmt_double(r.energy.static_l1_j) << ','
-         << fmt_double(r.energy.static_storage_j) << ','
-         << fmt_double(r.energy.static_l3_j) << ','
-         << fmt_double(r.energy.total()) << ','
-         << fmt_double(r.host_seconds) << ','
-         << fmt_double(r.sim_cycles_per_second) << ','
-         << fmt_double(r.sim_instructions_per_second) << '\n';
+    out_ << '\n';
 }
 
 // ---------------------------------------------------------------------------
@@ -175,98 +252,34 @@ void csv_sink::consume(const job& j, const hier::run_result& r)
 std::string encode_json_line(const job& j, const hier::run_result& r)
 {
     std::string line = "{";
-    auto str = [&](const char* key, const std::string& value) {
+    visit_row(j, r, [&](const hier::field& d, const auto& v) {
+        // The two conditional keys: `manifest` only on manifest-driven
+        // sweeps, `error` only on rows that did not finish ok.
+        if constexpr (is_u64<std::decay_t<decltype(v)>>) {
+            if (d.kind == hier::field_kind::hex64 && v == 0)
+                return;
+        } else if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                            std::string>) {
+            if (&v == &r.error && r.status == hier::run_status::ok)
+                return;
+        }
         line += '"';
-        line += key;
-        line += "\":\"";
-        line += json_escape(value);
-        line += "\",";
-    };
-    auto u64 = [&](const char* key, std::uint64_t value) {
-        line += '"';
-        line += key;
+        line += d.name;
         line += "\":";
-        line += std::to_string(value);
+        put_json(line, d, v);
         line += ',';
-    };
-    auto dbl = [&](const char* key, double value) {
-        line += '"';
-        line += key;
-        line += "\":";
-        line += fmt_double(value);
-        line += ',';
-    };
-
-    str("config", r.config_name);
-    str("workload", r.workload_name);
-    u64("config_index", j.key.config);
-    u64("workload_index", j.key.workload);
-    u64("replicate", j.key.replicate);
-    u64("flat", j.key.flat);
-    u64("seed", j.seed);
-    u64("instructions_requested", j.instructions);
-    u64("warmup", j.warmup);
-    if (j.manifest_hash != 0) {
-        // Hex string, not a JSON number: a 64-bit hash would lose precision
-        // in any double-backed JSON reader (Python's json included).
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "%016llx",
-                      (unsigned long long)j.manifest_hash);
-        str("manifest", buf);
-    }
-    str("status", to_string(r.status));
-    if (r.status != hier::run_status::ok)
-        str("error", r.error);
-    line += r.floating_point ? "\"floating_point\":true,"
-                             : "\"floating_point\":false,";
-    u64("instructions", r.instructions);
-    u64("cycles", r.cycles);
-    dbl("ipc", r.ipc);
-    u64("cores", r.cores);
-    line += "\"per_core_ipc\":[";
-    for (std::size_t i = 0; i < r.per_core_ipc.size(); ++i) {
-        if (i != 0)
-            line += ',';
-        line += fmt_double(r.per_core_ipc[i]);
-    }
-    line += "],";
-    dbl("weighted_speedup", r.weighted_speedup);
-    line += r.sampled ? "\"sampled\":true," : "\"sampled\":false,";
-    u64("sampled_windows", r.sampled_windows);
-    u64("measured_instructions", r.measured_instructions);
-    dbl("ipc_ci95", r.ipc_ci95);
-    u64("l2_read_hits", r.l2_read_hits);
-    line += "\"fabric_read_hits\":[";
-    for (std::size_t i = 0; i < r.fabric_read_hits.size(); ++i) {
-        if (i != 0)
-            line += ',';
-        line += std::to_string(r.fabric_read_hits[i]);
-    }
-    line += "],";
-    u64("transport_actual", r.transport_actual);
-    u64("transport_min", r.transport_min);
-    u64("search_restarts", r.search_restarts);
-    u64("searches", r.searches);
-    u64("loads_l1", r.loads_l1);
-    u64("loads_fabric", r.loads_fabric);
-    u64("loads_l2", r.loads_l2);
-    u64("loads_l3", r.loads_l3);
-    u64("loads_dnuca", r.loads_dnuca);
-    u64("loads_memory", r.loads_memory);
-    u64("loads_peer", r.loads_peer);
-    dbl("avg_load_latency", r.avg_load_latency);
-    dbl("host_seconds", r.host_seconds);
-    dbl("sim_cycles_per_second", r.sim_cycles_per_second);
-    dbl("sim_instructions_per_second", r.sim_instructions_per_second);
-    line += "\"energy\":{";
-    dbl("dynamic_j", r.energy.dynamic_j);
-    dbl("static_l1_j", r.energy.static_l1_j);
-    dbl("static_storage_j", r.energy.static_storage_j);
-    dbl("static_l3_j", r.energy.static_l3_j);
-    line += "\"total_j\":";
-    line += fmt_double(r.energy.total());
-    line += "}}";
+    });
+    line.back() = '}';
     return line;
+}
+
+std::string encode_deterministic_line(const job& j, hier::run_result r)
+{
+    hier::for_each_field([&](const hier::field& d, auto member) {
+        if (!d.deterministic())
+            r.*member = {};
+    });
+    return encode_json_line(j, r);
 }
 
 jsonl_sink::jsonl_sink(std::ostream& out, std::size_t flush_rows)
@@ -400,9 +413,9 @@ void sink_fanout::finish()
 
 // ---------------------------------------------------------------------------
 // decode_json_line: minimal recursive-descent parser for the exact grammar
-// encode_json_line() emits (flat object, one nested object, one u64 array).
-// Unknown keys are skipped so the format can grow fields without breaking
-// old readers.
+// encode_json_line() emits (flat object, one nested object, number arrays),
+// dispatching each key through visit_row(). Unknown keys are skipped so the
+// format can grow fields without breaking old readers.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -542,44 +555,6 @@ struct cursor {
         bool flag;
         return parse_bool(flag);
     }
-
-    bool parse_u64_array(std::vector<std::uint64_t>& out)
-    {
-        if (!consume('['))
-            return false;
-        out.clear();
-        if (consume(']'))
-            return true;
-        for (;;) {
-            std::uint64_t v;
-            if (!parse_u64(v))
-                return false;
-            out.push_back(v);
-            if (consume(']'))
-                return true;
-            if (!consume(','))
-                return false;
-        }
-    }
-
-    bool parse_double_array(std::vector<double>& out)
-    {
-        if (!consume('['))
-            return false;
-        out.clear();
-        if (consume(']'))
-            return true;
-        for (;;) {
-            double v;
-            if (!parse_double(v))
-                return false;
-            out.push_back(v);
-            if (consume(']'))
-                return true;
-            if (!consume(','))
-                return false;
-        }
-    }
 };
 
 std::optional<hier::run_status> run_status_from_string(const std::string& s)
@@ -605,18 +580,14 @@ bool parse_energy(cursor& c, power::energy_breakdown& e)
         std::string key;
         if (!c.parse_string(key) || !c.consume(':'))
             return false;
-        bool ok = true;
-        if (key == "dynamic_j")
-            ok = c.parse_double(e.dynamic_j);
-        else if (key == "static_l1_j")
-            ok = c.parse_double(e.static_l1_j);
-        else if (key == "static_storage_j")
-            ok = c.parse_double(e.static_storage_j);
-        else if (key == "static_l3_j")
-            ok = c.parse_double(e.static_l3_j);
-        else
-            ok = c.skip_value(); // total_j and future fields
-        if (!ok)
+        bool known = false, ok = true;
+        hier::for_each_energy_part([&](const char* name, auto member) {
+            if (!known && key == name) {
+                known = true;
+                ok = c.parse_double(e.*member);
+            }
+        });
+        if (!(known ? ok : c.skip_value())) // total_j and future parts
             return false;
         if (c.consume('}'))
             return true;
@@ -625,137 +596,90 @@ bool parse_energy(cursor& c, power::energy_breakdown& e)
     }
 }
 
+/// Parse one value of field `d` into `v`; false on malformed input.
+template <class T> bool parse_value(cursor& c, const hier::field& d, T& v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        return c.parse_bool(v);
+    } else if constexpr (is_u64<T>) {
+        if (d.kind == hier::field_kind::hex64) {
+            std::string hex;
+            if (!c.parse_string(hex) || hex.empty())
+                return false;
+            char* after = nullptr;
+            v = std::strtoull(hex.c_str(), &after, 16);
+            return after == hex.c_str() + hex.size();
+        }
+        std::uint64_t u;
+        if (!c.parse_u64(u))
+            return false;
+        v = T(u);
+        return true;
+    } else if constexpr (std::is_same_v<T, double>) {
+        return c.parse_double(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        return c.parse_string(v);
+    } else if constexpr (std::is_same_v<T, hier::run_status>) {
+        std::string text;
+        if (!c.parse_string(text))
+            return false;
+        const auto status = run_status_from_string(text);
+        if (status)
+            v = *status;
+        return status.has_value(); // an unknown status is a malformed row
+    } else if constexpr (std::is_same_v<T, power::energy_breakdown>) {
+        return parse_energy(c, v);
+    } else { // u64 / f64 array
+        v.clear();
+        if (!c.consume('['))
+            return false;
+        if (c.consume(']'))
+            return true;
+        do {
+            v.emplace_back();
+            if (!parse_value(c, d, v.back()))
+                return false;
+        } while (c.consume(','));
+        return c.consume(']');
+    }
+}
+
 } // namespace
 
 std::optional<decoded_run> decode_json_line(const std::string& line)
 {
     cursor c{line.data(), line.data() + line.size()};
-    decoded_run out;
     if (!c.consume('{'))
         return std::nullopt;
-    if (c.consume('}'))
-        return out;
-    for (;;) {
-        std::string key;
-        if (!c.parse_string(key) || !c.consume(':'))
-            return std::nullopt;
-        bool ok = true;
-        hier::run_result& r = out.result;
-        if (key == "config")
-            ok = c.parse_string(r.config_name);
-        else if (key == "workload")
-            ok = c.parse_string(r.workload_name);
-        else if (key == "config_index") {
-            std::uint64_t v;
-            ok = c.parse_u64(v);
-            out.key.config = std::size_t(v);
-        } else if (key == "workload_index") {
-            std::uint64_t v;
-            ok = c.parse_u64(v);
-            out.key.workload = std::size_t(v);
-        } else if (key == "replicate") {
-            std::uint64_t v;
-            ok = c.parse_u64(v);
-            out.key.replicate = std::size_t(v);
-        } else if (key == "flat") {
-            std::uint64_t v;
-            ok = c.parse_u64(v);
-            out.key.flat = std::size_t(v);
-        } else if (key == "seed")
-            ok = c.parse_u64(out.seed);
-        else if (key == "instructions_requested")
-            ok = c.parse_u64(out.instructions_requested);
-        else if (key == "warmup")
-            ok = c.parse_u64(out.warmup);
-        else if (key == "manifest") {
-            std::string hex;
-            ok = c.parse_string(hex) && !hex.empty();
-            if (ok) {
-                char* after = nullptr;
-                out.manifest_hash = std::strtoull(hex.c_str(), &after, 16);
-                ok = after == hex.c_str() + hex.size();
-            }
+    job ids; // coordinates as visit_row sees them; absent keys read as 0
+    ids.seed = ids.instructions = ids.warmup = 0;
+    decoded_run out;
+    if (!c.consume('}')) {
+        for (;;) {
+            std::string key;
+            if (!c.parse_string(key) || !c.consume(':'))
+                return std::nullopt;
+            bool known = false, ok = true;
+            visit_row(ids, out.result, [&](const hier::field& d, auto& v) {
+                if (!known && key == d.name) {
+                    known = true;
+                    ok = parse_value(c, d, v);
+                }
+            });
+            if (!(known ? ok : c.skip_value()))
+                return std::nullopt;
+            if (c.consume('}'))
+                break;
+            if (!c.consume(','))
+                return std::nullopt;
         }
-        else if (key == "status") {
-            std::string text;
-            ok = c.parse_string(text);
-            if (ok) {
-                const auto status = run_status_from_string(text);
-                if (!status.has_value())
-                    return std::nullopt;
-                r.status = *status;
-            }
-        } else if (key == "error")
-            ok = c.parse_string(r.error);
-        else if (key == "floating_point")
-            ok = c.parse_bool(r.floating_point);
-        else if (key == "instructions")
-            ok = c.parse_u64(r.instructions);
-        else if (key == "cycles")
-            ok = c.parse_u64(r.cycles);
-        else if (key == "ipc")
-            ok = c.parse_double(r.ipc);
-        else if (key == "cores") {
-            std::uint64_t v;
-            ok = c.parse_u64(v);
-            r.cores = std::uint32_t(v);
-        } else if (key == "per_core_ipc")
-            ok = c.parse_double_array(r.per_core_ipc);
-        else if (key == "weighted_speedup")
-            ok = c.parse_double(r.weighted_speedup);
-        else if (key == "sampled")
-            ok = c.parse_bool(r.sampled);
-        else if (key == "sampled_windows")
-            ok = c.parse_u64(r.sampled_windows);
-        else if (key == "measured_instructions")
-            ok = c.parse_u64(r.measured_instructions);
-        else if (key == "ipc_ci95")
-            ok = c.parse_double(r.ipc_ci95);
-        else if (key == "l2_read_hits")
-            ok = c.parse_u64(r.l2_read_hits);
-        else if (key == "fabric_read_hits")
-            ok = c.parse_u64_array(r.fabric_read_hits);
-        else if (key == "transport_actual")
-            ok = c.parse_u64(r.transport_actual);
-        else if (key == "transport_min")
-            ok = c.parse_u64(r.transport_min);
-        else if (key == "search_restarts")
-            ok = c.parse_u64(r.search_restarts);
-        else if (key == "searches")
-            ok = c.parse_u64(r.searches);
-        else if (key == "loads_l1")
-            ok = c.parse_u64(r.loads_l1);
-        else if (key == "loads_fabric")
-            ok = c.parse_u64(r.loads_fabric);
-        else if (key == "loads_l2")
-            ok = c.parse_u64(r.loads_l2);
-        else if (key == "loads_l3")
-            ok = c.parse_u64(r.loads_l3);
-        else if (key == "loads_dnuca")
-            ok = c.parse_u64(r.loads_dnuca);
-        else if (key == "loads_memory")
-            ok = c.parse_u64(r.loads_memory);
-        else if (key == "loads_peer")
-            ok = c.parse_u64(r.loads_peer);
-        else if (key == "avg_load_latency")
-            ok = c.parse_double(r.avg_load_latency);
-        else if (key == "host_seconds")
-            ok = c.parse_double(r.host_seconds);
-        else if (key == "sim_cycles_per_second")
-            ok = c.parse_double(r.sim_cycles_per_second);
-        else if (key == "sim_instructions_per_second")
-            ok = c.parse_double(r.sim_instructions_per_second);
-        else if (key == "energy")
-            ok = parse_energy(c, r.energy);
-        else
-            ok = c.skip_value();
-        if (!ok)
-            return std::nullopt;
-        if (c.consume('}'))
-            return out;
-        if (!c.consume(','))
-            return std::nullopt;
     }
+    out.key = ids.key;
+    out.seed = ids.seed;
+    out.instructions_requested = ids.instructions;
+    out.warmup = ids.warmup;
+    out.manifest_hash = ids.manifest_hash;
+    return out;
 }
 
 } // namespace lnuca::exp

@@ -8,11 +8,15 @@
 //
 // Formats:
 //   table_sink  human-readable summary table (one row per run)
-//   csv_sink    flat CSV, one header row + one row per run
+//   csv_sink    flat CSV, one header row + one row per run: one column per
+//               JSON-lines key (flat_columns)
 //   jsonl_sink  JSON-lines: one self-contained object per run, carrying the
 //               job coordinates, derived seed, the full run_result and the
 //               energy breakdown. decode_json_line() round-trips the format
-//               (bench/BENCH_*.json trajectory tooling and tests).
+//               (results store, merge, --resume and tests).
+//
+// Every row format walks one field list, visit_row(): the run_result field
+// table (src/hier/system.h) with the job coordinates after the run names.
 #pragma once
 
 #include "src/exp/job.h"
@@ -62,7 +66,7 @@ private:
     std::vector<std::vector<std::string>> rows_;
 };
 
-/// Flat CSV with a fixed column set.
+/// Flat CSV, one column per flat_columns() entry.
 class csv_sink final : public sink {
 public:
     explicit csv_sink(std::ostream& out) : out_(out) {}
@@ -135,6 +139,52 @@ private:
     std::vector<sink*> sinks_;
 };
 
+/// f(field, value) over a row's job coordinates, in key order. `manifest`
+/// is the manifest hash (field_kind::hex64, absent on ad-hoc sweeps).
+template <class J, class F> void visit_coordinates(J& j, F&& f)
+{
+    using hier::field_kind;
+    const auto label = [](const char* name, field_kind kind) {
+        return hier::field{name, kind, hier::field_role::label};
+    };
+    f(label("config_index", field_kind::u64), j.key.config);
+    f(label("workload_index", field_kind::u64), j.key.workload);
+    f(label("replicate", field_kind::u64), j.key.replicate);
+    f(label("flat", field_kind::u64), j.key.flat);
+    f(label("seed", field_kind::id64), j.seed);
+    f(label("instructions_requested", field_kind::u64), j.instructions);
+    f(label("warmup", field_kind::u64), j.warmup);
+    f(label("manifest", field_kind::hex64), j.manifest_hash);
+}
+
+/// f(field, value) over one sweep row - the result's fields with the job
+/// coordinates after the run names - in JSON-lines key order. `J`/`R` may
+/// be const.
+template <class J, class R, class F> void visit_row(J& j, R& r, F&& f)
+{
+    hier::for_each_field(
+        [&](const hier::field& d, auto member) { f(d, r.*member); },
+        [&] { visit_coordinates(j, f); });
+}
+
+/// One column of a row's flat view, shared by the CSV, the results store
+/// and trace_tool's digest: each JSON-lines key in key order, the energy
+/// object split into energy_<part> columns (energy_total_j included),
+/// arrays joined with ';', flags as 1/0, an absent manifest as "".
+struct flat_column {
+    std::string name;      ///< CSV header / results-store column
+    std::string json_path; ///< where the value sits ("energy.dynamic_j")
+    hier::field field;     ///< table entry (the energy entry for its parts)
+    std::string text;
+};
+
+std::vector<flat_column> flat_columns(const job& j, const hier::run_result& r);
+
+/// The results-store schema, one "column<TAB>SQL type<TAB>JSON path" line
+/// per flat column. `merge_tool --print-schema` prints it and
+/// tools/results_db.py builds its `runs` table from it.
+std::string store_schema();
+
 /// One decoded jsonl_sink line.
 struct decoded_run {
     job_key key;
@@ -150,6 +200,10 @@ struct decoded_run {
 /// so decode_json_line() round-trips bit-exactly). `status` is always
 /// emitted; `error` only when status != ok.
 std::string encode_json_line(const job& j, const hier::run_result& r);
+
+/// encode_json_line() with the host-timing fields zeroed: the bytes every
+/// run of the same job must reproduce.
+std::string encode_deterministic_line(const job& j, hier::run_result r);
 
 /// Parse an encode_json_line() line. Returns std::nullopt — never UB or a
 /// partially-filled struct presented as valid — on any malformed input:

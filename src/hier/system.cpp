@@ -378,19 +378,9 @@ struct system::window_totals {
     std::vector<std::uint64_t> lane_instructions;
     std::vector<std::uint64_t> lane_cycles;
 
-    std::uint64_t l2_read_hits = 0;
-    std::vector<std::uint64_t> fabric_read_hits;
-    std::uint64_t transport_actual = 0;
-    std::uint64_t transport_min = 0;
-    std::uint64_t search_restarts = 0;
-    std::uint64_t searches = 0;
-    std::uint64_t loads_l1 = 0;
-    std::uint64_t loads_fabric = 0;
-    std::uint64_t loads_l2 = 0;
-    std::uint64_t loads_l3 = 0;
-    std::uint64_t loads_dnuca = 0;
-    std::uint64_t loads_memory = 0;
-    std::uint64_t loads_peer = 0;
+    /// The table's extrapolated counts, summed over the measured spans
+    /// (for_each_count; the other members stay default).
+    run_result counts;
     std::uint64_t load_latency_weighted = 0; ///< exact Σ latency (histogram)
     std::uint64_t load_latency_count = 0;
     power::energy_inputs energy; ///< event counts summed over windows
@@ -406,19 +396,8 @@ struct system::window_totals {
         ar(window_cpi);
         ar(lane_instructions);
         ar(lane_cycles);
-        ar(l2_read_hits);
-        ar(fabric_read_hits);
-        ar(transport_actual);
-        ar(transport_min);
-        ar(search_restarts);
-        ar(searches);
-        ar(loads_l1);
-        ar(loads_fabric);
-        ar(loads_l2);
-        ar(loads_l3);
-        ar(loads_dnuca);
-        ar(loads_memory);
-        ar(loads_peer);
+        for_each_count(
+            [&](const field&, auto member) { ar(counts.*member); });
         ar(load_latency_weighted);
         ar(load_latency_count);
         ar(energy);
@@ -465,22 +444,23 @@ system::level_snapshot system::snap_levels() const
 void system::harvest_levels(const level_snapshot& snap, window_totals& totals)
 {
     if (l2_)
-        totals.l2_read_hits +=
+        totals.counts.l2_read_hits +=
             counter_delta(l2_->counters(), "read_hit", snap.l2);
     if (fabric_) {
-        if (totals.fabric_read_hits.empty())
-            totals.fabric_read_hits.assign(config_.fabric.levels + 1, 0);
+        auto& fabric_hits = totals.counts.fabric_read_hits;
+        if (fabric_hits.empty())
+            fabric_hits.assign(config_.fabric.levels + 1, 0);
         for (unsigned level = 2; level <= config_.fabric.levels; ++level)
-            totals.fabric_read_hits[level] +=
+            fabric_hits[level] +=
                 fabric_->read_hits_in_level(level) - snap.fab_hits[level];
-        totals.transport_actual +=
+        totals.counts.transport_actual +=
             fabric_->transport_actual_cycles() - snap.transport_actual;
-        totals.transport_min +=
+        totals.counts.transport_min +=
             fabric_->transport_min_cycles() - snap.transport_min;
-        totals.search_restarts +=
+        totals.counts.search_restarts +=
             counter_delta(fabric_->counters(), "search_restarts", snap.fabric);
-        totals.searches += counter_delta(fabric_->counters(),
-                                         "searches_injected", snap.fabric);
+        totals.counts.searches += counter_delta(
+            fabric_->counters(), "searches_injected", snap.fabric);
     }
 
     power::energy_inputs& in = totals.energy;
@@ -522,33 +502,33 @@ void system::harvest_levels(const level_snapshot& snap, window_totals& totals)
 
 void system::harvest_core(cpu::ooo_core& core, window_totals& totals) const
 {
-    totals.loads_l1 += core.loads_served_by(mem::service_level::l1);
-    totals.loads_fabric +=
-        core.loads_served_by(mem::service_level::lnuca_tile);
-    totals.loads_l2 += core.loads_served_by(mem::service_level::l2);
-    totals.loads_l3 += core.loads_served_by(mem::service_level::l3);
-    totals.loads_dnuca += core.loads_served_by(mem::service_level::dnuca);
-    totals.loads_memory += core.loads_served_by(mem::service_level::memory);
-    totals.loads_peer += core.loads_served_by(mem::service_level::peer_l1);
+    run_result& c = totals.counts;
+    c.loads_l1 += core.loads_served_by(mem::service_level::l1);
+    c.loads_fabric += core.loads_served_by(mem::service_level::lnuca_tile);
+    c.loads_l2 += core.loads_served_by(mem::service_level::l2);
+    c.loads_l3 += core.loads_served_by(mem::service_level::l3);
+    c.loads_dnuca += core.loads_served_by(mem::service_level::dnuca);
+    c.loads_memory += core.loads_served_by(mem::service_level::memory);
+    c.loads_peer += core.loads_served_by(mem::service_level::peer_l1);
     totals.load_latency_weighted += core.load_latency().weighted_sum();
     totals.load_latency_count += core.load_latency().total();
 }
 
-void system::apply_totals(run_result& r, const window_totals& totals) const
+void system::apply_totals(run_result& r, const window_totals& totals,
+                          double factor) const
 {
-    r.l2_read_hits = totals.l2_read_hits;
-    r.fabric_read_hits = totals.fabric_read_hits;
-    r.transport_actual = totals.transport_actual;
-    r.transport_min = totals.transport_min;
-    r.search_restarts = totals.search_restarts;
-    r.searches = totals.searches;
-    r.loads_l1 = totals.loads_l1;
-    r.loads_fabric = totals.loads_fabric;
-    r.loads_l2 = totals.loads_l2;
-    r.loads_l3 = totals.loads_l3;
-    r.loads_dnuca = totals.loads_dnuca;
-    r.loads_memory = totals.loads_memory;
-    r.loads_peer = totals.loads_peer;
+    // factor 1 (exact runs) is the identity: the counts stay far below 2^53.
+    const auto scaled = [factor](std::uint64_t v) {
+        return std::uint64_t(std::llround(double(v) * factor));
+    };
+    for_each_count([&](const field&, auto member) {
+        r.*member = totals.counts.*member;
+        if constexpr (kind_of(decltype(member){}) == field_kind::u64)
+            r.*member = scaled(r.*member);
+        else
+            for (std::uint64_t& v : r.*member)
+                v = scaled(v);
+    });
     r.avg_load_latency =
         totals.load_latency_count == 0
             ? 0.0
@@ -556,6 +536,17 @@ void system::apply_totals(run_result& r, const window_totals& totals) const
 
     power::energy_inputs in = totals.energy;
     in.cycles = r.cycles;
+    in.l1_accesses = scaled(in.l1_accesses);
+    in.l2_accesses = scaled(in.l2_accesses);
+    in.tile_tag_lookups = scaled(in.tile_tag_lookups);
+    in.tile_data_accesses = scaled(in.tile_data_accesses);
+    in.transport_hops = scaled(in.transport_hops);
+    in.replacement_hops = scaled(in.replacement_hops);
+    in.search_hops = scaled(in.search_hops);
+    in.l3_accesses = scaled(in.l3_accesses);
+    in.bank_accesses = scaled(in.bank_accesses);
+    in.dnuca_flit_hops = scaled(in.dnuca_flit_hops);
+    in.memory_transfers = scaled(in.memory_transfers);
     r.energy = power::compute_energy(in);
 }
 
@@ -1000,7 +991,7 @@ run_result system::run_exact(std::uint64_t instructions, std::uint64_t warmup)
     r.cycles = totals.cycles;
     r.ipc = r.cycles == 0 ? 0.0 : double(r.instructions) / double(r.cycles);
     set_host_timing(r, host_seconds);
-    apply_totals(r, totals);
+    apply_totals(r, totals, 1.0);
     return r;
 }
 
@@ -1296,52 +1287,11 @@ void system::assemble_sampled(run_result& r, const window_totals& totals,
     r.ipc_ci95 = mean_cpi > 0.0 ? ci_cpi / (mean_cpi * mean_cpi) : 0.0;
     r.cycles = cycle_t(std::llround(double(retired) * mean_cpi));
 
-    // Extrapolate measured event counts to the whole run.
-    const double factor = totals.instructions == 0
-                              ? 0.0
-                              : double(retired) / double(totals.instructions);
-    const auto scaled = [factor](std::uint64_t v) {
-        return std::uint64_t(std::llround(double(v) * factor));
-    };
-    r.l2_read_hits = scaled(totals.l2_read_hits);
-    if (fabric_) {
-        r.fabric_read_hits.assign(config_.fabric.levels + 1, 0);
-        for (unsigned level = 2; level <= config_.fabric.levels; ++level)
-            r.fabric_read_hits[level] =
-                level < totals.fabric_read_hits.size()
-                    ? scaled(totals.fabric_read_hits[level])
-                    : 0;
-    }
-    r.transport_actual = scaled(totals.transport_actual);
-    r.transport_min = scaled(totals.transport_min);
-    r.search_restarts = scaled(totals.search_restarts);
-    r.searches = scaled(totals.searches);
-    r.loads_l1 = scaled(totals.loads_l1);
-    r.loads_fabric = scaled(totals.loads_fabric);
-    r.loads_l2 = scaled(totals.loads_l2);
-    r.loads_l3 = scaled(totals.loads_l3);
-    r.loads_dnuca = scaled(totals.loads_dnuca);
-    r.loads_memory = scaled(totals.loads_memory);
-    r.loads_peer = scaled(totals.loads_peer);
-    r.avg_load_latency =
-        totals.load_latency_count == 0
-            ? 0.0
-            : totals.load_latency_weighted / double(totals.load_latency_count);
-
-    power::energy_inputs in = totals.energy;
-    in.cycles = r.cycles;
-    in.l1_accesses = scaled(in.l1_accesses);
-    in.l2_accesses = scaled(in.l2_accesses);
-    in.tile_tag_lookups = scaled(in.tile_tag_lookups);
-    in.tile_data_accesses = scaled(in.tile_data_accesses);
-    in.transport_hops = scaled(in.transport_hops);
-    in.replacement_hops = scaled(in.replacement_hops);
-    in.search_hops = scaled(in.search_hops);
-    in.l3_accesses = scaled(in.l3_accesses);
-    in.bank_accesses = scaled(in.bank_accesses);
-    in.dnuca_flit_hops = scaled(in.dnuca_flit_hops);
-    in.memory_transfers = scaled(in.memory_transfers);
-    r.energy = power::compute_energy(in);
+    // Extrapolate the measured event counts to the whole run.
+    apply_totals(r, totals,
+                 totals.instructions == 0
+                     ? 0.0
+                     : double(retired) / double(totals.instructions));
 }
 
 run_result run_one(const system_config& config,

@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -117,6 +118,159 @@ struct run_result {
     double sim_cycles_per_second = 0.0;    ///< cycles / host_seconds
     double sim_instructions_per_second = 0.0;
 };
+
+// ---------------------------------------------------------------------------
+// The run_result field table. Every place that moves a whole row - the
+// JSON-lines/CSV sinks and decoder, the results-store schema, the run
+// drivers' accumulation and sampled extrapolation, the bit-identity
+// comparator, trace_tool's digest - iterates this one list instead of
+// naming the fields again. A new field is one member plus one entry.
+// ---------------------------------------------------------------------------
+
+/// How a field's value is written; follows from the member's C++ type
+/// (kind_of), except the two row-coordinate kinds exp::visit_row assigns.
+enum class field_kind : std::uint8_t {
+    u64,       ///< unsigned integer (JSON number)
+    f64,       ///< double, written with all 17 significant digits
+    flag,      ///< bool
+    text,      ///< std::string
+    status,    ///< run_status, written as its name
+    u64_array, ///< std::vector<std::uint64_t>
+    f64_array, ///< std::vector<double>
+    energy,    ///< power::energy_breakdown, a nested object
+    id64,      ///< full-range 64-bit number (derived seed)
+    hex64,     ///< 64-bit hash as a 16-digit hex string, omitted when 0
+};
+
+enum class field_role : std::uint8_t {
+    label,       ///< names the run or its sweep coordinates
+    measured,    ///< deterministic simulation outcome
+    host_timing, ///< measures the host; differs between any two runs
+};
+
+struct field {
+    const char* name; ///< JSON-lines key
+    field_kind kind;
+    field_role role;
+    /// Sampled runs extrapolate it from the measured windows (a count).
+    bool extrapolated = false;
+
+    bool deterministic() const { return role != field_role::host_timing; }
+};
+
+template <class T> constexpr field_kind kind_of(T run_result::*)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        return field_kind::flag;
+    else if constexpr (std::is_integral_v<T> && std::is_unsigned_v<T>)
+        return field_kind::u64;
+    else if constexpr (std::is_same_v<T, double>)
+        return field_kind::f64;
+    else if constexpr (std::is_same_v<T, std::string>)
+        return field_kind::text;
+    else if constexpr (std::is_same_v<T, run_status>)
+        return field_kind::status;
+    else if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>)
+        return field_kind::u64_array;
+    else if constexpr (std::is_same_v<T, std::vector<double>>)
+        return field_kind::f64_array;
+    else {
+        static_assert(std::is_same_v<T, power::energy_breakdown>,
+                      "run_result field of an unsupported type");
+        return field_kind::energy;
+    }
+}
+
+/// f(field, member pointer) once per run_result field, in JSON-lines key
+/// order. `coordinates()` runs where a sweep row's job coordinates sit,
+/// between the run names and the outcome (see exp::visit_row). The
+/// extrapolated counts, in table order, are also the order they travel in
+/// a checkpoint's `driver` section.
+template <class F, class G> void for_each_field(F&& f, G&& coordinates)
+{
+    const auto label = [&](const char* name, auto member) {
+        f(field{name, kind_of(member), field_role::label}, member);
+    };
+    const auto measured = [&](const char* name, auto member) {
+        f(field{name, kind_of(member), field_role::measured}, member);
+    };
+    const auto count = [&](const char* name, auto member) {
+        static_assert(kind_of(decltype(member){}) == field_kind::u64 ||
+                          kind_of(decltype(member){}) == field_kind::u64_array,
+                      "only counts are extrapolated");
+        f(field{name, kind_of(member), field_role::measured, true}, member);
+    };
+    const auto host = [&](const char* name, auto member) {
+        f(field{name, kind_of(member), field_role::host_timing}, member);
+    };
+    label("config", &run_result::config_name);
+    label("workload", &run_result::workload_name);
+    coordinates();
+    measured("status", &run_result::status);
+    measured("error", &run_result::error);
+    measured("floating_point", &run_result::floating_point);
+    measured("instructions", &run_result::instructions);
+    measured("cycles", &run_result::cycles);
+    measured("ipc", &run_result::ipc);
+    measured("cores", &run_result::cores);
+    measured("per_core_ipc", &run_result::per_core_ipc);
+    measured("weighted_speedup", &run_result::weighted_speedup);
+    measured("sampled", &run_result::sampled);
+    measured("sampled_windows", &run_result::sampled_windows);
+    measured("measured_instructions", &run_result::measured_instructions);
+    measured("ipc_ci95", &run_result::ipc_ci95);
+    count("l2_read_hits", &run_result::l2_read_hits);
+    count("fabric_read_hits", &run_result::fabric_read_hits);
+    count("transport_actual", &run_result::transport_actual);
+    count("transport_min", &run_result::transport_min);
+    count("search_restarts", &run_result::search_restarts);
+    count("searches", &run_result::searches);
+    count("loads_l1", &run_result::loads_l1);
+    count("loads_fabric", &run_result::loads_fabric);
+    count("loads_l2", &run_result::loads_l2);
+    count("loads_l3", &run_result::loads_l3);
+    count("loads_dnuca", &run_result::loads_dnuca);
+    count("loads_memory", &run_result::loads_memory);
+    count("loads_peer", &run_result::loads_peer);
+    measured("avg_load_latency", &run_result::avg_load_latency);
+    host("host_seconds", &run_result::host_seconds);
+    host("sim_cycles_per_second", &run_result::sim_cycles_per_second);
+    host("sim_instructions_per_second",
+         &run_result::sim_instructions_per_second);
+    measured("energy", &run_result::energy);
+}
+
+template <class F> void for_each_field(F&& f)
+{
+    for_each_field(f, [] {});
+}
+
+/// f(field, value) over one row's members (const or not), in table order.
+template <class R, class F> void visit_fields(R& row, F&& f)
+{
+    for_each_field([&](const field& d, auto member) { f(d, row.*member); });
+}
+
+/// The extrapolated counts only, each a u64 or u64 array member.
+template <class F> void for_each_count(F&& f)
+{
+    for_each_field([&](const field& d, auto member) {
+        if constexpr (kind_of(decltype(member){}) == field_kind::u64 ||
+                      kind_of(decltype(member){}) == field_kind::u64_array)
+            if (d.extrapolated)
+                f(d, member);
+    });
+}
+
+/// The stored parts of the energy object, in key order. Its `total_j` key
+/// is energy_breakdown::total(), written but never read back.
+template <class F> void for_each_energy_part(F&& f)
+{
+    f("dynamic_j", &power::energy_breakdown::dynamic_j);
+    f("static_l1_j", &power::energy_breakdown::static_l1_j);
+    f("static_storage_j", &power::energy_breakdown::static_storage_j);
+    f("static_l3_j", &power::energy_breakdown::static_l3_j);
+}
 
 /// One core's front-end assignment: what to run and where its data lives.
 /// Scenario/trace profiles carry their own addresses and ignore
@@ -257,9 +411,12 @@ private:
     level_snapshot snap_levels() const;
     void harvest_levels(const level_snapshot& snap, window_totals& totals);
     void harvest_core(cpu::ooo_core& core, window_totals& totals) const;
-    /// Copy the harvested totals (hit distribution, transport, load service
-    /// levels, latency, energy) into `r`; r.cycles must already be set.
-    void apply_totals(run_result& r, const window_totals& totals) const;
+    /// Copy the harvested totals (the table's counts, latency, energy) into
+    /// `r`, counts and energy events scaled by `factor` (1 for exact runs,
+    /// retired / measured instructions for sampled ones); r.cycles must
+    /// already be set.
+    void apply_totals(run_result& r, const window_totals& totals,
+                      double factor) const;
 
     // --- checkpoint/restore (src/ckpt/) --------------------------------
     // The drivers call checkpoint_boundary() at every quiescent chunk or

@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -401,6 +402,51 @@ TEST(exit_codes, job_failure_exits_1_and_cli_error_exits_2)
     EXPECT_EQ(rows.front().result.status, hier::run_status::failed);
     EXPECT_EQ(rows.back().key.flat, 0u);
     EXPECT_EQ(rows.back().result.status, hier::run_status::ok);
+}
+
+TEST(exit_codes, unwritable_json_exits_1)
+{
+    // /dev/full accepts the open and fails every write with ENOSPC: the
+    // jobs pass but their rows are lost, which must not exit 0.
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full not available";
+    EXPECT_EQ(launch({"--threads", "1", "--json", "/dev/full"}),
+              exit_job_failure);
+}
+
+TEST(run_app_ws, manifest_cmp_rows_carry_weighted_speedup)
+{
+    // A bench without CMP partners of its own (this one passes none) still
+    // fills WS from the manifest's cores=1 baselines.
+    const std::string manifest = ::testing::TempDir() + "ws_manifest.json";
+    const std::string path = ::testing::TempDir() + "ws_rows.jsonl";
+    std::remove(path.c_str());
+    {
+        std::ofstream out(manifest, std::ios::trunc);
+        out << R"({"schema": "lnuca_sweep/1", "name": "ws",
+                   "presets": ["L2-256KB"], "cores": [1, 2],
+                   "workloads": ["429.mcf"], "instructions": 2000,
+                   "warmup": 300})";
+    }
+    const std::vector<std::string> args = {
+        "exp_fault_test", "--manifest", manifest, "--threads", "1",
+        "--json",         path,         "--quiet"};
+    std::vector<const char*> argv;
+    for (const auto& a : args)
+        argv.push_back(a.c_str());
+    ASSERT_EQ(run_app(int(argv.size()), argv.data(), bench_configs(),
+                      bench_workloads(), nullptr),
+              exit_ok);
+
+    const auto rows = read_rows(path);
+    ASSERT_EQ(rows.size(), 2u);
+    for (const decoded_run& row : rows) {
+        ASSERT_EQ(row.result.status, hier::run_status::ok);
+        if (row.result.cores == 2)
+            EXPECT_GT(row.result.weighted_speedup, 0.0);
+        else
+            EXPECT_EQ(row.result.weighted_speedup, 0.0);
+    }
 }
 
 // --------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 
@@ -196,7 +197,32 @@ TEST(sharding, sharded_results_match_the_full_run)
 
 hier::run_result synthetic_result()
 {
+    // Every table field gets a distinct non-default value, so the round
+    // trip of each one is covered; hand-picked edge cases go on top.
     hier::run_result r;
+    std::uint64_t next = 1;
+    hier::visit_fields(r, [&](const hier::field& d, auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        ++next;
+        if constexpr (std::is_same_v<T, bool>)
+            v = true;
+        else if constexpr (std::is_unsigned_v<T>)
+            v = T(next * 1000 + 7);
+        else if constexpr (std::is_same_v<T, double>)
+            v = double(next) + 0.1;
+        else if constexpr (std::is_same_v<T, std::string>)
+            v = std::string(d.name) + " text";
+        else if constexpr (std::is_same_v<T, hier::run_status>)
+            v = hier::run_status::failed;
+        else if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>)
+            v = {next, 0, next * 3};
+        else if constexpr (std::is_same_v<T, std::vector<double>>)
+            v = {double(next) + 0.25, double(next) / 3.0};
+        else
+            hier::for_each_energy_part([&](const char*, auto part) {
+                v.*part = double(++next) * 1e-4;
+            });
+    });
     r.config_name = "LN3, \"quoted\", with, commas";
     r.workload_name = "429.mcf";
     r.floating_point = true;
@@ -325,7 +351,9 @@ TEST(jsonl, status_and_error_round_trip)
     EXPECT_EQ(encode_json_line(j, decoded->result), line);
 
     // Lines from pre-status writers decode with status == ok ...
-    std::string old_line = encode_json_line(j, synthetic_result());
+    hier::run_result ok_row = synthetic_result();
+    ok_row.status = hier::run_status::ok;
+    std::string old_line = encode_json_line(j, ok_row);
     const std::string status_field = ",\"status\":\"ok\"";
     const std::size_t at = old_line.find(status_field);
     ASSERT_NE(at, std::string::npos);
@@ -373,21 +401,98 @@ TEST(jsonl, batches_rows_and_flushes_on_threshold_finish_and_destruction)
     EXPECT_EQ(leftover.str(), line);
 }
 
+TEST(fields, synthetic_result_sets_every_field)
+{
+    const hier::run_result r = synthetic_result();
+    const hier::run_result defaults;
+    hier::for_each_field([&](const hier::field& d, auto member) {
+        if constexpr (hier::kind_of(decltype(member){}) ==
+                      hier::field_kind::energy)
+            hier::for_each_energy_part([&](const char* part, auto e) {
+                EXPECT_NE((r.*member).*e, (defaults.*member).*e)
+                    << d.name << '.' << part;
+            });
+        else
+            EXPECT_NE(r.*member, defaults.*member) << d.name;
+    });
+}
+
+/// Split one CSV line into its (unquoted) fields.
+std::vector<std::string> csv_fields(const std::string& line)
+{
+    std::vector<std::string> out(1);
+    bool quoted = false;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        const char ch = line[i];
+        if (quoted && ch == '"' && i + 1 < line.size() && line[i + 1] == '"')
+            out.back() += line[++i];
+        else if (ch == '"')
+            quoted = !quoted;
+        else if (ch == ',' && !quoted)
+            out.emplace_back();
+        else
+            out.back() += ch;
+    }
+    return out;
+}
+
+/// Keys of an encoded row in order; nested keys as <parent>_<key>.
+std::vector<std::string> json_keys(const std::string& line)
+{
+    std::vector<std::string> keys;
+    std::string parent;
+    int depth = 0;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        if (line[i] == '{' || line[i] == '}') {
+            depth += line[i] == '{' ? 1 : -1;
+        } else if (line[i] == '"') {
+            std::size_t end = i + 1;
+            while (line[end] != '"')
+                end += line[end] == '\\' ? 2 : 1;
+            const std::string text = line.substr(i + 1, end - i - 1);
+            if (line[end + 1] == ':') {
+                if (depth == 1)
+                    parent = text;
+                keys.push_back(depth == 1 ? text : parent + '_' + text);
+            }
+            i = end;
+        }
+    }
+    keys.erase(std::remove(keys.begin(), keys.end(), "energy"), keys.end());
+    return keys;
+}
+
 TEST(csv, header_plus_one_row_per_run)
 {
+    job j = synthetic_job();
+    j.manifest_hash = 0x0123456789abcdefULL; // every optional key present
+    const hier::run_result r = synthetic_result();
     std::ostringstream out;
     csv_sink sink(out);
     sink.begin(1);
-    sink.consume(synthetic_job(), synthetic_result());
+    sink.consume(j, r);
     std::istringstream in(out.str());
     std::string header, row, extra;
     ASSERT_TRUE(std::getline(in, header));
     ASSERT_TRUE(std::getline(in, row));
     EXPECT_FALSE(std::getline(in, extra));
-    EXPECT_EQ(header.substr(0, 15), "config,workload");
+
+    // One column per JSON-lines key, in key order, and a value for each.
+    const std::vector<std::string> columns = csv_fields(header);
+    const std::vector<std::string> values = csv_fields(row);
+    EXPECT_EQ(columns, json_keys(encode_json_line(j, r)));
+    ASSERT_EQ(values.size(), columns.size());
+    const auto value = [&](const std::string& column) {
+        const auto at = std::find(columns.begin(), columns.end(), column);
+        return at == columns.end() ? std::string("<missing>")
+                                   : values[std::size_t(at - columns.begin())];
+    };
     // The comma-laden config name survives CSV quoting.
-    EXPECT_NE(row.find("\"LN3, \"\"quoted\"\", with, commas\""),
-              std::string::npos);
+    EXPECT_EQ(value("config"), r.config_name);
+    EXPECT_EQ(value("fabric_read_hits"), "0;0;777;31");
+    EXPECT_EQ(value("manifest"), "0123456789abcdef");
+    EXPECT_EQ(std::strtod(value("energy_total_j").c_str(), nullptr),
+              r.energy.total());
 }
 
 TEST(runner, sinks_see_jobs_in_flat_order_regardless_of_threads)

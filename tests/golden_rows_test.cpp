@@ -4,8 +4,8 @@
 // a refactor that shifts every run the same way passes them all; this test
 // compares against hashes recorded from an earlier build instead.
 //
-// Each row is exp::encode_json_line() with the host-timing trio zeroed,
-// hashed with 64-bit FNV-1a. The grid covers four presets x {1, 2} cores
+// Each row is exp::encode_deterministic_line() (the JSON-lines bytes with
+// the host-timing fields zeroed), hashed with 64-bit FNV-1a. The grid covers four presets x {1, 2} cores
 // (2-core runs also on a shared-memory scenario) x {exact, sampled} x
 // {checkpointing off, on}. Exact multi-core runs with checkpointing are not
 // pinned: their chunk cursor follows the slowest lane's committed count,
@@ -158,12 +158,10 @@ TEST(golden_rows, deterministic_jsonl_bytes_match_recorded_hashes)
     ASSERT_EQ(cases.size(), 40u);
     for (const golden_case& c : cases) {
         SCOPED_TRACE(c.label);
-        hier::run_result r = c.job.run();
+        const hier::run_result r = c.job.run();
         ASSERT_EQ(r.status, hier::run_status::ok);
-        r.host_seconds = 0.0;
-        r.sim_cycles_per_second = 0.0;
-        r.sim_instructions_per_second = 0.0;
-        const std::uint64_t hash = fnv1a(exp::encode_json_line(c.job, r));
+        const std::string line = exp::encode_deterministic_line(c.job, r);
+        const std::uint64_t hash = fnv1a(line);
         if (print)
             std::printf("    {\"%s\", 0x%016" PRIx64 "ULL},\n",
                         c.label.c_str(), hash);
@@ -173,7 +171,7 @@ TEST(golden_rows, deterministic_jsonl_bytes_match_recorded_hashes)
             continue;
         }
         EXPECT_EQ(hash, expected->second)
-            << "row bytes changed: " << exp::encode_json_line(c.job, r);
+            << "row bytes changed: " << line;
     }
 }
 

@@ -1,9 +1,9 @@
 // Shared bit-identity comparator for hier::run_result, used by both the
 // exp determinism tests (thread count / shard layout must not change a
 // field) and the engine-schedule tests (dense vs idle-skip must not change
-// a field). Compares every simulation field; the host-timing trio
-// (host_seconds and the derived throughput rates) is deliberately absent —
-// it measures the host, not the simulation.
+// a field). Compares every deterministic field of the run_result field
+// table; the host-timing fields are deliberately absent - they measure the
+// host, not the simulation.
 #pragma once
 
 #include "src/hier/system.h"
@@ -15,39 +15,18 @@ namespace lnuca {
 inline void expect_sim_fields_identical(const hier::run_result& a,
                                         const hier::run_result& b)
 {
-    EXPECT_EQ(a.config_name, b.config_name);
-    EXPECT_EQ(a.workload_name, b.workload_name);
-    EXPECT_EQ(a.floating_point, b.floating_point);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.l2_read_hits, b.l2_read_hits);
-    EXPECT_EQ(a.fabric_read_hits, b.fabric_read_hits);
-    EXPECT_EQ(a.transport_actual, b.transport_actual);
-    EXPECT_EQ(a.transport_min, b.transport_min);
-    EXPECT_EQ(a.search_restarts, b.search_restarts);
-    EXPECT_EQ(a.searches, b.searches);
-    EXPECT_EQ(a.energy.dynamic_j, b.energy.dynamic_j);
-    EXPECT_EQ(a.energy.static_l1_j, b.energy.static_l1_j);
-    EXPECT_EQ(a.energy.static_storage_j, b.energy.static_storage_j);
-    EXPECT_EQ(a.energy.static_l3_j, b.energy.static_l3_j);
-    EXPECT_EQ(a.loads_l1, b.loads_l1);
-    EXPECT_EQ(a.loads_fabric, b.loads_fabric);
-    EXPECT_EQ(a.loads_l2, b.loads_l2);
-    EXPECT_EQ(a.loads_l3, b.loads_l3);
-    EXPECT_EQ(a.loads_dnuca, b.loads_dnuca);
-    EXPECT_EQ(a.loads_memory, b.loads_memory);
-    EXPECT_EQ(a.loads_peer, b.loads_peer);
-    EXPECT_EQ(a.avg_load_latency, b.avg_load_latency);
-    EXPECT_EQ(a.cores, b.cores);
-    EXPECT_EQ(a.per_core_ipc, b.per_core_ipc);
-    EXPECT_EQ(a.weighted_speedup, b.weighted_speedup);
-    EXPECT_EQ(a.sampled, b.sampled);
-    EXPECT_EQ(a.sampled_windows, b.sampled_windows);
-    EXPECT_EQ(a.measured_instructions, b.measured_instructions);
-    EXPECT_EQ(a.ipc_ci95, b.ipc_ci95);
-    EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.error, b.error);
+    hier::for_each_field([&](const hier::field& d, auto member) {
+        if (!d.deterministic())
+            return;
+        if constexpr (hier::kind_of(decltype(member){}) ==
+                      hier::field_kind::energy)
+            hier::for_each_energy_part([&](const char* part, auto e) {
+                EXPECT_EQ((a.*member).*e, (b.*member).*e)
+                    << d.name << '.' << part;
+            });
+        else
+            EXPECT_EQ(a.*member, b.*member) << d.name;
+    });
 }
 
 } // namespace lnuca

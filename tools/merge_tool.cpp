@@ -1,6 +1,11 @@
 // Merge sharded / resumed sweep outputs into one canonical result set.
 //
 //   merge_tool --manifest M.json --output merged.jsonl shard0.jsonl shard1.jsonl ...
+//   merge_tool --print-schema
+//
+// --print-schema writes the results-store columns, one "column<TAB>SQL
+// type<TAB>JSON path" line each, from the run_result field table;
+// tools/results_db.py ingest builds its `runs` table from that output.
 //
 // Every input row's provenance is validated against the manifest (flat
 // coordinates, derived seed, run length, manifest hash); the merged output
@@ -42,7 +47,10 @@ int usage()
                  "  --output FILE    merged canonical JSONL (\"-\" = "
                  "stdout)\n"
                  "  --quiet          suppress the coverage report when the "
-                 "merge is complete\n");
+                 "merge is complete\n"
+                 "usage: merge_tool --print-schema\n"
+                 "  print the results-store columns (column, SQL type, "
+                 "JSON path)\n");
     return 2;
 }
 
@@ -92,6 +100,10 @@ int main(int argc, char** argv)
         if (arg == "--quiet") {
             quiet = true;
             continue;
+        }
+        if (arg == "--print-schema") {
+            std::cout << exp::store_schema();
+            return std::cout ? 0 : 2;
         }
         if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());

@@ -17,12 +17,15 @@ Subcommands:
              except the host-timing trio; exits 1 when the files disagree
              (or, with --rows N, when any file does not hold N rows).
 
-Only the Python standard library is used (sqlite3, json). Every run_result
-field of the JSONL schema (src/exp/sink.cpp) has a typed column; the two
-variable-length arrays are unnested (per_core_ipc) or kept as a JSON text
-column (fabric_read_hits — its length is a config property, not an axis).
-Seeds are stored as decimal TEXT: they are full-range 64-bit values, which
-SQLite's signed INTEGER cannot hold.
+Only the Python standard library is used (sqlite3, json, subprocess).
+`ingest` takes the `runs` columns from `merge_tool --print-schema`, which
+prints them from the simulator's run_result field table: one typed column
+per JSONL key (the CSV columns), energy parts as energy_<part>_j, arrays
+as JSON text. per_core_ipc is also unnested into its own table. Seeds are
+decimal TEXT: they are full-range 64-bit values, which SQLite's signed
+INTEGER cannot hold. The merge_tool binary is $LNUCA_MERGE_TOOL, or
+build/tools/merge_tool under the repository root. The other subcommands
+read the columns back from the database; `digest` needs no binary.
 """
 
 import argparse
@@ -32,109 +35,80 @@ import math
 import os
 import sqlite3
 import statistics
+import subprocess
 import sys
-
-# column name -> (sqlite type, json key or None if same)
-RUN_COLUMNS = [
-    ("manifest", "TEXT"),
-    ("flat", "INTEGER"),
-    ("config", "TEXT"),
-    ("workload", "TEXT"),
-    ("config_index", "INTEGER"),
-    ("workload_index", "INTEGER"),
-    ("replicate", "INTEGER"),
-    ("seed", "TEXT"),
-    ("instructions_requested", "INTEGER"),
-    ("warmup", "INTEGER"),
-    ("status", "TEXT"),
-    ("error", "TEXT"),
-    ("floating_point", "INTEGER"),
-    ("instructions", "INTEGER"),
-    ("cycles", "INTEGER"),
-    ("ipc", "REAL"),
-    ("cores", "INTEGER"),
-    ("weighted_speedup", "REAL"),
-    ("sampled", "INTEGER"),
-    ("sampled_windows", "INTEGER"),
-    ("measured_instructions", "INTEGER"),
-    ("ipc_ci95", "REAL"),
-    ("l2_read_hits", "INTEGER"),
-    ("fabric_read_hits", "TEXT"),
-    ("transport_actual", "INTEGER"),
-    ("transport_min", "INTEGER"),
-    ("search_restarts", "INTEGER"),
-    ("searches", "INTEGER"),
-    ("loads_l1", "INTEGER"),
-    ("loads_fabric", "INTEGER"),
-    ("loads_l2", "INTEGER"),
-    ("loads_l3", "INTEGER"),
-    ("loads_dnuca", "INTEGER"),
-    ("loads_memory", "INTEGER"),
-    ("loads_peer", "INTEGER"),
-    ("avg_load_latency", "REAL"),
-    ("host_seconds", "REAL"),
-    ("sim_cycles_per_second", "REAL"),
-    ("sim_instructions_per_second", "REAL"),
-    ("dynamic_j", "REAL"),
-    ("static_l1_j", "REAL"),
-    ("static_storage_j", "REAL"),
-    ("static_l3_j", "REAL"),
-]
-
-SCHEMA = f"""
-CREATE TABLE IF NOT EXISTS runs (
-  {", ".join(f"{name} {typ}" for name, typ in RUN_COLUMNS)},
-  PRIMARY KEY (manifest, flat)
-);
-CREATE TABLE IF NOT EXISTS per_core_ipc (
-  manifest TEXT NOT NULL,
-  flat INTEGER NOT NULL,
-  core INTEGER NOT NULL,
-  ipc REAL NOT NULL,
-  PRIMARY KEY (manifest, flat, core)
-);
-CREATE INDEX IF NOT EXISTS runs_by_config ON runs (config, workload);
-"""
-
-# JSONL keys folded into their typed column instead of matching by name.
-ENERGY_KEYS = ("dynamic_j", "static_l1_j", "static_storage_j", "static_l3_j")
 
 # The only non-deterministic row fields: they measure the host, not the
 # simulation, so row digests leave them out.
 HOST_TIMING_KEYS = ("host_seconds", "sim_cycles_per_second",
                     "sim_instructions_per_second")
 
+def merge_tool_path():
+    default = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "build", "tools", "merge_tool")
+    return os.environ.get("LNUCA_MERGE_TOOL", default)
 
-def open_db(path):
+
+def store_columns():
+    """[(column, sql type, json path)] from `merge_tool --print-schema`."""
+    tool = merge_tool_path()
+    try:
+        out = subprocess.run([tool, "--print-schema"], check=True,
+                             capture_output=True, text=True).stdout
+    except (OSError, subprocess.CalledProcessError) as err:
+        raise SystemExit(f"results_db: cannot read the store schema from "
+                         f"'{tool}' ({err}); build merge_tool or set "
+                         f"LNUCA_MERGE_TOOL")
+    return [tuple(line.split("\t")) for line in out.splitlines() if line]
+
+
+def open_db(path, columns=None):
+    """Open the store; with `columns`, create its tables first."""
     db = sqlite3.connect(path)
-    db.executescript(SCHEMA)
+    if columns is not None:
+        db.executescript(f"""
+            CREATE TABLE IF NOT EXISTS runs (
+              {", ".join(f"{name} {typ}" for name, typ, _ in columns)},
+              PRIMARY KEY (manifest, flat)
+            );
+            CREATE TABLE IF NOT EXISTS per_core_ipc (
+              manifest TEXT NOT NULL,
+              flat INTEGER NOT NULL,
+              core INTEGER NOT NULL,
+              ipc REAL NOT NULL,
+              PRIMARY KEY (manifest, flat, core)
+            );
+            CREATE INDEX IF NOT EXISTS runs_by_config
+              ON runs (config, workload);""")
     return db
 
 
-def row_values(record):
+def run_columns(db):
+    """Column names of the store's `runs` table (empty before ingest)."""
+    return {row[1] for row in db.execute("PRAGMA table_info(runs)")}
+
+
+def row_values(record, columns):
     values = {}
-    energy = record.get("energy", {})
-    for name, _ in RUN_COLUMNS:
-        if name == "manifest":
-            values[name] = record.get("manifest", "")
-        elif name == "seed":
-            values[name] = str(record.get("seed", 0))
-        elif name == "fabric_read_hits":
-            values[name] = json.dumps(record.get("fabric_read_hits", []))
-        elif name in ENERGY_KEYS:
-            values[name] = energy.get(name)
-        elif name in ("floating_point", "sampled"):
-            values[name] = 1 if record.get(name) else 0
-        elif name == "error":
-            values[name] = record.get("error", "")
-        else:
-            values[name] = record.get(name)
+    for name, typ, path in columns:
+        value = record
+        for part in path.split("."):
+            value = value.get(part) if isinstance(value, dict) else None
+        if isinstance(value, list):
+            value = json.dumps(value)
+        elif isinstance(value, bool):
+            value = int(value)
+        elif typ == "TEXT":
+            # Absent optional keys (manifest, error) store as "".
+            value = "" if value is None else str(value)
+        values[name] = value
     return values
 
 
 def cmd_ingest(args):
-    db = open_db(args.db)
-    names = [name for name, _ in RUN_COLUMNS]
+    columns = store_columns()
+    db = open_db(args.db, columns)
+    names = [name for name, _, _ in columns]
     insert = (f"INSERT INTO runs ({', '.join(names)}) "
               f"VALUES ({', '.join(':' + n for n in names)})")
     total = 0
@@ -153,7 +127,7 @@ def cmd_ingest(args):
                               f"undecodable row (torn tail? merge first)",
                               file=sys.stderr)
                         return 1
-                    values = row_values(record)
+                    values = row_values(record, columns)
                     key = (values["manifest"], values["flat"])
                     db.execute("DELETE FROM runs WHERE manifest = ? AND "
                                "flat = ?", key)
@@ -174,7 +148,7 @@ def cmd_ingest(args):
 def cmd_speedup(args):
     db = open_db(args.db)
     metric = args.metric
-    if metric not in {name for name, _ in RUN_COLUMNS}:
+    if metric not in run_columns(db):
         print(f"results_db: unknown metric column '{metric}'",
               file=sys.stderr)
         return 1
@@ -215,7 +189,7 @@ def cmd_speedup(args):
 
 def cmd_aggregate(args):
     db = open_db(args.db)
-    columns = {name for name, _ in RUN_COLUMNS}
+    columns = run_columns(db)
     groups = [g.strip() for g in args.group.split(",") if g.strip()]
     if args.metric not in columns or not all(g in columns for g in groups):
         print("results_db: --metric/--group must name runs columns",

@@ -103,38 +103,17 @@ hier::system_config resolve_preset(const cli_args& args, bool& ok)
     return config;
 }
 
-/// Every deterministic counter of a run on one line, no run labels (the
+/// Every deterministic field of a run on one line, as name=value in the
+/// flat-column form (exp::flat_columns), without the run labels (the
 /// capture names the live workload, the replay names the trace file - the
-/// digest must still compare equal) and no host-timing fields.
+/// digest must still compare equal) and without the host-timing fields.
 void print_digest(const hier::run_result& r)
 {
-    std::printf("digest instructions=%llu cycles=%llu",
-                (unsigned long long)r.instructions,
-                (unsigned long long)r.cycles);
-    std::printf(" loads_l1=%llu loads_fabric=%llu loads_l2=%llu "
-                "loads_l3=%llu loads_dnuca=%llu loads_memory=%llu "
-                "loads_peer=%llu",
-                (unsigned long long)r.loads_l1,
-                (unsigned long long)r.loads_fabric,
-                (unsigned long long)r.loads_l2,
-                (unsigned long long)r.loads_l3,
-                (unsigned long long)r.loads_dnuca,
-                (unsigned long long)r.loads_memory,
-                (unsigned long long)r.loads_peer);
-    std::printf(" l2_read_hits=%llu", (unsigned long long)r.l2_read_hits);
-    for (std::size_t i = 0; i < r.fabric_read_hits.size(); ++i)
-        std::printf(" fabric_l%zu_hits=%llu", i,
-                    (unsigned long long)r.fabric_read_hits[i]);
-    std::printf(" transport=%llu/%llu searches=%llu restarts=%llu",
-                (unsigned long long)r.transport_actual,
-                (unsigned long long)r.transport_min,
-                (unsigned long long)r.searches,
-                (unsigned long long)r.search_restarts);
-    std::printf(" ipc=%.17g avg_load_latency=%.17g energy_j=%.17g", r.ipc,
-                r.avg_load_latency, r.energy.total());
-    for (std::size_t i = 0; i < r.per_core_ipc.size(); ++i)
-        std::printf(" core%zu_ipc=%.17g", i, r.per_core_ipc[i]);
-    std::printf("\n");
+    std::string line = "digest";
+    for (const exp::flat_column& c : exp::flat_columns(exp::job{}, r))
+        if (c.field.role == hier::field_role::measured)
+            line += ' ' + c.name + '=' + c.text;
+    std::printf("%s\n", line.c_str());
 }
 
 int run_and_digest(const wl::workload_profile& profile, const cli_args& args,
