@@ -7,7 +7,7 @@
 //                         [--json out.jsonl]
 //
 // Pass --workload all to sweep the whole SPEC proxy suite (one job per
-// workload, scheduled across the pool).
+// workload, spread across worker threads).
 #include "src/lnuca.h"
 
 #include <cstdio>

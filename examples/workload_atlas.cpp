@@ -2,9 +2,9 @@
 // mix, working set, and LRU hit rates at the hierarchy's capacity
 // landmarks - the data the proxies were calibrated against.
 //
-// The per-workload LRU characterisations are independent, so they run on
-// the exp::pool work-stealing scheduler (one job per proxy) and the table
-// is assembled in suite order afterwards.
+// The per-workload LRU characterisations are independent, so they run
+// across threads with exp::parallel_for (one index per proxy) and the
+// table is assembled in suite order afterwards.
 //
 //   ./examples/workload_atlas [--samples 200000] [--threads N]
 #include "src/lnuca.h"
@@ -83,12 +83,9 @@ int main(int argc, char** argv)
 
     const auto& suite = wl::spec2006_suite();
     std::vector<locality> localities(suite.size());
-    {
-        exp::pool workers(threads);
-        workers.parallel_for(suite.size(), [&](std::size_t w) {
-            localities[w] = characterise(suite[w], samples);
-        });
-    }
+    exp::parallel_for(suite.size(), threads, [&](std::size_t w) {
+        localities[w] = characterise(suite[w], samples);
+    });
 
     text_table t("SPEC CPU2006 proxy atlas (LRU hit % at capacity landmarks)");
     t.set_header({"benchmark", "kind", "loads%", "branch%", "<=L1", "<=LN3 win",

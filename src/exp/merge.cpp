@@ -28,7 +28,108 @@ std::string flat_list(const std::vector<std::size_t>& flats)
     return out;
 }
 
+/// The first field on which row `d` disagrees with the job at its flat
+/// index, or nullptr when the row belongs to that job.
+const char* provenance_mismatch(const job& j, const decoded_run& d)
+{
+    const hier::run_result& r = d.result;
+    if (!(j.key == d.key))
+        return "config_index/workload_index/replicate";
+    if (j.seed != d.seed)
+        return "seed";
+    if (j.instructions != d.instructions_requested)
+        return "instructions_requested";
+    if (j.warmup != d.warmup)
+        return "warmup";
+    if (j.manifest_hash != d.manifest_hash)
+        return "manifest";
+    if (r.config_name != j.config.name)
+        return "config";
+    // A trace replay's row carries the name recorded in the trace file,
+    // which only opening the file would tell.
+    if (j.workload.trace_path.empty() && r.workload_name != j.workload.name)
+        return "workload";
+    // A failed row holds no measurement, sampled or exact.
+    if (r.status == hier::run_status::ok &&
+        r.sampled != (j.config.sampling.enabled && j.instructions > 0))
+        return "sampled";
+    return nullptr;
+}
+
 } // namespace
+
+bool scan_rows(const std::vector<job>& jobs, const std::string& content,
+               row_scan& scan, std::size_t& kept_bytes, std::string& error)
+{
+    kept_bytes = content.size();
+    std::size_t line_start = 0;
+    std::size_t line_no = 0;
+    const auto fail = [&](const std::string& why) {
+        error = "line " + std::to_string(line_no) + ": " + why;
+        return false;
+    };
+    while (line_start < content.size()) {
+        std::size_t newline = content.find('\n', line_start);
+        if (newline == std::string::npos)
+            newline = content.size();
+        const std::string line =
+            content.substr(line_start, newline - line_start);
+        const std::size_t next = std::min(newline + 1, content.size());
+        ++line_no;
+
+        if (line.empty()) {
+            line_start = next;
+            continue;
+        }
+        const auto decoded = decode_json_line(line);
+        if (!decoded) {
+            // Only a *trailing* undecodable line is a legitimate torn tail;
+            // mid-file corruption means rows are gone for good.
+            if (next < content.size())
+                return fail("malformed row is not the trailing line; the "
+                            "file is corrupt, not merely torn");
+            kept_bytes = line_start;
+            return true;
+        }
+
+        const std::size_t flat = decoded->key.flat;
+        if (flat >= jobs.size())
+            return fail("flat index " + std::to_string(flat) +
+                        " is outside the sweep's " +
+                        std::to_string(jobs.size()) + " jobs");
+        const job& j = jobs[flat];
+        if (const char* field = provenance_mismatch(j, *decoded))
+            return fail("row for flat " + std::to_string(flat) +
+                        " does not belong to this sweep: its \"" + field +
+                        "\" differs");
+
+        ++scan.rows_seen;
+        row_scan::row& slot = scan.rows[flat];
+        if (decoded->result.status != hier::run_status::ok) {
+            // failed / timed_out (or a stray skipped_resumed, which a sink
+            // never writes): kept only while no ok row has arrived.
+            if (!slot.ok())
+                slot.result = decoded->result;
+        } else {
+            std::string canonical =
+                encode_deterministic_line(j, decoded->result);
+            if (!slot.ok()) {
+                slot.result = decoded->result;
+                slot.canonical = std::move(canonical);
+            } else if (slot.canonical == canonical) {
+                ++scan.duplicates;
+            } else {
+                return fail("conflicting completed rows for flat " +
+                            std::to_string(flat) +
+                            ": two ok runs of the same job differ on "
+                            "deterministic fields (seed reuse or "
+                            "nondeterminism)");
+            }
+        }
+        line_start = next;
+    }
+    return true;
+}
 
 bool merge_results(const manifest& m, const std::vector<merge_input>& inputs,
                    std::string& out_jsonl, merge_report& report,
@@ -39,115 +140,31 @@ bool merge_results(const manifest& m, const std::vector<merge_input>& inputs,
     report.expected = m.total_jobs();
 
     const std::vector<job> jobs = m.to_sweep().build();
-
-    // flat -> best row so far. `ok` rows carry their canonical encoding so
-    // duplicates can be compared without re-deriving it.
-    struct best_row {
-        bool ok = false;
-        hier::run_result result;
-        std::string canonical; ///< encode_deterministic_line, ok rows only
-    };
-    std::map<std::size_t, best_row> rows;
-
-    const auto fail = [&](const std::string& label, std::size_t line_no,
-                          const std::string& why) {
-        if (error != nullptr)
-            *error = label + " line " + std::to_string(line_no) + ": " + why;
-        return false;
-    };
-
+    row_scan scan;
     for (const merge_input& input : inputs) {
-        const std::string& content = input.second;
-        std::size_t line_start = 0;
-        std::size_t line_no = 0;
-        while (line_start < content.size()) {
-            std::size_t newline = content.find('\n', line_start);
-            const bool terminated = newline != std::string::npos;
-            if (!terminated)
-                newline = content.size();
-            const std::string line =
-                content.substr(line_start, newline - line_start);
-            const std::size_t next =
-                terminated ? newline + 1 : content.size();
-            ++line_no;
-            line_start = next;
-
-            if (line.empty())
-                continue;
-            const auto decoded = decode_json_line(line);
-            if (!decoded) {
-                // Only a *trailing* undecodable line is a legitimate torn
-                // tail; mid-file corruption means rows are gone for good.
-                if (next < content.size())
-                    return fail(input.first, line_no,
-                                "malformed row is not the trailing line; "
-                                "the file is corrupt, not merely torn");
-                ++report.torn_tails;
-                break;
-            }
-
-            // Provenance: the row must be this manifest's job at its flat
-            // index, bit for bit.
-            const std::size_t flat = decoded->key.flat;
-            if (flat >= jobs.size())
-                return fail(input.first, line_no,
-                            "flat index " + std::to_string(flat) +
-                                " is outside the manifest's " +
-                                std::to_string(jobs.size()) + " jobs");
-            const job& j = jobs[flat];
-            if (!(j.key == decoded->key) || j.seed != decoded->seed ||
-                j.instructions != decoded->instructions_requested ||
-                j.warmup != decoded->warmup ||
-                j.manifest_hash != decoded->manifest_hash)
-                return fail(input.first, line_no,
-                            "row does not belong to this manifest (flat " +
-                                std::to_string(flat) +
-                                "): coordinates, seed, run length or "
-                                "manifest hash disagree");
-
-            ++report.rows_seen;
-            const bool is_ok = decoded->result.status == hier::run_status::ok;
-            best_row& slot = rows[flat];
-            if (!is_ok) {
-                // failed / timed_out (or a stray skipped_resumed, which a
-                // sink never writes): keep only as evidence that the flat
-                // was attempted; any ok row supersedes it.
-                if (!slot.ok)
-                    slot.result = decoded->result;
-                continue;
-            }
-            std::string canonical =
-                encode_deterministic_line(j, decoded->result);
-            if (slot.ok) {
-                if (slot.canonical != canonical)
-                    return fail(input.first, line_no,
-                                "conflicting completed rows for flat " +
-                                    std::to_string(flat) +
-                                    ": two ok runs of the same job differ "
-                                    "on deterministic fields (seed reuse "
-                                    "or nondeterminism)");
-                ++report.duplicates;
-                continue;
-            }
-            slot.ok = true;
-            slot.result = decoded->result;
-            slot.canonical = std::move(canonical);
+        std::size_t kept = 0;
+        std::string why;
+        if (!scan_rows(jobs, input.second, scan, kept, why)) {
+            if (error != nullptr)
+                *error = input.first + " " + why;
+            return false;
         }
+        if (kept < input.second.size())
+            ++report.torn_tails;
     }
+    report.rows_seen = scan.rows_seen;
+    report.duplicates = scan.duplicates;
 
     // Coverage + canonical output, in flat order.
     for (std::size_t flat = 0; flat < jobs.size(); ++flat) {
-        const auto it = rows.find(flat);
-        if (it == rows.end()) {
+        const auto it = scan.rows.find(flat);
+        if (it == scan.rows.end())
             report.missing.push_back(flat);
-            continue;
-        }
-        if (!it->second.ok) {
+        else if (!it->second.ok())
             report.failed.push_back(flat);
-            continue;
-        }
-        out_jsonl += encode_json_line(jobs[flat], it->second.result);
-        out_jsonl += '\n';
+        else
+            out_jsonl += encode_json_line(jobs[flat], it->second.result) +
+                         '\n';
     }
     return true;
 }

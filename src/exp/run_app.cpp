@@ -3,6 +3,7 @@
 #include "src/ckpt/signal.h"
 #include "src/common/stats.h"
 #include "src/exp/manifest.h"
+#include "src/exp/merge.h"
 #include "src/trace/workload_spec.h"
 
 #include <sys/stat.h>
@@ -115,18 +116,13 @@ sink_set make_sinks(const app_options& opt)
     return set;
 }
 
-/// Post-sweep harness tally: the abandoned-worker / failed-sink warnings,
-/// then 128+signum when a latched SIGTERM/SIGINT preempted the sweep, or
-/// -1 when the normal exit path applies.
+/// Post-sweep harness tally: the failed-sink warning, then 128+signum when
+/// a latched SIGTERM/SIGINT preempted the sweep, or -1 when the normal exit
+/// path applies.
 int finish_sweep(const report& rep)
 {
-    // Harness-health tally: both counters are 0 on every clean sweep, and
-    // a non-zero value means work or rows were lost in a way the status
-    // column cannot show.
-    if (rep.abandoned_workers != 0)
-        std::fprintf(stderr, "WARNING: %zu pool worker(s) abandoned at "
-                             "shutdown (stuck tasks leaked)\n",
-                     rep.abandoned_workers);
+    // 0 on every clean sweep; non-zero means rows were lost in a way the
+    // status column cannot show.
     if (rep.sink_failures != 0)
         std::fprintf(stderr, "WARNING: %zu sink(s) failed mid-sweep; the "
                              "output files are incomplete\n",
@@ -294,76 +290,30 @@ bool scan_resume_file(const app_options& opt, const sweep& s, resume_scan& out)
     // may share the file and must verify (and be ignored) too.
     sweep full = s;
     full.shard(0, 1);
-    const std::vector<job> jobs = full.build();
-
-    std::size_t line_start = 0;
-    std::size_t line_no = 0;
-    while (line_start < content.size()) {
-        std::size_t newline = content.find('\n', line_start);
-        const bool terminated = newline != std::string::npos;
-        if (!terminated)
-            newline = content.size();
-        const std::string line =
-            content.substr(line_start, newline - line_start);
-        const std::size_t next = terminated ? newline + 1 : content.size();
-        ++line_no;
-
-        if (line.empty()) {
-            line_start = next;
-            continue;
-        }
-        const auto decoded = decode_json_line(line);
-        if (!decoded) {
-            // A torn tail from a mid-write kill can only be the *last*
-            // line. Anywhere else the file is corrupt, and silently
-            // skipping a row would un-resume it into a duplicate.
-            if (next < content.size()) {
-                std::fprintf(stderr,
-                             "--resume: '%s' line %zu is malformed and not "
-                             "the trailing line; refusing to resume from a "
-                             "corrupt file\n",
-                             opt.json_path.c_str(), line_no);
-                return false;
-            }
-            if (::truncate(opt.json_path.c_str(), off_t(line_start)) != 0) {
-                std::fprintf(stderr,
-                             "--resume: cannot truncate torn tail of '%s'\n",
-                             opt.json_path.c_str());
-                return false;
-            }
-            out.truncated_tail = true;
-            break;
-        }
-
-        // Every decodable row must belong to *this* sweep: same flat
-        // coordinates, the same derived seed and the same run length.
-        // Anything else means the file holds a different experiment and
-        // resuming would silently mix the two.
-        const std::size_t flat = decoded->key.flat;
-        if (flat >= jobs.size() || !(jobs[flat].key == decoded->key) ||
-            jobs[flat].seed != decoded->seed ||
-            jobs[flat].instructions != decoded->instructions_requested ||
-            jobs[flat].warmup != decoded->warmup ||
-            jobs[flat].manifest_hash != decoded->manifest_hash) {
+    row_scan scan;
+    std::size_t kept = 0;
+    std::string error;
+    if (!scan_rows(full.build(), content, scan, kept, error)) {
+        std::fprintf(stderr, "--resume: '%s' %s; refusing to resume\n",
+                     opt.json_path.c_str(), error.c_str());
+        return false;
+    }
+    if (kept < content.size()) {
+        if (::truncate(opt.json_path.c_str(), off_t(kept)) != 0) {
             std::fprintf(stderr,
-                         "--resume: '%s' line %zu does not match this sweep "
-                         "(flat %zu, seed %llu); was the file produced by a "
-                         "different command line?\n",
-                         opt.json_path.c_str(), line_no, flat,
-                         (unsigned long long)decoded->seed);
+                         "--resume: cannot truncate torn tail of '%s'\n",
+                         opt.json_path.c_str());
             return false;
         }
+        out.truncated_tail = true;
+    }
 
-        ++out.rows;
-        const hier::run_status st = decoded->result.status;
-        if (st == hier::run_status::ok ||
-            st == hier::run_status::skipped_resumed) {
-            out.completed[flat] = decoded->result; // last row wins
-        } else {
+    out.rows = scan.rows_seen;
+    for (auto& [flat, row] : scan.rows) {
+        if (row.ok())
+            out.completed.emplace(flat, std::move(row.result));
+        else
             ++out.rerun_failed;
-            out.completed.erase(flat); // an earlier ok row cannot shadow it
-        }
-        line_start = next;
     }
     return true;
 }

@@ -40,7 +40,8 @@
 //                      successful retry is bit-identical to a clean run
 //   --resume           scan the --json file, skip every (config, workload,
 //                      replicate) already completed there (failed rows and
-//                      one trailing truncated line are re-run/repaired),
+//                      one trailing truncated line are re-run/repaired;
+//                      a row from another sweep is a CLI error),
 //                      and append only the missing rows — an interrupted
 //                      shard re-invoked with the same command line
 //                      converges to the uninterrupted run's byte content
@@ -67,11 +68,11 @@
 //
 // A bench passes its configs, workloads, a render callback and - for CMP
 // grids - each config's single-core weighted-speedup partner; run_app
-// expands the sweep, runs it on the pool, wires the requested sinks, and —
-// for unsharded runs — calls render with the completed report. Sharded runs
-// suppress rendering (the matrix is partial by construction) and tell the
-// operator to merge the JSON-lines shards instead. Every bench binary,
-// fig_cmp included, is one run_app call.
+// expands the sweep, runs it across worker threads, wires the requested
+// sinks, and — for unsharded runs — calls render with the completed
+// report. Sharded runs suppress rendering (the matrix is partial by
+// construction) and tell the operator to merge the JSON-lines shards
+// instead. Every bench binary, fig_cmp included, is one run_app call.
 //
 // Exit codes: 0 on success, exit_job_failure (1) when any job failed or
 // timed out (the failure summary on stderr names each one), and
@@ -140,23 +141,21 @@ app_options parse_app_options(const cli_args& args);
 
 /// Result of scanning an existing JSON-lines file for --resume.
 struct resume_scan {
-    /// flat job index -> decoded result for rows that completed (status
-    /// ok); failed/timed-out rows are deliberately absent so they re-run.
+    /// flat job index -> decoded result for flats with a completed (status
+    /// ok) row; flats with only failed/timed-out rows are absent so they
+    /// re-run.
     std::map<std::size_t, hier::run_result> completed;
     std::size_t rows = 0;         ///< decodable rows seen (any status)
-    std::size_t rerun_failed = 0; ///< failed/timed-out rows that will re-run
+    std::size_t rerun_failed = 0; ///< flats with only failed rows: re-run
     bool truncated_tail = false;  ///< one partial trailing line was removed
 };
 
-/// Scan opt.json_path against the sweep for --resume. Rules: every decoded
-/// row must match the sweep's job at its flat index (same coordinates,
-/// seed, instructions, warmup and manifest hash — otherwise the file
-/// belongs to a different sweep and resuming would silently mix
-/// experiments); rows for other
-/// shards of the same sweep are accepted and ignored; exactly one
-/// undecodable *trailing* line is tolerated as a kill-torn tail and
-/// truncated off the file; an undecodable line anywhere else poisons the
-/// file. Returns false (message on stderr) when resume cannot proceed.
+/// Scan opt.json_path against the sweep for --resume with scan_rows()
+/// (src/exp/merge.h), the same rules merge_tool applies: every row must
+/// belong to this sweep (rows of its other shards are accepted and
+/// ignored), an ok row beats a failed one, two ok rows for one flat must
+/// agree, and one undecodable trailing line is a torn tail, truncated off
+/// the file. Returns false (message on stderr) when resume cannot proceed.
 bool scan_resume_file(const app_options& opt, const sweep& s,
                       resume_scan& out);
 

@@ -3,8 +3,9 @@
 #include "src/ckpt/format.h"
 #include "src/ckpt/signal.h"
 #include "src/common/log.h"
-#include "src/exp/pool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -258,6 +259,24 @@ std::size_t report_failures(const report& rep)
     return failures;
 }
 
+void parallel_for(std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& fn)
+{
+    if (threads == 0)
+        threads = std::max(1u, std::thread::hardware_concurrency());
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+        for (std::size_t i = next++; i < n; i = next++)
+            fn(i);
+    };
+    std::vector<std::thread> helpers;
+    for (std::size_t t = 1; t < std::min<std::size_t>(threads, n); ++t)
+        helpers.emplace_back(work);
+    work();
+    for (std::thread& helper : helpers)
+        helper.join();
+}
+
 report run_sweep(const sweep& s, const run_options& opt,
                  const std::vector<sink*>& sinks)
 {
@@ -282,7 +301,7 @@ report run_sweep(const sweep& s, const run_options& opt,
     std::vector<char> done(n, 0);
     // A sink whose write/fsync failed (sink_error) is disabled for the rest
     // of the sweep instead of repeating the throw on every row: complete()
-    // runs inside a pool task, where an escaped exception would terminate
+    // runs on a worker thread, where an escaped exception would terminate
     // the process and lose every other job's work.
     std::vector<char> sink_down(sinks.size(), 0);
     std::size_t cursor = 0;
@@ -327,17 +346,7 @@ report run_sweep(const sweep& s, const run_options& opt,
         complete(i);
     };
 
-    if (opt.threads == 1 || n <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            run_job(i);
-    } else {
-        pool workers(opt.threads);
-        workers.parallel_for(n, run_job);
-        // Explicit shutdown (the destructor's would be equivalent) so the
-        // abandoned-worker count lands in the report instead of vanishing.
-        workers.shutdown();
-        rep.abandoned_workers = workers.abandoned_workers();
-    }
+    parallel_for(n, opt.threads, run_job);
 
     for (std::size_t s = 0; s < sinks.size(); ++s) {
         if (sinks[s] == nullptr || sink_down[s])

@@ -1,10 +1,11 @@
-// Sweep execution: expand a sweep, run every job on the work-stealing pool,
-// and stream the results into sinks in deterministic flat-job order.
+// Sweep execution: expand a sweep, run every job across worker threads
+// (parallel_for), and stream the results into sinks in deterministic
+// flat-job order.
 //
 // Determinism contract: results are written into preallocated slots keyed by
-// job index, so the thread count and steal pattern change only wall-clock
-// time — run_sweep(s, {1}) and run_sweep(s, {8}) return bit-identical
-// reports, and sinks observe the same byte stream either way.
+// job index, so the thread count and the order workers claim jobs in change
+// only wall-clock time — run_sweep(s, {1}) and run_sweep(s, {8}) return
+// bit-identical reports, and sinks observe the same byte stream either way.
 //
 // Fault isolation: a job that throws no longer kills the sweep — its slot
 // becomes a structured failure row (run_status::failed + the exception text)
@@ -51,7 +52,7 @@ struct run_options {
     run_options(unsigned thread_count) : threads(thread_count) {}
 
     /// Worker threads; 0 = one per hardware thread, 1 = serial in the
-    /// calling thread (no pool is built).
+    /// calling thread (see parallel_for).
     unsigned threads = 0;
 
     /// Per-job soft timeout in seconds; 0 disables. A timed-out job yields
@@ -93,9 +94,10 @@ struct report {
     std::vector<job> jobs;
     std::vector<hier::run_result> results;
 
-    /// Workers the pool's bounded shutdown had to detach (0 on every clean
-    /// sweep; see exp::pool). Surfaced so a sweep that silently leaked a
-    /// stuck thread is visible in the exit tally.
+    /// Always 0: every worker is joined before run_sweep returns. A stuck
+    /// job is bounded by run_options::job_timeout_seconds instead, which
+    /// abandons only that attempt's own thread. Kept for callers that
+    /// still report it.
     std::size_t abandoned_workers = 0;
 
     /// Sinks disabled mid-sweep after a sink_error (failed write/fsync).
@@ -120,6 +122,13 @@ struct report {
     /// [config][workload] view of replicate 0 (unsharded runs).
     std::vector<std::vector<hier::run_result>> matrix() const;
 };
+
+/// Run fn(0) .. fn(n-1) on `threads` workers (0 = one per hardware
+/// thread, 1 = serially on the calling thread). Every worker, the caller
+/// included, claims the next index from one shared counter until none is
+/// left, so no worker idles while work remains. fn must not throw.
+void parallel_for(std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& fn);
 
 /// Expand and run a sweep. Sinks (may be empty) see jobs in flat order,
 /// streamed during execution (crash-safe; see the header comment).
@@ -164,17 +173,6 @@ double group_mean(const std::vector<hier::run_result>& results, bool fp, Fn fn)
         if (r.floating_point == fp)
             values.push_back(fn(r));
     return arithmetic_mean(values);
-}
-
-/// Total energy summed over a group (J).
-inline double group_energy(const std::vector<hier::run_result>& results,
-                           bool fp)
-{
-    double total = 0;
-    for (const auto& r : results)
-        if (r.floating_point == fp)
-            total += r.energy.total();
-    return total;
 }
 
 } // namespace lnuca::exp

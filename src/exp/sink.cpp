@@ -2,6 +2,7 @@
 
 #include "src/common/log.h"
 #include "src/common/table.h"
+#include "src/exp/json.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -384,178 +385,12 @@ void jsonl_sink::flush()
 }
 
 // ---------------------------------------------------------------------------
-// sink_fanout
-// ---------------------------------------------------------------------------
-
-void sink_fanout::attach(sink* s)
-{
-    if (s != nullptr)
-        sinks_.push_back(s);
-}
-
-void sink_fanout::begin(std::size_t job_count)
-{
-    for (sink* s : sinks_)
-        s->begin(job_count);
-}
-
-void sink_fanout::consume(const job& j, const hier::run_result& r)
-{
-    for (sink* s : sinks_)
-        s->consume(j, r);
-}
-
-void sink_fanout::finish()
-{
-    for (sink* s : sinks_)
-        s->finish();
-}
-
-// ---------------------------------------------------------------------------
-// decode_json_line: minimal recursive-descent parser for the exact grammar
-// encode_json_line() emits (flat object, one nested object, number arrays),
-// dispatching each key through visit_row(). Unknown keys are skipped so the
-// format can grow fields without breaking old readers.
+// decode_json_line: parse_json() (src/exp/json.h) reads the line and each
+// member is matched to its field through visit_row(). Unknown keys are
+// skipped so the format can grow fields without breaking old readers.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-struct cursor {
-    const char* p;
-    const char* end;
-
-    void skip_ws()
-    {
-        while (p != end && (*p == ' ' || *p == '\t' || *p == '\r' ||
-                            *p == '\n'))
-            ++p;
-    }
-
-    bool consume(char c)
-    {
-        skip_ws();
-        if (p == end || *p != c)
-            return false;
-        ++p;
-        return true;
-    }
-
-    bool peek(char c)
-    {
-        skip_ws();
-        return p != end && *p == c;
-    }
-
-    bool parse_string(std::string& out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (p != end && *p != '"') {
-            if (*p == '\\') {
-                ++p;
-                if (p == end)
-                    return false;
-                switch (*p) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                case 'u': {
-                    if (end - p < 5)
-                        return false;
-                    char hex[5] = {p[1], p[2], p[3], p[4], 0};
-                    out += char(std::strtoul(hex, nullptr, 16));
-                    p += 4;
-                    break;
-                }
-                default: return false;
-                }
-                ++p;
-            } else {
-                out += *p++;
-            }
-        }
-        return consume('"');
-    }
-
-    bool parse_u64(std::uint64_t& out)
-    {
-        skip_ws();
-        char* after = nullptr;
-        out = std::strtoull(p, &after, 10);
-        if (after == p)
-            return false;
-        p = after;
-        return true;
-    }
-
-    bool parse_double(double& out)
-    {
-        skip_ws();
-        char* after = nullptr;
-        out = std::strtod(p, &after);
-        if (after == p)
-            return false;
-        p = after;
-        return true;
-    }
-
-    bool parse_bool(bool& out)
-    {
-        skip_ws();
-        if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-            out = true;
-            p += 4;
-            return true;
-        }
-        if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-            out = false;
-            p += 5;
-            return true;
-        }
-        return false;
-    }
-
-    bool skip_value()
-    {
-        skip_ws();
-        if (p == end)
-            return false;
-        if (*p == '"') {
-            std::string ignored;
-            return parse_string(ignored);
-        }
-        if (*p == '[' || *p == '{') {
-            const char open = *p, close = open == '[' ? ']' : '}';
-            int depth = 0;
-            bool in_string = false;
-            for (; p != end; ++p) {
-                if (in_string) {
-                    if (*p == '\\') {
-                        if (++p == end)
-                            return false; // truncated escape
-                    } else if (*p == '"') {
-                        in_string = false;
-                    }
-                } else if (*p == '"') {
-                    in_string = true;
-                } else if (*p == open) {
-                    ++depth;
-                } else if (*p == close && --depth == 0) {
-                    ++p;
-                    return true;
-                }
-            }
-            return false;
-        }
-        double ignored;
-        if (parse_double(ignored))
-            return true;
-        bool flag;
-        return parse_bool(flag);
-    }
-};
 
 std::optional<hier::run_status> run_status_from_string(const std::string& s)
 {
@@ -570,77 +405,66 @@ std::optional<hier::run_status> run_status_from_string(const std::string& s)
     return std::nullopt;
 }
 
-bool parse_energy(cursor& c, power::energy_breakdown& e)
+bool as_double(const jvalue& v, double& out)
 {
-    if (!c.consume('{'))
+    if (v.k != jvalue::kind::number)
         return false;
-    if (c.consume('}'))
-        return true;
-    for (;;) {
-        std::string key;
-        if (!c.parse_string(key) || !c.consume(':'))
-            return false;
-        bool known = false, ok = true;
-        hier::for_each_energy_part([&](const char* name, auto member) {
-            if (!known && key == name) {
-                known = true;
-                ok = c.parse_double(e.*member);
-            }
-        });
-        if (!(known ? ok : c.skip_value())) // total_j and future parts
-            return false;
-        if (c.consume('}'))
-            return true;
-        if (!c.consume(','))
-            return false;
-    }
+    out = std::strtod(v.text.c_str(), nullptr);
+    return true;
 }
 
-/// Parse one value of field `d` into `v`; false on malformed input.
-template <class T> bool parse_value(cursor& c, const hier::field& d, T& v)
+/// Read one value of field `d` into `out`; false when its JSON type or
+/// text does not fit the field.
+template <class T>
+bool read_value(const jvalue& v, const hier::field& d, T& out)
 {
+    using kind = jvalue::kind;
     if constexpr (std::is_same_v<T, bool>) {
-        return c.parse_bool(v);
+        out = v.boolean;
+        return v.k == kind::bool_t;
     } else if constexpr (is_u64<T>) {
+        std::uint64_t u = 0;
         if (d.kind == hier::field_kind::hex64) {
-            std::string hex;
-            if (!c.parse_string(hex) || hex.empty())
+            if (v.k != kind::string || v.text.empty())
                 return false;
             char* after = nullptr;
-            v = std::strtoull(hex.c_str(), &after, 16);
-            return after == hex.c_str() + hex.size();
-        }
-        std::uint64_t u;
-        if (!c.parse_u64(u))
+            u = std::strtoull(v.text.c_str(), &after, 16);
+            if (after != v.text.c_str() + v.text.size())
+                return false;
+        } else if (!as_u64(v, u)) {
             return false;
-        v = T(u);
+        }
+        out = T(u);
         return true;
     } else if constexpr (std::is_same_v<T, double>) {
-        return c.parse_double(v);
+        return as_double(v, out);
     } else if constexpr (std::is_same_v<T, std::string>) {
-        return c.parse_string(v);
+        out = v.text;
+        return v.k == kind::string;
     } else if constexpr (std::is_same_v<T, hier::run_status>) {
-        std::string text;
-        if (!c.parse_string(text))
-            return false;
-        const auto status = run_status_from_string(text);
+        const auto status =
+            v.k == kind::string ? run_status_from_string(v.text) : std::nullopt;
         if (status)
-            v = *status;
+            out = *status;
         return status.has_value(); // an unknown status is a malformed row
     } else if constexpr (std::is_same_v<T, power::energy_breakdown>) {
-        return parse_energy(c, v);
-    } else { // u64 / f64 array
-        v.clear();
-        if (!c.consume('['))
+        if (v.k != kind::object)
             return false;
-        if (c.consume(']'))
-            return true;
-        do {
-            v.emplace_back();
-            if (!parse_value(c, d, v.back()))
+        bool ok = true;
+        for (const auto& [key, part] : v.members) // total_j is not read
+            hier::for_each_energy_part([&](const char* name, auto member) {
+                if (key == name)
+                    ok = ok && as_double(part, out.*member);
+            });
+        return ok;
+    } else { // u64 / f64 array
+        if (v.k != kind::array)
+            return false;
+        out.assign(v.items.size(), {});
+        for (std::size_t i = 0; i < v.items.size(); ++i)
+            if (!read_value(v.items[i], d, out[i]))
                 return false;
-        } while (c.consume(','));
-        return c.consume(']');
+        return true;
     }
 }
 
@@ -648,31 +472,20 @@ template <class T> bool parse_value(cursor& c, const hier::field& d, T& v)
 
 std::optional<decoded_run> decode_json_line(const std::string& line)
 {
-    cursor c{line.data(), line.data() + line.size()};
-    if (!c.consume('{'))
+    jvalue root;
+    if (!parse_json(line, root, nullptr) || root.k != jvalue::kind::object)
         return std::nullopt;
     job ids; // coordinates as visit_row sees them; absent keys read as 0
     ids.seed = ids.instructions = ids.warmup = 0;
     decoded_run out;
-    if (!c.consume('}')) {
-        for (;;) {
-            std::string key;
-            if (!c.parse_string(key) || !c.consume(':'))
-                return std::nullopt;
-            bool known = false, ok = true;
-            visit_row(ids, out.result, [&](const hier::field& d, auto& v) {
-                if (!known && key == d.name) {
-                    known = true;
-                    ok = parse_value(c, d, v);
-                }
-            });
-            if (!(known ? ok : c.skip_value()))
-                return std::nullopt;
-            if (c.consume('}'))
-                break;
-            if (!c.consume(','))
-                return std::nullopt;
-        }
+    for (const auto& [key, value] : root.members) {
+        bool ok = true;
+        visit_row(ids, out.result, [&](const hier::field& d, auto& v) {
+            if (key == d.name)
+                ok = read_value(value, d, v);
+        });
+        if (!ok)
+            return std::nullopt;
     }
     out.key = ids.key;
     out.seed = ids.seed;

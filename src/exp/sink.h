@@ -127,18 +127,6 @@ private:
     std::string buffer_;
 };
 
-/// Broadcasts to several sinks (non-owning).
-class sink_fanout final : public sink {
-public:
-    void attach(sink* s);
-    void begin(std::size_t job_count) override;
-    void consume(const job& j, const hier::run_result& r) override;
-    void finish() override;
-
-private:
-    std::vector<sink*> sinks_;
-};
-
 /// f(field, value) over a row's job coordinates, in key order. `manifest`
 /// is the manifest hash (field_kind::hex64, absent on ad-hoc sweeps).
 template <class J, class F> void visit_coordinates(J& j, F&& f)

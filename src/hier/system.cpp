@@ -1315,6 +1315,6 @@ double weighted_speedup(const run_result& cmp_result,
 }
 
 // run_matrix lives in src/exp/runner.cpp: it is a thin wrapper over the
-// exp experiment runner (work-stealing pool + rng::split job seeding).
+// exp experiment runner (parallel_for + rng::split job seeding).
 
 } // namespace lnuca::hier

@@ -3,11 +3,10 @@
 // (src/exp/fault.h).
 //
 // Test order is deliberate: the fork()-based kill-and-resume tests run
-// BEFORE any test that abandons a detached thread (stall/timeout, bounded
-// pool shutdown). fork() in a process with detached threads mid-sleep is a
-// classic malloc-lock hazard — the child could inherit a locked allocator.
+// BEFORE any test that abandons a detached thread (stall/timeout). fork()
+// in a process with detached threads mid-sleep is a classic malloc-lock
+// hazard — the child could inherit a locked allocator.
 #include "src/exp/fault.h"
-#include "src/exp/pool.h"
 #include "src/exp/run_app.h"
 #include "src/exp/runner.h"
 #include "src/exp/sink.h"
@@ -246,6 +245,99 @@ TEST(resume_scan, failed_rows_rerun_and_ok_rows_are_reused)
     EXPECT_EQ(scan.completed.count(2), 0u); // failed: must re-run
 }
 
+/// The shared sweep's rows with zeroed results, as a resumable file.
+void write_synthetic_rows(const std::string& path)
+{
+    std::ofstream out(path, std::ios::trunc);
+    for (const job& j : bench_sweep().build()) {
+        hier::run_result r;
+        r.config_name = j.config.name;
+        r.workload_name = j.workload.name;
+        out << encode_json_line(j, r) << "\n";
+    }
+}
+
+TEST(resume_scan, ok_row_followed_by_a_failed_row_is_reused)
+{
+    // merge_tool's policy: an ok row beats a failed one in either order.
+    const std::string path =
+        ::testing::TempDir() + "resume_ok_then_failed.jsonl";
+    write_synthetic_rows(path);
+    {
+        const job j = bench_sweep().build()[2];
+        hier::run_result r;
+        r.config_name = j.config.name;
+        r.workload_name = j.workload.name;
+        r.status = hier::run_status::failed;
+        r.error = "boom";
+        std::ofstream(path, std::ios::app) << encode_json_line(j, r) << "\n";
+    }
+    app_options opt;
+    opt.json_path = path;
+    resume_scan scan;
+    ASSERT_TRUE(scan_resume_file(opt, bench_sweep(), scan));
+    EXPECT_EQ(scan.rows, k_jobs + 1);
+    EXPECT_EQ(scan.rerun_failed, 0u);
+    EXPECT_EQ(scan.completed.size(), k_jobs);
+    EXPECT_EQ(scan.completed.count(2), 1u);
+}
+
+TEST(resume_scan, conflicting_ok_rows_refuse_to_resume)
+{
+    const std::string path = ::testing::TempDir() + "resume_conflict.jsonl";
+    write_synthetic_rows(path);
+    {
+        const job j = bench_sweep().build()[1];
+        hier::run_result r;
+        r.config_name = j.config.name;
+        r.workload_name = j.workload.name;
+        r.cycles = 1; // a deterministic field: the two ok runs disagree
+        std::ofstream(path, std::ios::app) << encode_json_line(j, r) << "\n";
+    }
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(launch({"--threads", "1", "--json", path, "--resume"}),
+              exit_cli_error);
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "conflicting completed rows for flat 1"),
+              std::string::npos);
+}
+
+// Job seeds derive from sweep indices, not names: a file from another
+// workload list or another sampling mode has the same flats and seeds, and
+// only the row's labels tell the experiments apart.
+TEST(resume_scan, other_workload_at_the_same_flat_refuses_to_resume)
+{
+    const std::string path = ::testing::TempDir() + "resume_workload.jsonl";
+    std::remove(path.c_str());
+    ASSERT_EQ(launch({"--threads", "1", "--workload", "429.mcf", "--json",
+                      path}),
+              exit_ok);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(launch({"--threads", "1", "--workload", "456.hmmer", "--json",
+                      path, "--resume"}),
+              exit_cli_error);
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "its \"workload\" differs"),
+              std::string::npos);
+}
+
+TEST(resume_scan, sampled_rows_refuse_an_exact_resume)
+{
+    const std::string path = ::testing::TempDir() + "resume_sampled.jsonl";
+    std::remove(path.c_str());
+    ASSERT_EQ(launch({"--threads", "1", "--workload", "429.mcf", "--sampling",
+                      "periodic:200:1000:100", "--json", path}),
+              exit_ok);
+    ASSERT_TRUE(read_rows(path).front().result.sampled);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(launch({"--threads", "1", "--workload", "429.mcf", "--json",
+                      path, "--resume"}),
+              exit_cli_error);
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "its \"sampled\" differs"),
+              std::string::npos);
+}
+
 // --------------------------------------------------------------------------
 // Kill-and-resume: a hard-killed shard converges after --resume.
 // (fork()-based — keep these before any detached-thread test.)
@@ -450,8 +542,8 @@ TEST(run_app_ws, manifest_cmp_rows_carry_weighted_speedup)
 }
 
 // --------------------------------------------------------------------------
-// Timeouts and bounded pool shutdown (these abandon detached threads:
-// keep them AFTER every fork()-based test above).
+// Timeouts (these abandon detached threads: keep them AFTER every
+// fork()-based test above).
 // --------------------------------------------------------------------------
 
 TEST(timeouts, stalled_job_times_out_and_others_complete)
@@ -475,24 +567,6 @@ TEST(timeouts, stalled_job_times_out_and_others_complete)
         }
     }
     EXPECT_EQ(count_failures(rep), 1u);
-}
-
-TEST(pool_shutdown, bounded_shutdown_abandons_a_stuck_worker)
-{
-    pool p(2);
-    std::atomic<bool> fast_done{false};
-    p.submit([] {
-        std::this_thread::sleep_for(std::chrono::seconds(5)); // "stuck"
-    });
-    p.submit([&] { fast_done = true; });
-
-    // Give both workers time to pick their tasks up.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const std::size_t abandoned = p.shutdown(0.2);
-    EXPECT_EQ(abandoned, 1u);
-    EXPECT_TRUE(fast_done);
-    // Idempotent: a second shutdown (and the destructor) are no-ops.
-    EXPECT_EQ(p.shutdown(0.2), 0u);
 }
 
 } // namespace

@@ -1,7 +1,6 @@
-// Experiment-runner subsystem: determinism of the work-stealing pool,
-// shard partition/union correctness, seed-lane derivation, and the
-// JSON-lines sink round-trip.
-#include "src/exp/pool.h"
+// Experiment-runner subsystem: determinism of the parallel runner, shard
+// partition/union correctness, seed-lane derivation, and the JSON-lines
+// sink round-trip.
 #include "src/exp/run_app.h"
 #include "src/exp/runner.h"
 #include "src/exp/sink.h"
@@ -48,36 +47,50 @@ sweep small_sweep()
 }
 
 // --------------------------------------------------------------------------
-// Pool basics.
+// Parallel loop.
 // --------------------------------------------------------------------------
 
-TEST(pool, parallel_for_covers_every_index_once)
+TEST(runner, parallel_for_runs_every_index_once)
 {
-    pool p(4);
-    std::vector<std::atomic<int>> hits(257);
-    for (auto& h : hits)
-        h = 0;
-    p.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-    for (const auto& h : hits)
-        EXPECT_EQ(h.load(), 1);
+    for (const unsigned threads : {0u, 1u, 4u}) {
+        std::vector<std::atomic<int>> hits(257);
+        for (auto& h : hits)
+            h = 0;
+        parallel_for(hits.size(), threads, [&](std::size_t i) { ++hits[i]; });
+        for (const auto& h : hits)
+            EXPECT_EQ(h.load(), 1) << threads << " threads";
+    }
 }
 
-TEST(pool, submit_from_inside_a_task)
+TEST(runner, every_job_runs_once_and_zero_threads_matches_serial)
 {
-    pool p(2);
-    std::atomic<int> ran{0};
-    p.submit([&] {
-        ++ran;
-        p.submit([&] { ++ran; });
-    });
-    p.wait();
-    EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(pool, thread_count_defaults_to_hardware)
-{
-    pool p;
-    EXPECT_GE(p.thread_count(), 1u);
+    struct flat_probe final : sink {
+        std::vector<std::size_t> flats;
+        void consume(const job& j, const hier::run_result&) override
+        {
+            flats.push_back(j.key.flat);
+        }
+    };
+    sweep s;
+    s.add_config(hier::presets::l2_256kb())
+        .add_config(hier::presets::lnuca_l3(3))
+        .add_workload(*wl::find_spec2006("456.hmmer"))
+        .add_workload(*wl::find_spec2006("429.mcf"))
+        .replicates(10)
+        .instructions(300)
+        .warmup(0);
+    const report serial = run_sweep(s, {1});
+    for (const unsigned threads : {0u, 4u}) {
+        flat_probe probe;
+        const report rep = run_sweep(s, {threads}, {&probe});
+        ASSERT_EQ(rep.results.size(), 40u);
+        ASSERT_EQ(probe.flats.size(), 40u);
+        for (std::size_t i = 0; i < rep.results.size(); ++i) {
+            EXPECT_EQ(probe.flats[i], i);
+            EXPECT_EQ(rep.results[i].status, hier::run_status::ok);
+            expect_identical(rep.results[i], serial.results[i]);
+        }
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -368,6 +381,35 @@ TEST(jsonl, status_and_error_round_trip)
     ASSERT_NE(st, std::string::npos);
     mangled.replace(st, 17, "\"status\":\"maybe?\"");
     EXPECT_FALSE(decode_json_line(mangled).has_value());
+}
+
+TEST(jsonl, control_bytes_in_error_text_round_trip)
+{
+    // json_escape writes every control byte but \n and \t as \u00XX; the
+    // reader must turn each one back into the same byte.
+    const job j = synthetic_job();
+    hier::run_result r = synthetic_result();
+    r.status = hier::run_status::failed;
+    r.error = "before ";
+    for (char c = 0x01; c <= 0x1f; ++c)
+        r.error += c;
+    r.error += " after";
+
+    const std::string line = encode_json_line(j, r);
+    EXPECT_NE(line.find("\\u001f"), std::string::npos);
+    const auto decoded = decode_json_line(line);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->result.error, r.error);
+    EXPECT_EQ(encode_json_line(j, decoded->result), line);
+
+    // Only ASCII \u escapes are accepted, and a short one is malformed.
+    const std::size_t at = line.find("\\u001f");
+    std::string wide = line;
+    wide.replace(at, 6, "\\u00e9");
+    EXPECT_FALSE(decode_json_line(wide).has_value());
+    std::string short_escape = line;
+    short_escape.replace(at, 6, "\\u1\"");
+    EXPECT_FALSE(decode_json_line(short_escape).has_value());
 }
 
 TEST(jsonl, batches_rows_and_flushes_on_threshold_finish_and_destruction)

@@ -438,7 +438,7 @@ TEST(merge, foreign_rows_are_hard_errors)
     EXPECT_FALSE(merge_results(
         f.m, {{"foreign", line_of(foreign[0], fake_result(foreign[0]))}},
         merged, report, &error));
-    EXPECT_NE(error.find("does not belong to this manifest"),
+    EXPECT_NE(error.find("does not belong to this sweep"),
               std::string::npos);
 
     // Flat index beyond the manifest's job count: also fatal.
@@ -447,7 +447,7 @@ TEST(merge, foreign_rows_are_hard_errors)
     EXPECT_FALSE(merge_results(f.m,
                                {{"oob", line_of(oob, fake_result(oob))}},
                                merged, report, &error));
-    EXPECT_NE(error.find("outside the manifest"), std::string::npos);
+    EXPECT_NE(error.find("outside the sweep"), std::string::npos);
 }
 
 } // namespace

@@ -7,11 +7,13 @@
 // type<TAB>JSON path" line each, from the run_result field table;
 // tools/results_db.py ingest builds its `runs` table from that output.
 //
-// Every input row's provenance is validated against the manifest (flat
-// coordinates, derived seed, run length, manifest hash); the merged output
-// holds exactly one line per completed flat, in flat order, byte-identical
-// (modulo the host-timing trio) to a single clean unsharded run. The
-// coverage report always prints to stderr.
+// Every input goes through exp::scan_rows, the row scan --resume runs: a
+// row's provenance is validated against the manifest (flat coordinates,
+// derived seed, run length, manifest hash, config/workload names, sampled
+// flag), and an ok row beats a failed one for the same flat. The merged
+// output holds exactly one line per completed flat, in flat order,
+// byte-identical (modulo the host-timing trio) to a single clean unsharded
+// run. The coverage report always prints to stderr.
 //
 // Exit codes, mirroring run_app's convention:
 //   0  merge complete: every flat of the manifest has a completed row
