@@ -3,9 +3,11 @@
 //     template <class Ar> void serialize(Ar& ar) { ar(a_); ar(b_); ... }
 //
 // member that both saves (Ar = ckpt::saver) and loads (Ar = ckpt::loader)
-// from the same field list, so the two directions cannot drift apart. The
-// template binds at instantiation, which also keeps component headers free
-// of any ckpt dependency.
+// from the same field list, so the two directions cannot drift apart. It is
+// a component's only persistence hook: hier::system opens the component's
+// section and calls `ar(component)` inside it, after checking quiescence on
+// save. The template binds at instantiation, which also keeps component
+// headers free of any ckpt dependency.
 #pragma once
 
 #include "src/ckpt/reader.h"

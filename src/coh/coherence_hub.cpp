@@ -1,6 +1,5 @@
 #include "src/coh/coherence_hub.h"
 
-#include "src/ckpt/archive.h"
 #include "src/common/log.h"
 
 #include <string>
@@ -18,26 +17,6 @@ coherence_hub::coherence_hub(const coherence_config& config,
 {
     if (config_.cores < 2 || config_.cores > mem::max_cores)
         throw std::invalid_argument("coherence hub needs 2..32 cores");
-    counters_.preregister(
-        {"reads", "rfos", "upgrades", "writebacks_in", "invalidations_sent",
-         "downgrades_sent", "snoop_retries", "c2c_transfers", "c2c_dirty",
-         "fetches_below", "writebacks_below", "busy_retries",
-         "owner_rerequests", "race_fallbacks", "untracked_below_response"});
-    h_reads_ = counters_.handle_of("reads");
-    h_rfos_ = counters_.handle_of("rfos");
-    h_upgrades_ = counters_.handle_of("upgrades");
-    h_writebacks_in_ = counters_.handle_of("writebacks_in");
-    h_inv_sent_ = counters_.handle_of("invalidations_sent");
-    h_downgrades_sent_ = counters_.handle_of("downgrades_sent");
-    h_snoop_retries_ = counters_.handle_of("snoop_retries");
-    h_c2c_ = counters_.handle_of("c2c_transfers");
-    h_c2c_dirty_ = counters_.handle_of("c2c_dirty");
-    h_fetches_below_ = counters_.handle_of("fetches_below");
-    h_writebacks_below_ = counters_.handle_of("writebacks_below");
-    h_busy_retries_ = counters_.handle_of("busy_retries");
-    h_owner_rerequests_ = counters_.handle_of("owner_rerequests");
-    h_race_fallbacks_ = counters_.handle_of("race_fallbacks");
-    h_untracked_below_ = counters_.handle_of("untracked_below_response");
 
     txn_free_.reserve(txns_.size());
     for (std::size_t slot = txns_.size(); slot-- > 0;)
@@ -654,21 +633,6 @@ void coherence_hub::check_invariants() const
             }
         }
     }
-}
-
-void coherence_hub::save_state(ckpt::writer& w) const
-{
-    if (!quiescent())
-        throw ckpt::ckpt_error(
-            "coherence_hub: checkpoint requested while transactions are live");
-    ckpt::saver ar(w);
-    const_cast<coherence_hub*>(this)->serialize(ar);
-}
-
-void coherence_hub::load_state(ckpt::reader& r)
-{
-    ckpt::loader ar(r);
-    serialize(ar);
 }
 
 } // namespace lnuca::coh

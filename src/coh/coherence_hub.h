@@ -115,10 +115,6 @@ public:
     /// Throws coherence_error naming the violation.
     void check_invariants() const;
 
-    /// Checkpoint hooks (quiescent-only; hier::system owns the section).
-    void save_state(ckpt::writer& w) const override;
-    void load_state(ckpt::reader& r) override;
-
     /// Persistent-at-quiescence state: the directory, stats and the
     /// transaction-slot free stack (its order decides future slot
     /// allocation). The txn slab, queues and in-transit writeback list are
@@ -203,21 +199,26 @@ private:
     std::vector<std::pair<mem::core_id_t, addr_t>> wb_in_transit_;
 
     counter_set counters_;
-    counter_set::handle h_reads_ = 0;
-    counter_set::handle h_rfos_ = 0;
-    counter_set::handle h_upgrades_ = 0;
-    counter_set::handle h_writebacks_in_ = 0;
-    counter_set::handle h_inv_sent_ = 0;
-    counter_set::handle h_downgrades_sent_ = 0;
-    counter_set::handle h_snoop_retries_ = 0;
-    counter_set::handle h_c2c_ = 0;
-    counter_set::handle h_c2c_dirty_ = 0;
-    counter_set::handle h_fetches_below_ = 0;
-    counter_set::handle h_writebacks_below_ = 0;
-    counter_set::handle h_busy_retries_ = 0;
-    counter_set::handle h_owner_rerequests_ = 0;
-    counter_set::handle h_race_fallbacks_ = 0;
-    counter_set::handle h_untracked_below_ = 0;
+    counter_set::handle h_reads_ = counters_.handle_of("reads");
+    counter_set::handle h_rfos_ = counters_.handle_of("rfos");
+    counter_set::handle h_upgrades_ = counters_.handle_of("upgrades");
+    counter_set::handle h_writebacks_in_ = counters_.handle_of("writebacks_in");
+    counter_set::handle h_inv_sent_ = counters_.handle_of("invalidations_sent");
+    counter_set::handle h_downgrades_sent_ =
+        counters_.handle_of("downgrades_sent");
+    counter_set::handle h_snoop_retries_ = counters_.handle_of("snoop_retries");
+    counter_set::handle h_c2c_ = counters_.handle_of("c2c_transfers");
+    counter_set::handle h_c2c_dirty_ = counters_.handle_of("c2c_dirty");
+    counter_set::handle h_fetches_below_ = counters_.handle_of("fetches_below");
+    counter_set::handle h_writebacks_below_ =
+        counters_.handle_of("writebacks_below");
+    counter_set::handle h_busy_retries_ = counters_.handle_of("busy_retries");
+    counter_set::handle h_owner_rerequests_ =
+        counters_.handle_of("owner_rerequests");
+    counter_set::handle h_race_fallbacks_ =
+        counters_.handle_of("race_fallbacks");
+    counter_set::handle h_untracked_below_ =
+        counters_.handle_of("untracked_below_response");
 
     bool paranoid_ = false;
     std::uint32_t in_flight_ = 0; ///< live transactions

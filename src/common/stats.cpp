@@ -1,6 +1,5 @@
 #include "src/common/stats.h"
 
-#include <algorithm>
 #include <functional>
 
 namespace lnuca {
@@ -28,69 +27,20 @@ double arithmetic_mean(const std::vector<double>& values)
     return sum / double(values.size());
 }
 
-double geometric_mean(const std::vector<double>& values)
+counter_set::handle counter_set::handle_of(std::string_view name)
 {
-    if (values.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double v : values) {
-        if (v <= 0.0)
-            return 0.0;
-        log_sum += std::log(v);
-    }
-    return std::exp(log_sum / double(values.size()));
-}
-
-std::uint64_t counter_set::hash(std::string_view name)
-{
-    // FNV-1a; names are short, so this is a handful of cycles.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : name)
-        h = (h ^ std::uint8_t(c)) * 0x100000001b3ULL;
-    return h;
-}
-
-void counter_set::rebuild_index(std::size_t buckets)
-{
-    index_.assign(buckets, 0);
-    const std::size_t mask = buckets - 1;
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-        std::size_t b = std::size_t(hash(items_[i].first)) & mask;
-        while (index_[b] != 0)
-            b = (b + 1) & mask;
-        index_[b] = std::uint32_t(i + 1);
-    }
-}
-
-std::size_t counter_set::slot_of(std::string_view name)
-{
-    if (items_.size() * 2 >= index_.size())
-        rebuild_index(index_.empty() ? 64 : index_.size() * 2);
-    const std::size_t mask = index_.size() - 1;
-    std::size_t b = std::size_t(hash(name)) & mask;
-    while (index_[b] != 0) {
-        const std::size_t i = index_[b] - 1;
+    for (std::size_t i = 0; i < items_.size(); ++i)
         if (items_[i].first == name)
-            return i;
-        b = (b + 1) & mask;
-    }
+            return handle(i);
     items_.emplace_back(std::string(name), 0);
-    index_[b] = std::uint32_t(items_.size());
-    return items_.size() - 1;
+    return handle(items_.size() - 1);
 }
 
 std::uint64_t counter_set::get(std::string_view name) const
 {
-    if (index_.empty())
-        return 0;
-    const std::size_t mask = index_.size() - 1;
-    std::size_t b = std::size_t(hash(name)) & mask;
-    while (index_[b] != 0) {
-        const std::size_t i = index_[b] - 1;
-        if (items_[i].first == name)
-            return items_[i].second;
-        b = (b + 1) & mask;
-    }
+    for (const auto& [key, value] : items_)
+        if (key == name)
+            return value;
     return 0;
 }
 
@@ -106,7 +56,6 @@ std::uint64_t counter_set::digest() const
 void counter_set::reset()
 {
     // Zero the values but keep the registered names: outstanding handles
-    // (and the preregistration that keeps the hot path allocation-free)
     // survive a between-windows stats reset.
     for (auto& [key, value] : items_)
         value = 0;

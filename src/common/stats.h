@@ -1,74 +1,21 @@
-// Statistics primitives used across the simulator: counters, running means,
-// ratios, harmonic means (the paper aggregates IPC with harmonic means), and
-// min/max trackers. All are plain value types; registration/reporting is the
-// caller's concern.
+// Statistics primitives used across the simulator: harmonic/arithmetic
+// means (the paper aggregates IPC with harmonic means), ratios and the named
+// counter bundle every component reports through. All are plain value
+// types; registration/reporting is the caller's concern.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <initializer_list>
-#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace lnuca {
 
-/// Running arithmetic-mean accumulator.
-class mean_accumulator {
-public:
-    void add(double v)
-    {
-        sum_ += v;
-        ++n_;
-    }
-
-    double mean() const { return n_ == 0 ? 0.0 : sum_ / double(n_); }
-    double sum() const { return sum_; }
-    std::uint64_t count() const { return n_; }
-
-    void reset()
-    {
-        sum_ = 0;
-        n_ = 0;
-    }
-
-private:
-    double sum_ = 0;
-    std::uint64_t n_ = 0;
-};
-
-/// Running min/max/mean tracker for latencies and queue depths.
-class minmax_accumulator {
-public:
-    void add(double v)
-    {
-        mean_.add(v);
-        if (v < min_)
-            min_ = v;
-        if (v > max_)
-            max_ = v;
-    }
-
-    double mean() const { return mean_.mean(); }
-    double min() const { return mean_.count() ? min_ : 0.0; }
-    double max() const { return mean_.count() ? max_ : 0.0; }
-    std::uint64_t count() const { return mean_.count(); }
-
-private:
-    mean_accumulator mean_;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
-
 /// Harmonic mean of a set of samples (IPC aggregation in the paper).
 double harmonic_mean(const std::vector<double>& values);
 
 /// Arithmetic mean convenience.
 double arithmetic_mean(const std::vector<double>& values);
-
-/// Geometric mean convenience (used by some ablation reports).
-double geometric_mean(const std::vector<double>& values);
 
 /// Ratio with a defined value when the denominator is zero.
 constexpr double safe_ratio(double num, double den, double if_zero = 0.0)
@@ -80,10 +27,11 @@ constexpr double safe_ratio(double num, double den, double if_zero = 0.0)
 /// of these so tests and benches can introspect behaviour without bespoke
 /// accessor plumbing per statistic.
 ///
-/// Hot-path contract: inc() takes a string_view (no temporary std::string)
-/// and resolves the name through an open-addressed hash index, so after a
-/// counter's first increment further increments perform no heap allocation
-/// and no linear string scan.
+/// A component declares each counter once, as a handle member initialised
+/// in-class from handle_of("name") right after its counter_set; the
+/// declaration order is the items() order. Increments go through the
+/// handle (one indexed add). Lookups by name are linear scans over a few
+/// dozen names and run only cold: construction, harvest, restore, tests.
 class counter_set {
 public:
     /// Stable reference to a counter: an index into items(). Handles stay
@@ -91,31 +39,10 @@ public:
     /// keeps the registered names precisely so handles survive it).
     using handle = std::uint32_t;
 
-    /// Increment (creating at zero on first use).
-    void inc(std::string_view name, std::uint64_t by = 1)
-    {
-        items_[slot_of(name)].second += by;
-    }
-
-    /// Handle-based increment for per-cycle hot sites: one indexed add, no
-    /// hashing or string comparison.
     void inc(handle h, std::uint64_t by = 1) { items_[h].second += by; }
 
-    /// Find-or-create a counter and return its stable handle.
-    handle handle_of(std::string_view name)
-    {
-        return handle(slot_of(name));
-    }
-
-    /// Create counters at zero ahead of first use. Components preregister
-    /// every counter they can emit in their constructor, so a rare event
-    /// firing mid-run never allocates its name string on the hot path (the
-    /// zero-allocation gate in bench/micro_hotpath.cpp enforces this).
-    void preregister(std::initializer_list<std::string_view> names)
-    {
-        for (const std::string_view name : names)
-            (void)slot_of(name);
-    }
+    /// Find-or-create a counter (at zero) and return its stable handle.
+    handle handle_of(std::string_view name);
 
     /// Read a counter; absent counters read as zero.
     std::uint64_t get(std::string_view name) const;
@@ -125,7 +52,7 @@ public:
     /// round-trip is insensitive to registration order drift.
     void set(std::string_view name, std::uint64_t value)
     {
-        items_[slot_of(name)].second = value;
+        items_[handle_of(name)].second = value;
     }
 
     /// All counters in insertion order.
@@ -142,14 +69,7 @@ public:
     void reset();
 
 private:
-    static std::uint64_t hash(std::string_view name);
-    std::size_t slot_of(std::string_view name); ///< find-or-insert item index
-    void rebuild_index(std::size_t buckets);
-
     std::vector<std::pair<std::string, std::uint64_t>> items_;
-    /// Open addressing (linear probe), power-of-two size; stores item
-    /// index + 1, 0 = empty. Rebuilt when items_ outgrows half the table.
-    std::vector<std::uint32_t> index_;
 };
 
 } // namespace lnuca

@@ -1,6 +1,5 @@
 #include "src/cpu/ooo_core.h"
 
-#include "src/ckpt/archive.h"
 #include "src/common/log.h"
 
 #include <algorithm>
@@ -18,25 +17,6 @@ ooo_core::ooo_core(const core_config& config, instruction_stream& stream,
       served_by_level_(8, 0),
       served_by_fabric_level_(16, 0)
 {
-    counters_.preregister(
-        {"fetched", "branches", "branch_mispredicts", "dispatch_wait_cycles",
-         "loads", "loads_issued", "loads_completed", "stores",
-         "stores_issued", "store_forwards", "dtlb_misses", "l1_port_retry",
-         "sb_full_stall", "orphan_responses"});
-    h_fetched_ = counters_.handle_of("fetched");
-    h_loads_ = counters_.handle_of("loads");
-    h_loads_issued_ = counters_.handle_of("loads_issued");
-    h_loads_completed_ = counters_.handle_of("loads_completed");
-    h_stores_ = counters_.handle_of("stores");
-    h_stores_issued_ = counters_.handle_of("stores_issued");
-    h_branches_ = counters_.handle_of("branches");
-    h_dispatch_wait_ = counters_.handle_of("dispatch_wait_cycles");
-    h_branch_mispredicts_ = counters_.handle_of("branch_mispredicts");
-    h_l1_port_retry_ = counters_.handle_of("l1_port_retry");
-    h_dtlb_misses_ = counters_.handle_of("dtlb_misses");
-    h_orphan_responses_ = counters_.handle_of("orphan_responses");
-    h_sb_full_stall_ = counters_.handle_of("sb_full_stall");
-    h_store_forwards_ = counters_.handle_of("store_forwards");
     // Pre-size every hot-path container for its structural bound so
     // steady-state ticks never allocate.
     fetch_queue_.reserve(4 * config.fetch_width + config.fetch_width);
@@ -619,21 +599,6 @@ void ooo_core::reset_stats()
     load_latency_.reset();
     served_by_level_.assign(served_by_level_.size(), 0);
     served_by_fabric_level_.assign(served_by_fabric_level_.size(), 0);
-}
-
-void ooo_core::save_state(ckpt::writer& w) const
-{
-    if (!quiescent())
-        throw ckpt::ckpt_error(
-            "ooo_core: checkpoint requested while instructions are in flight");
-    ckpt::saver ar(w);
-    const_cast<ooo_core*>(this)->serialize(ar);
-}
-
-void ooo_core::load_state(ckpt::reader& r)
-{
-    ckpt::loader ar(r);
-    serialize(ar);
 }
 
 } // namespace lnuca::cpu

@@ -126,10 +126,6 @@ public:
     /// Zero statistics after warm-up; microarchitectural state persists.
     void reset_stats();
 
-    /// Checkpoint hooks (quiescent-only; hier::system owns the section).
-    void save_state(ckpt::writer& w) const override;
-    void load_state(ckpt::reader& r) override;
-
     /// Persistent-at-quiescence state: predictive structures, allocation
     /// cursors, stats. ROB contents, queues and in-flight loads are empty
     /// by the quiesce-before-snapshot contract and not serialized.
@@ -251,21 +247,25 @@ private:
     cycle_t cycles_base_ = 0;       ///< engine cycle the stats window began
 
     counter_set counters_;
-    // Handles for the per-instruction hot counters (see counter_set::inc).
-    counter_set::handle h_fetched_ = 0;
-    counter_set::handle h_loads_ = 0;
-    counter_set::handle h_loads_issued_ = 0;
-    counter_set::handle h_loads_completed_ = 0;
-    counter_set::handle h_stores_ = 0;
-    counter_set::handle h_stores_issued_ = 0;
-    counter_set::handle h_branches_ = 0;
-    counter_set::handle h_dispatch_wait_ = 0;
-    counter_set::handle h_branch_mispredicts_ = 0;
-    counter_set::handle h_l1_port_retry_ = 0;
-    counter_set::handle h_dtlb_misses_ = 0;
-    counter_set::handle h_orphan_responses_ = 0;
-    counter_set::handle h_sb_full_stall_ = 0;
-    counter_set::handle h_store_forwards_ = 0;
+    counter_set::handle h_fetched_ = counters_.handle_of("fetched");
+    counter_set::handle h_branches_ = counters_.handle_of("branches");
+    counter_set::handle h_branch_mispredicts_ =
+        counters_.handle_of("branch_mispredicts");
+    counter_set::handle h_dispatch_wait_ =
+        counters_.handle_of("dispatch_wait_cycles");
+    counter_set::handle h_loads_ = counters_.handle_of("loads");
+    counter_set::handle h_loads_issued_ = counters_.handle_of("loads_issued");
+    counter_set::handle h_loads_completed_ =
+        counters_.handle_of("loads_completed");
+    counter_set::handle h_stores_ = counters_.handle_of("stores");
+    counter_set::handle h_stores_issued_ = counters_.handle_of("stores_issued");
+    counter_set::handle h_store_forwards_ =
+        counters_.handle_of("store_forwards");
+    counter_set::handle h_dtlb_misses_ = counters_.handle_of("dtlb_misses");
+    counter_set::handle h_l1_port_retry_ = counters_.handle_of("l1_port_retry");
+    counter_set::handle h_sb_full_stall_ = counters_.handle_of("sb_full_stall");
+    counter_set::handle h_orphan_responses_ =
+        counters_.handle_of("orphan_responses");
     histogram load_latency_{256};
     std::vector<std::uint64_t> served_by_level_;
     std::vector<std::uint64_t> served_by_fabric_level_;

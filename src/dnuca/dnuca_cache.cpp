@@ -1,6 +1,5 @@
 #include "src/dnuca/dnuca_cache.h"
 
-#include "src/ckpt/archive.h"
 #include "src/common/log.h"
 
 #include <algorithm>
@@ -33,35 +32,6 @@ dnuca_cache::dnuca_cache(const dnuca_config& config, mem::txn_id_source& ids)
             b.lookups.reserve(8);
         }
     }
-    counters_.preregister(
-        {"read_probes", "write_probes", "writes_coalesced", "writes_filtered",
-         "mshr_merge", "inject_stall", "flits_injected", "bank_lookups",
-         "bank_read_hits", "bank_write_hits", "bank_writes", "promotions",
-         "promotion_spills", "migrations_delivered", "tail_evictions",
-         "read_hits", "read_misses", "write_installs", "fills_from_memory",
-         "untracked_response", "orphan_reply", "unexpected_bank_flit",
-         "unexpected_controller_flit"});
-    h_bank_lookups_ = counters_.handle_of("bank_lookups");
-    h_bank_read_hits_ = counters_.handle_of("bank_read_hits");
-    h_bank_write_hits_ = counters_.handle_of("bank_write_hits");
-    h_bank_writes_ = counters_.handle_of("bank_writes");
-    h_fills_from_memory_ = counters_.handle_of("fills_from_memory");
-    h_flits_injected_ = counters_.handle_of("flits_injected");
-    h_inject_stall_ = counters_.handle_of("inject_stall");
-    h_migrations_delivered_ = counters_.handle_of("migrations_delivered");
-    h_mshr_merge_ = counters_.handle_of("mshr_merge");
-    h_orphan_reply_ = counters_.handle_of("orphan_reply");
-    h_promotion_spills_ = counters_.handle_of("promotion_spills");
-    h_promotions_ = counters_.handle_of("promotions");
-    h_read_hits_ = counters_.handle_of("read_hits");
-    h_read_misses_ = counters_.handle_of("read_misses");
-    h_tail_evictions_ = counters_.handle_of("tail_evictions");
-    h_unexpected_bank_flit_ = counters_.handle_of("unexpected_bank_flit");
-    h_unexpected_controller_flit_ = counters_.handle_of("unexpected_controller_flit");
-    h_untracked_response_ = counters_.handle_of("untracked_response");
-    h_write_installs_ = counters_.handle_of("write_installs");
-    h_writes_coalesced_ = counters_.handle_of("writes_coalesced");
-    h_writes_filtered_ = counters_.handle_of("writes_filtered");
     // Pre-size the controller-side queues: a probe set is `rows` flits and
     // a data reply is flits_for_block(), so these bounds cover steady state
     // without reallocation (growth stays possible for pathological bursts).
@@ -150,7 +120,7 @@ void dnuca_cache::accept(const mem::mem_request& request)
     for (unsigned row = 1; row <= config_.rows; ++row)
         send_packet(outbox, probe_kind, {0, 0}, bank_coord(column, row),
                     block, group, 1, now);
-    counters_.inc(demand_read ? "read_probes" : "write_probes");
+    counters_.inc(demand_read ? h_read_probes_ : h_write_probes_);
 }
 
 void dnuca_cache::respond(const mem::mem_response& response)
@@ -643,21 +613,6 @@ bool dnuca_cache::quiescent() const
             !b.outbox.queue.empty() || !b.lookups.empty())
             return false;
     return mesh_->quiescent();
-}
-
-void dnuca_cache::save_state(ckpt::writer& w) const
-{
-    if (!quiescent())
-        throw ckpt::ckpt_error(
-            "dnuca_cache: checkpoint requested while packets are in flight");
-    ckpt::saver ar(w);
-    const_cast<dnuca_cache*>(this)->serialize(ar);
-}
-
-void dnuca_cache::load_state(ckpt::reader& r)
-{
-    ckpt::loader ar(r);
-    serialize(ar);
 }
 
 } // namespace lnuca::dnuca

@@ -83,10 +83,6 @@ public:
     /// the arrays before measurement. Spreads lines round-robin over rows.
     void prewarm(addr_t addr);
 
-    /// Checkpoint hooks (quiescent-only; hier::system owns the section).
-    void save_state(ckpt::writer& w) const override;
-    void load_state(ckpt::reader& r) override;
-
     /// Persistent-at-quiescence state: bank tags + schedule anchors, stats,
     /// the write-combining filter, packet/group id cursors, the mesh
     /// counters and every injector's VC rotation cursor (it advances per
@@ -188,27 +184,42 @@ private:
     dnuca_config config_;
     mem::txn_id_source& ids_;
     counter_set counters_;
-    counter_set::handle h_bank_lookups_ = 0;
-    counter_set::handle h_bank_read_hits_ = 0;
-    counter_set::handle h_bank_write_hits_ = 0;
-    counter_set::handle h_bank_writes_ = 0;
-    counter_set::handle h_fills_from_memory_ = 0;
-    counter_set::handle h_flits_injected_ = 0;
-    counter_set::handle h_inject_stall_ = 0;
-    counter_set::handle h_migrations_delivered_ = 0;
-    counter_set::handle h_mshr_merge_ = 0;
-    counter_set::handle h_orphan_reply_ = 0;
-    counter_set::handle h_promotion_spills_ = 0;
-    counter_set::handle h_promotions_ = 0;
-    counter_set::handle h_read_hits_ = 0;
-    counter_set::handle h_read_misses_ = 0;
-    counter_set::handle h_tail_evictions_ = 0;
-    counter_set::handle h_unexpected_bank_flit_ = 0;
-    counter_set::handle h_unexpected_controller_flit_ = 0;
-    counter_set::handle h_untracked_response_ = 0;
-    counter_set::handle h_write_installs_ = 0;
-    counter_set::handle h_writes_coalesced_ = 0;
-    counter_set::handle h_writes_filtered_ = 0;
+    counter_set::handle h_read_probes_ = counters_.handle_of("read_probes");
+    counter_set::handle h_write_probes_ = counters_.handle_of("write_probes");
+    counter_set::handle h_writes_coalesced_ =
+        counters_.handle_of("writes_coalesced");
+    counter_set::handle h_writes_filtered_ =
+        counters_.handle_of("writes_filtered");
+    counter_set::handle h_mshr_merge_ = counters_.handle_of("mshr_merge");
+    counter_set::handle h_inject_stall_ = counters_.handle_of("inject_stall");
+    counter_set::handle h_flits_injected_ =
+        counters_.handle_of("flits_injected");
+    counter_set::handle h_bank_lookups_ = counters_.handle_of("bank_lookups");
+    counter_set::handle h_bank_read_hits_ =
+        counters_.handle_of("bank_read_hits");
+    counter_set::handle h_bank_write_hits_ =
+        counters_.handle_of("bank_write_hits");
+    counter_set::handle h_bank_writes_ = counters_.handle_of("bank_writes");
+    counter_set::handle h_promotions_ = counters_.handle_of("promotions");
+    counter_set::handle h_promotion_spills_ =
+        counters_.handle_of("promotion_spills");
+    counter_set::handle h_migrations_delivered_ =
+        counters_.handle_of("migrations_delivered");
+    counter_set::handle h_tail_evictions_ =
+        counters_.handle_of("tail_evictions");
+    counter_set::handle h_read_hits_ = counters_.handle_of("read_hits");
+    counter_set::handle h_read_misses_ = counters_.handle_of("read_misses");
+    counter_set::handle h_write_installs_ =
+        counters_.handle_of("write_installs");
+    counter_set::handle h_fills_from_memory_ =
+        counters_.handle_of("fills_from_memory");
+    counter_set::handle h_untracked_response_ =
+        counters_.handle_of("untracked_response");
+    counter_set::handle h_orphan_reply_ = counters_.handle_of("orphan_reply");
+    counter_set::handle h_unexpected_bank_flit_ =
+        counters_.handle_of("unexpected_bank_flit");
+    counter_set::handle h_unexpected_controller_flit_ =
+        counters_.handle_of("unexpected_controller_flit");
 
     mem::mem_client* upstream_ = nullptr;
     mem::mem_port* downstream_ = nullptr;

@@ -1,6 +1,5 @@
 #include "src/fabric/lnuca_cache.h"
 
-#include "src/ckpt/archive.h"
 #include "src/common/log.h"
 
 #include <algorithm>
@@ -72,60 +71,6 @@ lnuca_cache::lnuca_cache(const fabric_config& config, mem::txn_id_source& ids)
     root_arrivals_.assign(geo_.root_transport_inputs().size(),
                           noc::sync_fifo<transport_msg>(config.tile.buffer_depth));
 
-    counters_.preregister(
-        {"evictions_in", "root_ubuffer_hit", "read_hit", "store_merged",
-         "mshr_merge", "searches_requested", "searches_injected",
-         "search_broadcast_hops", "tile_tag_lookups", "tile_hits",
-         "tile_data_reads", "tile_data_writes", "ubuffer_hits",
-         "store_hits_in_place", "store_hits_in_transit",
-         "transport_contention", "transport_hops", "transport_blocked",
-         "replacement_hops", "replacement_blocked", "install_conflicts",
-         "eviction_inject_blocked", "evictions_injected",
-         "miss_line_gathers", "search_restarts", "global_misses",
-         "false_global_misses", "exit_snoop_hits", "write_misses_out",
-         "blocks_delivered", "fills_from_next_level", "untracked_response",
-         "untracked_arrival", "orphan_search", "clean_exits_dropped",
-         "dirty_exits_written_back", "downstream_backpressure",
-         "downstream_queue_high_water"});
-    h_tile_tag_lookups_ = counters_.handle_of("tile_tag_lookups");
-    h_search_broadcast_hops_ = counters_.handle_of("search_broadcast_hops");
-    h_transport_hops_ = counters_.handle_of("transport_hops");
-    h_transport_blocked_ = counters_.handle_of("transport_blocked");
-    h_tile_hits_ = counters_.handle_of("tile_hits");
-    h_tile_data_reads_ = counters_.handle_of("tile_data_reads");
-    h_tile_data_writes_ = counters_.handle_of("tile_data_writes");
-    h_replacement_hops_ = counters_.handle_of("replacement_hops");
-    h_searches_requested_ = counters_.handle_of("searches_requested");
-    h_searches_injected_ = counters_.handle_of("searches_injected");
-    h_miss_line_gathers_ = counters_.handle_of("miss_line_gathers");
-    h_global_misses_ = counters_.handle_of("global_misses");
-    h_blocks_delivered_ = counters_.handle_of("blocks_delivered");
-    h_clean_exits_dropped_ = counters_.handle_of("clean_exits_dropped");
-    h_dirty_exits_written_back_ = counters_.handle_of("dirty_exits_written_back");
-    h_eviction_inject_blocked_ = counters_.handle_of("eviction_inject_blocked");
-    h_evictions_in_ = counters_.handle_of("evictions_in");
-    h_evictions_injected_ = counters_.handle_of("evictions_injected");
-    h_exit_snoop_hits_ = counters_.handle_of("exit_snoop_hits");
-    h_false_global_misses_ = counters_.handle_of("false_global_misses");
-    h_fills_from_next_level_ = counters_.handle_of("fills_from_next_level");
-    h_install_conflicts_ = counters_.handle_of("install_conflicts");
-    h_mshr_merge_ = counters_.handle_of("mshr_merge");
-    h_orphan_search_ = counters_.handle_of("orphan_search");
-    h_read_hit_ = counters_.handle_of("read_hit");
-    h_replacement_blocked_ = counters_.handle_of("replacement_blocked");
-    h_root_ubuffer_hit_ = counters_.handle_of("root_ubuffer_hit");
-    h_search_restarts_ = counters_.handle_of("search_restarts");
-    h_store_hits_in_place_ = counters_.handle_of("store_hits_in_place");
-    h_store_hits_in_transit_ = counters_.handle_of("store_hits_in_transit");
-    h_store_merged_ = counters_.handle_of("store_merged");
-    h_transport_contention_ = counters_.handle_of("transport_contention");
-    h_ubuffer_hits_ = counters_.handle_of("ubuffer_hits");
-    h_untracked_arrival_ = counters_.handle_of("untracked_arrival");
-    h_untracked_response_ = counters_.handle_of("untracked_response");
-    h_write_misses_out_ = counters_.handle_of("write_misses_out");
-    h_downstream_backpressure_ = counters_.handle_of("downstream_backpressure");
-    h_downstream_queue_high_water_ =
-        counters_.handle_of("downstream_queue_high_water");
     // Pre-size the rings and the refill heap for their structural bounds so
     // steady-state cycles never touch the allocator.
     inject_queue_.reserve(config.inject_queue_depth + config.mshr_entries);
@@ -1100,21 +1045,6 @@ bool lnuca_cache::quiescent() const
                 return false;
     }
     return true;
-}
-
-void lnuca_cache::save_state(ckpt::writer& w) const
-{
-    if (!quiescent())
-        throw ckpt::ckpt_error(
-            "lnuca_cache: checkpoint requested while searches are in flight");
-    ckpt::saver ar(w);
-    const_cast<lnuca_cache*>(this)->serialize(ar);
-}
-
-void lnuca_cache::load_state(ckpt::reader& r)
-{
-    ckpt::loader ar(r);
-    serialize(ar);
 }
 
 } // namespace lnuca::fabric

@@ -108,10 +108,6 @@ public:
     /// Returns false when every candidate set is full.
     bool prewarm(addr_t addr);
 
-    /// Checkpoint hooks (quiescent-only; hier::system owns the section).
-    void save_state(ckpt::writer& w) const override;
-    void load_state(ckpt::reader& r) override;
-
     /// Persistent-at-quiescence state: tile tags/recency, stats, the
     /// routing RNG and the warm-path rotation pointers. Searches, link
     /// buffers and queues are empty by the quiesce contract; the warm
@@ -207,44 +203,74 @@ private:
     mem::mshr_file mshrs_;
     std::vector<search_state> search_by_slot_; ///< parallel to the MSHR slab
     counter_set counters_;
-    counter_set::handle h_tile_tag_lookups_ = 0;
-    counter_set::handle h_search_broadcast_hops_ = 0;
-    counter_set::handle h_transport_hops_ = 0;
-    counter_set::handle h_transport_blocked_ = 0;
-    counter_set::handle h_tile_hits_ = 0;
-    counter_set::handle h_tile_data_reads_ = 0;
-    counter_set::handle h_tile_data_writes_ = 0;
-    counter_set::handle h_replacement_hops_ = 0;
-    counter_set::handle h_searches_requested_ = 0;
-    counter_set::handle h_searches_injected_ = 0;
-    counter_set::handle h_miss_line_gathers_ = 0;
-    counter_set::handle h_global_misses_ = 0;
-    counter_set::handle h_blocks_delivered_ = 0;
-    counter_set::handle h_clean_exits_dropped_ = 0;
-    counter_set::handle h_dirty_exits_written_back_ = 0;
-    counter_set::handle h_eviction_inject_blocked_ = 0;
-    counter_set::handle h_evictions_in_ = 0;
-    counter_set::handle h_evictions_injected_ = 0;
-    counter_set::handle h_exit_snoop_hits_ = 0;
-    counter_set::handle h_false_global_misses_ = 0;
-    counter_set::handle h_fills_from_next_level_ = 0;
-    counter_set::handle h_install_conflicts_ = 0;
-    counter_set::handle h_mshr_merge_ = 0;
-    counter_set::handle h_orphan_search_ = 0;
-    counter_set::handle h_read_hit_ = 0;
-    counter_set::handle h_replacement_blocked_ = 0;
-    counter_set::handle h_root_ubuffer_hit_ = 0;
-    counter_set::handle h_search_restarts_ = 0;
-    counter_set::handle h_store_hits_in_place_ = 0;
-    counter_set::handle h_store_hits_in_transit_ = 0;
-    counter_set::handle h_store_merged_ = 0;
-    counter_set::handle h_transport_contention_ = 0;
-    counter_set::handle h_ubuffer_hits_ = 0;
-    counter_set::handle h_untracked_arrival_ = 0;
-    counter_set::handle h_untracked_response_ = 0;
-    counter_set::handle h_write_misses_out_ = 0;
-    counter_set::handle h_downstream_backpressure_ = 0;
-    counter_set::handle h_downstream_queue_high_water_ = 0;
+    counter_set::handle h_evictions_in_ = counters_.handle_of("evictions_in");
+    counter_set::handle h_root_ubuffer_hit_ =
+        counters_.handle_of("root_ubuffer_hit");
+    counter_set::handle h_read_hit_ = counters_.handle_of("read_hit");
+    counter_set::handle h_store_merged_ = counters_.handle_of("store_merged");
+    counter_set::handle h_mshr_merge_ = counters_.handle_of("mshr_merge");
+    counter_set::handle h_searches_requested_ =
+        counters_.handle_of("searches_requested");
+    counter_set::handle h_searches_injected_ =
+        counters_.handle_of("searches_injected");
+    counter_set::handle h_search_broadcast_hops_ =
+        counters_.handle_of("search_broadcast_hops");
+    counter_set::handle h_tile_tag_lookups_ =
+        counters_.handle_of("tile_tag_lookups");
+    counter_set::handle h_tile_hits_ = counters_.handle_of("tile_hits");
+    counter_set::handle h_tile_data_reads_ =
+        counters_.handle_of("tile_data_reads");
+    counter_set::handle h_tile_data_writes_ =
+        counters_.handle_of("tile_data_writes");
+    counter_set::handle h_ubuffer_hits_ = counters_.handle_of("ubuffer_hits");
+    counter_set::handle h_store_hits_in_place_ =
+        counters_.handle_of("store_hits_in_place");
+    counter_set::handle h_store_hits_in_transit_ =
+        counters_.handle_of("store_hits_in_transit");
+    counter_set::handle h_transport_contention_ =
+        counters_.handle_of("transport_contention");
+    counter_set::handle h_transport_hops_ =
+        counters_.handle_of("transport_hops");
+    counter_set::handle h_transport_blocked_ =
+        counters_.handle_of("transport_blocked");
+    counter_set::handle h_replacement_hops_ =
+        counters_.handle_of("replacement_hops");
+    counter_set::handle h_replacement_blocked_ =
+        counters_.handle_of("replacement_blocked");
+    counter_set::handle h_install_conflicts_ =
+        counters_.handle_of("install_conflicts");
+    counter_set::handle h_eviction_inject_blocked_ =
+        counters_.handle_of("eviction_inject_blocked");
+    counter_set::handle h_evictions_injected_ =
+        counters_.handle_of("evictions_injected");
+    counter_set::handle h_miss_line_gathers_ =
+        counters_.handle_of("miss_line_gathers");
+    counter_set::handle h_search_restarts_ =
+        counters_.handle_of("search_restarts");
+    counter_set::handle h_global_misses_ = counters_.handle_of("global_misses");
+    counter_set::handle h_false_global_misses_ =
+        counters_.handle_of("false_global_misses");
+    counter_set::handle h_exit_snoop_hits_ =
+        counters_.handle_of("exit_snoop_hits");
+    counter_set::handle h_write_misses_out_ =
+        counters_.handle_of("write_misses_out");
+    counter_set::handle h_blocks_delivered_ =
+        counters_.handle_of("blocks_delivered");
+    counter_set::handle h_fills_from_next_level_ =
+        counters_.handle_of("fills_from_next_level");
+    counter_set::handle h_untracked_response_ =
+        counters_.handle_of("untracked_response");
+    counter_set::handle h_untracked_arrival_ =
+        counters_.handle_of("untracked_arrival");
+    counter_set::handle h_orphan_search_ = counters_.handle_of("orphan_search");
+    counter_set::handle h_clean_exits_dropped_ =
+        counters_.handle_of("clean_exits_dropped");
+    counter_set::handle h_dirty_exits_written_back_ =
+        counters_.handle_of("dirty_exits_written_back");
+    counter_set::handle h_downstream_backpressure_ =
+        counters_.handle_of("downstream_backpressure");
+    counter_set::handle h_downstream_queue_high_water_ =
+        counters_.handle_of("downstream_queue_high_water");
     /// Peak downstream_queue_ occupancy (mirrored into the high-water
     /// counter via delta increments - counter_set is inc-only).
     std::size_t downstream_queue_high_water_ = 0;

@@ -552,9 +552,9 @@ void system::apply_totals(run_result& r, const window_totals& totals,
 
 // ---------------------------------------------------------------------------
 // Checkpoint/restore orchestration. The system owns the section layout -
-// every component's save_state/load_state runs inside a section the system
-// opens for it - so the file structure is decided in exactly one place and
-// the reader's exact-consumption check catches any reader/writer drift per
+// every component's serialize() runs inside a section the system opens for
+// it - so the file structure is decided in exactly one place and the
+// reader's exact-consumption check catches any reader/writer drift per
 // component instead of smearing it across the file.
 // ---------------------------------------------------------------------------
 
@@ -570,6 +570,15 @@ std::uint64_t mix_str(std::uint64_t h, const std::string& s)
     for (const char c : s)
         h = mix(h, std::uint64_t(std::uint8_t(c)));
     return mix(h, s.size());
+}
+
+/// "core#1", "l2": how a component section is named in digests and errors.
+std::string section_name(ckpt::section_id id, std::uint32_t index)
+{
+    std::string name = ckpt::to_string(id);
+    if (id == ckpt::section_id::core || id == ckpt::section_id::l1)
+        name += "#" + std::to_string(index);
+    return name;
 }
 
 } // namespace
@@ -632,10 +641,8 @@ system::component_digests() const
     std::vector<std::pair<std::string, std::uint64_t>> digests;
     for_each_component([&](ckpt::section_id id, std::uint32_t index,
                            const auto& component) {
-        std::string name = ckpt::to_string(id);
-        if (id == ckpt::section_id::core || id == ckpt::section_id::l1)
-            name += "#" + std::to_string(index);
-        digests.emplace_back(std::move(name), component.state_digest());
+        digests.emplace_back(section_name(id, index),
+                             component.state_digest());
     });
     return digests;
 }
@@ -671,10 +678,18 @@ void system::save_checkpoint(
         }
         w.end_section();
 
+        // Components persist only state that survives a drain; in-flight
+        // machinery is not serialized, so a busy component would save a
+        // snapshot that silently drops work.
         for_each_component([&](section_id id, std::uint32_t index,
                                const auto& component) {
+            if (!component.quiescent())
+                throw ckpt::ckpt_error(
+                    section_name(id, index) +
+                    ": checkpoint requested while not quiescent");
             w.begin_section(id, index);
-            component.save_state(w);
+            ckpt::saver ar(w);
+            ar(component);
             w.end_section();
         });
 
@@ -770,7 +785,8 @@ bool system::try_load_checkpoint(
         for_each_component([&](section_id id, std::uint32_t index,
                                auto& component) {
             r.open_section(id, index);
-            component.load_state(r);
+            ckpt::loader ar(r);
+            ar(component);
             r.close_section();
         });
 

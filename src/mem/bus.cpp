@@ -1,7 +1,5 @@
 #include "src/mem/bus.h"
 
-#include "src/ckpt/archive.h"
-
 #include <algorithm>
 
 namespace lnuca::mem {
@@ -77,20 +75,6 @@ void bus::tick(cycle_t now)
             counters_.inc(h_up_transfers_);
         }
     }
-}
-
-void bus::save_state(ckpt::writer& w) const
-{
-    if (!quiescent())
-        throw ckpt::ckpt_error("bus: checkpoint requested while not quiescent");
-    ckpt::saver ar(w);
-    const_cast<bus*>(this)->serialize(ar);
-}
-
-void bus::load_state(ckpt::reader& r)
-{
-    ckpt::loader ar(r);
-    serialize(ar);
 }
 
 } // namespace lnuca::mem

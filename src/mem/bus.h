@@ -30,10 +30,6 @@ public:
         // micro_hotpath zero-allocation gate covers this path).
         down_.reserve(128);
         up_.reserve(128);
-        counters_.preregister({"down_transfers", "down_stall", "up_transfers"});
-        h_down_transfers_ = counters_.handle_of("down_transfers");
-        h_down_stall_ = counters_.handle_of("down_stall");
-        h_up_transfers_ = counters_.handle_of("up_transfers");
     }
 
     void set_upstream(mem_client* client) { upstream_ = client; }
@@ -60,10 +56,6 @@ public:
     const counter_set& counters() const { return counters_; }
     bool quiescent() const { return down_.empty() && up_.empty(); }
 
-    /// Checkpoint hooks (quiescent-only; hier::system owns the section).
-    void save_state(ckpt::writer& w) const override;
-    void load_state(ckpt::reader& r) override;
-
     template <class Ar> void serialize(Ar& ar)
     {
         ar.counters(counters_);
@@ -82,9 +74,10 @@ private:
     mem_client* upstream_ = nullptr;
     mem_port* downstream_ = nullptr;
     counter_set counters_;
-    counter_set::handle h_down_transfers_ = 0;
-    counter_set::handle h_down_stall_ = 0;
-    counter_set::handle h_up_transfers_ = 0;
+    counter_set::handle h_down_transfers_ =
+        counters_.handle_of("down_transfers");
+    counter_set::handle h_down_stall_ = counters_.handle_of("down_stall");
+    counter_set::handle h_up_transfers_ = counters_.handle_of("up_transfers");
     sim::timed_queue<mem_request> down_;
     sim::timed_queue<mem_response> up_;
     cycle_t down_free_at_ = 0;

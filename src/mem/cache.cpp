@@ -1,6 +1,5 @@
 #include "src/mem/cache.h"
 
-#include "src/ckpt/archive.h"
 #include "src/common/log.h"
 
 #include <algorithm>
@@ -16,40 +15,6 @@ conventional_cache::conventional_cache(const cache_config& config, txn_id_source
       wb_(config.write_buffer_entries, config.block_bytes),
       port_free_(std::size_t(config.ports) * std::max(1u, config.banks), 0)
 {
-    counters_.preregister(
-        {"accesses", "reads", "writes", "read_hit", "write_hit", "read_miss",
-         "write_miss", "wb_hit", "mshr_merge", "mshr_secondary_stall",
-         "mshr_full_stall", "miss_issued", "fills", "evictions",
-         "writeback_in", "writeback_out", "write_through_out", "wb_drained",
-         "wb_full_stall", "refill_wb_stall", "untracked_response",
-         "upgrade_miss", "snoop_inv", "snoop_inv_dirty", "snoop_downgrade",
-         "snoop_retry"});
-    h_accesses_ = counters_.handle_of("accesses");
-    h_reads_ = counters_.handle_of("reads");
-    h_writes_ = counters_.handle_of("writes");
-    h_read_hit_ = counters_.handle_of("read_hit");
-    h_write_hit_ = counters_.handle_of("write_hit");
-    h_wb_hit_ = counters_.handle_of("wb_hit");
-    h_read_miss_ = counters_.handle_of("read_miss");
-    h_write_miss_ = counters_.handle_of("write_miss");
-    h_mshr_merge_ = counters_.handle_of("mshr_merge");
-    h_mshr_secondary_stall_ = counters_.handle_of("mshr_secondary_stall");
-    h_mshr_full_stall_ = counters_.handle_of("mshr_full_stall");
-    h_miss_issued_ = counters_.handle_of("miss_issued");
-    h_fills_ = counters_.handle_of("fills");
-    h_evictions_ = counters_.handle_of("evictions");
-    h_writeback_in_ = counters_.handle_of("writeback_in");
-    h_writeback_out_ = counters_.handle_of("writeback_out");
-    h_write_through_out_ = counters_.handle_of("write_through_out");
-    h_wb_drained_ = counters_.handle_of("wb_drained");
-    h_wb_full_stall_ = counters_.handle_of("wb_full_stall");
-    h_refill_wb_stall_ = counters_.handle_of("refill_wb_stall");
-    h_untracked_response_ = counters_.handle_of("untracked_response");
-    h_upgrade_miss_ = counters_.handle_of("upgrade_miss");
-    h_snoop_inv_ = counters_.handle_of("snoop_inv");
-    h_snoop_inv_dirty_ = counters_.handle_of("snoop_inv_dirty");
-    h_snoop_downgrade_ = counters_.handle_of("snoop_downgrade");
-    h_snoop_retry_ = counters_.handle_of("snoop_retry");
     // Pre-size the hot-path queues so steady-state ticks never allocate.
     input_writes_.reserve(config.write_buffer_entries);
     lookups_.reserve(std::size_t(config.write_buffer_entries) +
@@ -686,21 +651,6 @@ bool conventional_cache::holds_or_in_flight(addr_t addr) const
     const addr_t block = tags_.block_of(addr);
     return tags_.probe(block).has_value() || mshrs_.find(block) != nullptr ||
            wb_.contains(block);
-}
-
-void conventional_cache::save_state(ckpt::writer& w) const
-{
-    if (!quiescent())
-        throw ckpt::ckpt_error("cache '" + config_.name +
-                               "': checkpoint requested while not quiescent");
-    ckpt::saver ar(w);
-    const_cast<conventional_cache*>(this)->serialize(ar);
-}
-
-void conventional_cache::load_state(ckpt::reader& r)
-{
-    ckpt::loader ar(r);
-    serialize(ar);
 }
 
 } // namespace lnuca::mem

@@ -115,10 +115,6 @@ public:
     /// eviction machinery (see coh::coherence_hub::check_invariants).
     bool holds_or_in_flight(addr_t addr) const;
 
-    /// Checkpoint hooks (quiescent-only; hier::system owns the section).
-    void save_state(ckpt::writer& w) const override;
-    void load_state(ckpt::reader& r) override;
-
     /// Persistent-at-quiescence state: tags, stats, schedule anchors and
     /// the warm-path elision caches. MSHRs, write buffers and the
     /// lookup/refill queues are empty by the quiesce contract.
@@ -164,34 +160,40 @@ private:
     mshr_file mshrs_;
     write_buffer wb_;
     counter_set counters_;
-    counter_set::handle h_accesses_ = 0;
-    counter_set::handle h_reads_ = 0;
-    counter_set::handle h_writes_ = 0;
-    counter_set::handle h_read_hit_ = 0;
-    counter_set::handle h_write_hit_ = 0;
-    counter_set::handle h_wb_hit_ = 0;
-    // Cold-site handles: same preregistered names, no per-event hashing.
-    counter_set::handle h_read_miss_ = 0;
-    counter_set::handle h_write_miss_ = 0;
-    counter_set::handle h_mshr_merge_ = 0;
-    counter_set::handle h_mshr_secondary_stall_ = 0;
-    counter_set::handle h_mshr_full_stall_ = 0;
-    counter_set::handle h_miss_issued_ = 0;
-    counter_set::handle h_fills_ = 0;
-    counter_set::handle h_evictions_ = 0;
-    counter_set::handle h_writeback_in_ = 0;
-    counter_set::handle h_writeback_out_ = 0;
-    counter_set::handle h_write_through_out_ = 0;
-    counter_set::handle h_wb_drained_ = 0;
-    counter_set::handle h_wb_full_stall_ = 0;
-    counter_set::handle h_refill_wb_stall_ = 0;
-    counter_set::handle h_untracked_response_ = 0;
-    // Coherence (coherent mode only; preregistered either way).
-    counter_set::handle h_upgrade_miss_ = 0;
-    counter_set::handle h_snoop_inv_ = 0;
-    counter_set::handle h_snoop_inv_dirty_ = 0;
-    counter_set::handle h_snoop_downgrade_ = 0;
-    counter_set::handle h_snoop_retry_ = 0;
+    counter_set::handle h_accesses_ = counters_.handle_of("accesses");
+    counter_set::handle h_reads_ = counters_.handle_of("reads");
+    counter_set::handle h_writes_ = counters_.handle_of("writes");
+    counter_set::handle h_read_hit_ = counters_.handle_of("read_hit");
+    counter_set::handle h_write_hit_ = counters_.handle_of("write_hit");
+    counter_set::handle h_read_miss_ = counters_.handle_of("read_miss");
+    counter_set::handle h_write_miss_ = counters_.handle_of("write_miss");
+    counter_set::handle h_wb_hit_ = counters_.handle_of("wb_hit");
+    counter_set::handle h_mshr_merge_ = counters_.handle_of("mshr_merge");
+    counter_set::handle h_mshr_secondary_stall_ =
+        counters_.handle_of("mshr_secondary_stall");
+    counter_set::handle h_mshr_full_stall_ =
+        counters_.handle_of("mshr_full_stall");
+    counter_set::handle h_miss_issued_ = counters_.handle_of("miss_issued");
+    counter_set::handle h_fills_ = counters_.handle_of("fills");
+    counter_set::handle h_evictions_ = counters_.handle_of("evictions");
+    counter_set::handle h_writeback_in_ = counters_.handle_of("writeback_in");
+    counter_set::handle h_writeback_out_ = counters_.handle_of("writeback_out");
+    counter_set::handle h_write_through_out_ =
+        counters_.handle_of("write_through_out");
+    counter_set::handle h_wb_drained_ = counters_.handle_of("wb_drained");
+    counter_set::handle h_wb_full_stall_ = counters_.handle_of("wb_full_stall");
+    counter_set::handle h_refill_wb_stall_ =
+        counters_.handle_of("refill_wb_stall");
+    counter_set::handle h_untracked_response_ =
+        counters_.handle_of("untracked_response");
+    // Coherence (coherent mode only; registered either way).
+    counter_set::handle h_upgrade_miss_ = counters_.handle_of("upgrade_miss");
+    counter_set::handle h_snoop_inv_ = counters_.handle_of("snoop_inv");
+    counter_set::handle h_snoop_inv_dirty_ =
+        counters_.handle_of("snoop_inv_dirty");
+    counter_set::handle h_snoop_downgrade_ =
+        counters_.handle_of("snoop_downgrade");
+    counter_set::handle h_snoop_retry_ = counters_.handle_of("snoop_retry");
 
     bool pending_fill(addr_t block) const;
     void pending_fill_remove(addr_t block);

@@ -1,7 +1,5 @@
 #include "src/mem/main_memory.h"
 
-#include "src/ckpt/archive.h"
-
 #include <algorithm>
 
 namespace lnuca::mem {
@@ -65,21 +63,6 @@ void main_memory::tick(cycle_t now)
         upstream_->respond(response);
     }
     counters_.inc(h_transfers_);
-}
-
-void main_memory::save_state(ckpt::writer& w) const
-{
-    if (!quiescent())
-        throw ckpt::ckpt_error(
-            "main_memory: checkpoint requested while not quiescent");
-    ckpt::saver ar(w);
-    const_cast<main_memory*>(this)->serialize(ar);
-}
-
-void main_memory::load_state(ckpt::reader& r)
-{
-    ckpt::loader ar(r);
-    serialize(ar);
 }
 
 } // namespace lnuca::mem

@@ -24,10 +24,6 @@ public:
     explicit main_memory(const main_memory_config& config) : config_(config)
     {
         queue_.reserve(config.queue_depth);
-        counters_.preregister({"reads", "writes", "transfers"});
-        h_reads_ = counters_.handle_of("reads");
-        h_writes_ = counters_.handle_of("writes");
-        h_transfers_ = counters_.handle_of("transfers");
     }
 
     void set_upstream(mem_client* client) { upstream_ = client; }
@@ -44,10 +40,6 @@ public:
     /// Cycles to deliver a `bytes`-sized block, unloaded.
     cycle_t unloaded_latency(std::uint32_t bytes) const;
 
-    /// Checkpoint hooks (quiescent-only; hier::system owns the section).
-    void save_state(ckpt::writer& w) const override;
-    void load_state(ckpt::reader& r) override;
-
     template <class Ar> void serialize(Ar& ar)
     {
         ar.counters(counters_);
@@ -63,9 +55,9 @@ private:
     main_memory_config config_;
     mem_client* upstream_ = nullptr;
     counter_set counters_;
-    counter_set::handle h_reads_ = 0;
-    counter_set::handle h_writes_ = 0;
-    counter_set::handle h_transfers_ = 0;
+    counter_set::handle h_reads_ = counters_.handle_of("reads");
+    counter_set::handle h_writes_ = counters_.handle_of("writes");
+    counter_set::handle h_transfers_ = counters_.handle_of("transfers");
     ring_queue<mem_request> queue_;
     cycle_t wires_free_at_ = 0;
 };

@@ -16,13 +16,6 @@ vc_router::vc_router(const router_config& config, coord position)
         c.assign(config_.virtual_channels, config_.vc_depth);
     for (auto& o : vc_owner_)
         o.assign(config_.virtual_channels, -1);
-    counters_.preregister(
-        {"injected", "ejected", "forwarded", "credit_stall", "vc_alloc_stall"});
-    h_credit_stall_ = counters_.handle_of("credit_stall");
-    h_ejected_ = counters_.handle_of("ejected");
-    h_forwarded_ = counters_.handle_of("forwarded");
-    h_injected_ = counters_.handle_of("injected");
-    h_vc_alloc_stall_ = counters_.handle_of("vc_alloc_stall");
 }
 
 bool vc_router::local_can_accept(std::uint32_t vc) const

@@ -83,11 +83,12 @@ private:
     std::array<std::vector<std::int32_t>, port_count> vc_owner_;
     ring_queue<flit> ejected_;
     counter_set counters_;
-    counter_set::handle h_credit_stall_ = 0;
-    counter_set::handle h_ejected_ = 0;
-    counter_set::handle h_forwarded_ = 0;
-    counter_set::handle h_injected_ = 0;
-    counter_set::handle h_vc_alloc_stall_ = 0;
+    counter_set::handle h_injected_ = counters_.handle_of("injected");
+    counter_set::handle h_ejected_ = counters_.handle_of("ejected");
+    counter_set::handle h_forwarded_ = counters_.handle_of("forwarded");
+    counter_set::handle h_credit_stall_ = counters_.handle_of("credit_stall");
+    counter_set::handle h_vc_alloc_stall_ =
+        counters_.handle_of("vc_alloc_stall");
 };
 
 /// A width x height mesh of vc_routers with neighbour wiring. Call step()

@@ -16,16 +16,16 @@
 // exactly as it would be under dense stepping), but a bound that overshoots
 // a cycle where the component would have acted changes simulated timing.
 // See DESIGN.md ("The idle-skip engine") for the full safety argument.
+//
+// Checkpointing is not part of this interface: a component persists only
+// through its `template <class Ar> void serialize(Ar&)` member, which
+// hier::system calls on the concrete type inside that component's section
+// (see src/ckpt/archive.h).
 #pragma once
 
 #include "src/common/types.h"
 
 #include <cstdint>
-
-namespace lnuca::ckpt {
-class writer;
-class reader;
-} // namespace lnuca::ckpt
 
 namespace lnuca::sim {
 
@@ -67,14 +67,6 @@ public:
     /// anything a dishonest next_event() could silently change. Default 0
     /// ("stateless"): such a component is vacuously checkable.
     virtual std::uint64_t state_digest() const { return 0; }
-
-    /// Checkpoint hooks. Called only at quiescence (see src/ckpt/format.h):
-    /// in-flight structures are empty by contract, so components persist
-    /// only state that survives a drain - tables, counters, schedule
-    /// anchors, RNG lanes. Default no-op: a component with no persistent
-    /// state needs nothing. Implementations write/read exactly one section.
-    virtual void save_state(ckpt::writer&) const {}
-    virtual void load_state(ckpt::reader&) {}
 };
 
 } // namespace lnuca::sim

@@ -122,31 +122,6 @@ TEST(stats, harmonic_below_arithmetic)
 {
     const std::vector<double> v{0.5, 1.0, 1.5, 3.0};
     EXPECT_LT(harmonic_mean(v), arithmetic_mean(v));
-    EXPECT_LT(geometric_mean(v), arithmetic_mean(v));
-    EXPECT_GT(geometric_mean(v), harmonic_mean(v));
-}
-
-TEST(stats, mean_accumulator)
-{
-    mean_accumulator acc;
-    EXPECT_EQ(acc.mean(), 0.0);
-    acc.add(2.0);
-    acc.add(4.0);
-    EXPECT_EQ(acc.count(), 2u);
-    EXPECT_NEAR(acc.mean(), 3.0, 1e-12);
-    acc.reset();
-    EXPECT_EQ(acc.count(), 0u);
-}
-
-TEST(stats, minmax_accumulator)
-{
-    minmax_accumulator acc;
-    acc.add(5.0);
-    acc.add(-1.0);
-    acc.add(3.0);
-    EXPECT_EQ(acc.min(), -1.0);
-    EXPECT_EQ(acc.max(), 5.0);
-    EXPECT_NEAR(acc.mean(), 7.0 / 3.0, 1e-12);
 }
 
 TEST(stats, safe_ratio)
@@ -159,22 +134,39 @@ TEST(stats, safe_ratio)
 TEST(stats, counter_set_insertion_order_and_get)
 {
     counter_set c;
-    c.inc("b");
-    c.inc("a", 3);
-    c.inc("b", 2);
+    const counter_set::handle hb = c.handle_of("b");
+    const counter_set::handle ha = c.handle_of("a");
+    // Registration order is items() order (and checkpoint order).
+    ASSERT_EQ(c.items().size(), 2u);
+    EXPECT_EQ(c.items()[0].first, "b");
+    EXPECT_EQ(c.items()[1].first, "a");
+    // A second lookup of a registered name is the same counter.
+    EXPECT_EQ(c.handle_of("b"), hb);
+    EXPECT_EQ(c.items().size(), 2u);
+    c.inc(hb);
+    c.inc(ha, 3);
+    c.inc(hb, 2);
     EXPECT_EQ(c.get("b"), 3u);
     EXPECT_EQ(c.get("a"), 3u);
     EXPECT_EQ(c.get("missing"), 0u);
-    ASSERT_EQ(c.items().size(), 2u);
-    EXPECT_EQ(c.items()[0].first, "b");
+    EXPECT_EQ(c.items().size(), 2u); // get() never creates
+    // set() on an absent name creates it: checkpoint restore's path.
+    c.set("c", 7);
+    ASSERT_EQ(c.items().size(), 3u);
+    EXPECT_EQ(c.items()[2].first, "c");
+    EXPECT_EQ(c.get("c"), 7u);
+    c.set("a", 4);
+    EXPECT_EQ(c.get("a"), 4u);
+    // reset() zeroes values but keeps names, so handles stay valid.
     c.reset();
-    // reset() zeroes values but keeps names (stable counter handles).
-    ASSERT_EQ(c.items().size(), 2u);
+    ASSERT_EQ(c.items().size(), 3u);
     EXPECT_EQ(c.get("b"), 0u);
     EXPECT_EQ(c.get("a"), 0u);
-    const counter_set::handle hb = c.handle_of("b");
+    EXPECT_EQ(c.get("c"), 0u);
+    EXPECT_EQ(c.handle_of("b"), hb);
     c.inc(hb, 5);
     EXPECT_EQ(c.get("b"), 5u);
+    EXPECT_EQ(c.get("a"), 0u);
 }
 
 TEST(histogram, counts_and_overflow)

@@ -191,9 +191,12 @@ TEST_F(dnuca_fixture, writes_coalesce_while_in_flight)
     build();
     write(0x60000);
     write(0x60008); // same 128B line, probe still in flight
+    read(0x61000);  // a demand read probes on its own
+    read(0x62000);
     engine.run(120);
     EXPECT_EQ(cache->counters().get("writes_coalesced"), 1u);
     EXPECT_EQ(cache->counters().get("write_probes"), 1u);
+    EXPECT_EQ(cache->counters().get("read_probes"), 2u);
 }
 
 TEST_F(dnuca_fixture, written_line_filter_absorbs_repeat_stores)

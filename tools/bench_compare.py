@@ -14,15 +14,11 @@ Every perf source CI produces is normalised into ONE schema — a SQLite
 
 The fresh run's metrics are always written to --db (default
 <fresh-dir>/bench.sqlite) so the uploaded artifact IS the next baseline.
-Comparison order, preserving the historical warn-without-baseline
-contract:
+Comparison, preserving the warn-without-baseline contract:
 
-1. baseline dir holds a bench.sqlite  -> store-vs-store SQL join (the gate)
-2. only legacy BENCH_*.json baselines -> compare against their extracted
-   metrics (one-release fallback so the first store-backed run on a branch
-   still gates instead of warning)
-3. no baseline at all                 -> warn and exit 0; the fresh
-   artifact becomes the baseline
+* baseline dir holds a bench.sqlite -> store-vs-store comparison (the gate)
+* no baseline store                 -> warn and exit 0; the fresh
+  artifact becomes the baseline
 
 A metric regressing beyond --threshold (default 15%) in its bad direction
 fails the gate (exit 1).
@@ -188,38 +184,18 @@ def main():
     print(f"bench_compare: {len(fresh_rows)} metrics from "
           f"{len(names)} source(s) -> {db_path}")
 
-    # 1) Store-backed baseline.
     base_store = find_baseline(args.baseline_dir, "bench.sqlite")
-    base_rows = None
-    if base_store is not None:
-        db = sqlite3.connect(base_store)
-        base_rows = db.execute(
-            "SELECT file, name, metric, value, direction "
-            "FROM metrics").fetchall()
-        print(f"bench_compare: baseline store {base_store} "
-              f"({len(base_rows)} metrics)")
-    else:
-        # 2) Legacy per-file JSON baselines (one-release fallback: lets the
-        # first store-backed run gate against the last pre-store artifact).
-        legacy = []
-        for name in names:
-            base_path = find_baseline(args.baseline_dir, name)
-            if base_path is None:
-                print(f"bench_compare: {name}: no baseline from main yet - "
-                      f"warn-only (the fresh artifact becomes the baseline)")
-                continue
-            legacy.extend((name, bench, metric, value, direction)
-                          for bench, metric, value, direction
-                          in extract_file(base_path))
-        if legacy:
-            base_rows = legacy
-            print(f"bench_compare: legacy JSON baseline "
-                  f"({len(legacy)} metrics)")
-
-    if base_rows is None:
-        # 3) Nothing to gate against: the contract is warn, not red.
-        print("bench_compare: no baseline at all - warn-only")
+    if base_store is None:
+        # Nothing to gate against: the contract is warn, not red.
+        print("bench_compare: no baseline store from main yet - warn-only "
+              "(the fresh artifact becomes the baseline)")
         return 0
+    db = sqlite3.connect(base_store)
+    base_rows = db.execute(
+        "SELECT file, name, metric, value, direction "
+        "FROM metrics").fetchall()
+    print(f"bench_compare: baseline store {base_store} "
+          f"({len(base_rows)} metrics)")
 
     failures = list(regressions_between(fresh_rows, base_rows,
                                         args.threshold))
