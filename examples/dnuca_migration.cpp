@@ -95,7 +95,7 @@ int main(int argc, char** argv)
 
     std::printf("promotions: %llu, mesh flit-hops: %llu\n",
                 (unsigned long long)cache.counters().get("promotions"),
-                (unsigned long long)cache.mesh().flit_hops());
+                (unsigned long long)cache.counters().get("flit_hops"));
     std::printf("\nGenerational promotion should concentrate hits in rows 1-2 "
                 "after the warm-up phase - the D-NUCA's way of narrowing the "
                 "latency gap that the L-NUCA closes with 1-cycle tiles.\n");

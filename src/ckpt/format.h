@@ -31,7 +31,7 @@
 namespace lnuca::ckpt {
 
 inline constexpr char k_magic[8] = {'L', 'N', 'C', 'K', 'P', 'T', '1', '\0'};
-inline constexpr std::uint32_t k_version = 2;
+inline constexpr std::uint32_t k_version = 3;
 /// Written as a native u32; a reader on a differently-ordered host sees a
 /// byte-swapped value and rejects the file instead of mis-decoding it.
 inline constexpr std::uint32_t k_endian_tag = 0x01020304;

@@ -46,6 +46,7 @@ public:
 
     /// Read a counter; absent counters read as zero.
     std::uint64_t get(std::string_view name) const;
+    std::uint64_t value(handle h) const { return items_[h].second; }
 
     /// Overwrite a counter's value (creating it if absent). Checkpoint
     /// restore rebuilds counters by name through this, so a save/load

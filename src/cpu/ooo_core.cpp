@@ -13,9 +13,7 @@ ooo_core::ooo_core(const core_config& config, instruction_stream& stream,
       ids_(ids),
       predictor_(4096, 16, 4096),
       dtlb_(config.tlb_entries, config.page_bytes),
-      rob_(config.rob_size),
-      served_by_level_(8, 0),
-      served_by_fabric_level_(16, 0)
+      rob_(config.rob_size)
 {
     // Pre-size every hot-path container for its structural bound so
     // steady-state ticks never allocate.
@@ -176,11 +174,9 @@ void ooo_core::process_responses(cycle_t now)
             release_window(entry);
             entry.in_window = false;
             load_latency_.add(now - entry.issued_at);
-            const auto level = std::size_t(response->served_by);
-            if (level < served_by_level_.size())
-                ++served_by_level_[level];
-            if (response->fabric_level < served_by_fabric_level_.size())
-                ++served_by_fabric_level_[response->fabric_level];
+            const std::size_t level = std::size_t(response->served_by) - 1;
+            if (level < h_loads_served_.size())
+                counters_.inc(h_loads_served_[level]);
             counters_.inc(h_loads_completed_);
             wake_dependents(slot, now);
             continue;
@@ -292,7 +288,7 @@ void ooo_core::start_load_access(std::uint32_t slot, cycle_t now)
     if (store_forwards(entry.inst)) {
         completions_.push(now + config_.lat_store_forward, slot);
         // Model the forward as an L1-class service for statistics.
-        ++served_by_level_[std::size_t(mem::service_level::l1)];
+        counters_.inc(h_loads_served_.front()); // loads_l1
         counters_.inc(h_store_forwards_);
         counters_.inc(h_loads_completed_);
         // Completion via the execution path; mark as normal op finishing.
@@ -579,14 +575,8 @@ void ooo_core::warm_retire(std::uint64_t count)
 
 std::uint64_t ooo_core::loads_served_by(mem::service_level level) const
 {
-    const auto i = std::size_t(level);
-    return i < served_by_level_.size() ? served_by_level_[i] : 0;
-}
-
-std::uint64_t ooo_core::loads_served_by_fabric_level(unsigned level) const
-{
-    return level < served_by_fabric_level_.size() ? served_by_fabric_level_[level]
-                                                  : 0;
+    const std::size_t i = std::size_t(level) - 1;
+    return i < h_loads_served_.size() ? counters_.value(h_loads_served_[i]) : 0;
 }
 
 void ooo_core::reset_stats()
@@ -597,8 +587,6 @@ void ooo_core::reset_stats()
     cycles_base_ = last_tick_ == no_cycle ? 0 : last_tick_ + 1;
     counters_.reset();
     load_latency_.reset();
-    served_by_level_.assign(served_by_level_.size(), 0);
-    served_by_fabric_level_.assign(served_by_fabric_level_.size(), 0);
 }
 
 } // namespace lnuca::cpu

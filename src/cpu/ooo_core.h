@@ -25,6 +25,7 @@
 #include "src/sim/ticked.h"
 #include "src/sim/timed_queue.h"
 
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -119,8 +120,6 @@ public:
     const histogram& load_latency() const { return load_latency_; }
     /// Completed loads serviced by each hierarchy level.
     std::uint64_t loads_served_by(mem::service_level level) const;
-    /// Completed loads serviced by each L-NUCA level (2-based).
-    std::uint64_t loads_served_by_fabric_level(unsigned level) const;
     const tlb& dtlb() const { return dtlb_; }
 
     /// Zero statistics after warm-up; microarchitectural state persists.
@@ -146,8 +145,6 @@ public:
         ar(cycles_base_);
         ar.counters(counters_);
         load_latency_.serialize(ar);
-        ar(served_by_level_);
-        ar(served_by_fabric_level_);
     }
 
 private:
@@ -266,9 +263,15 @@ private:
     counter_set::handle h_sb_full_stall_ = counters_.handle_of("sb_full_stall");
     counter_set::handle h_orphan_responses_ =
         counters_.handle_of("orphan_responses");
+    /// Completed loads by the mem::service_level that served them, from l1
+    /// on (index level - 1; `none` has no counter). The names are the
+    /// run_result fields they feed.
+    std::array<counter_set::handle, 7> h_loads_served_ = {
+        counters_.handle_of("loads_l1"),    counters_.handle_of("loads_fabric"),
+        counters_.handle_of("loads_l2"),    counters_.handle_of("loads_l3"),
+        counters_.handle_of("loads_dnuca"), counters_.handle_of("loads_memory"),
+        counters_.handle_of("loads_peer")};
     histogram load_latency_{256};
-    std::vector<std::uint64_t> served_by_level_;
-    std::vector<std::uint64_t> served_by_fabric_level_;
 };
 
 } // namespace lnuca::cpu

@@ -3,15 +3,18 @@
 #include "src/common/log.h"
 
 #include <algorithm>
+#include <string>
 
 namespace lnuca::dnuca {
 
 dnuca_cache::dnuca_cache(const dnuca_config& config, mem::txn_id_source& ids)
     : config_(config),
       ids_(ids),
-      mshrs_(config.mshr_entries, config.mshr_secondary),
-      row_hits_(config.rows + 1, 0)
+      mshrs_(config.mshr_entries, config.mshr_secondary)
 {
+    for (unsigned row = 1; row <= config.rows; ++row)
+        h_read_hits_row_.push_back(
+            counters_.handle_of("read_hits_row_" + std::to_string(row)));
     mesh_ = std::make_unique<noc::mesh_network>(config.router,
                                                 int(config.bank_sets),
                                                 int(config.rows) + 1);
@@ -256,7 +259,7 @@ void dnuca_cache::tick(cycle_t now)
             inject_from(bank_at(col, row).outbox, bank_coord(col, row));
 
     drain_memory_queue(now);
-    mesh_->step(now);
+    counters_.inc(h_hops_forwarded_, mesh_->step(now));
 }
 
 void dnuca_cache::process_memory_responses(cycle_t now)
@@ -336,7 +339,7 @@ void dnuca_cache::run_banks(cycle_t now)
                     probe->kind == noc::packet_kind::writeback;
                 const auto hit = b.tags->lookup(block);
                 if (hit && !is_write_probe) {
-                    row_hits_[row]++;
+                    counters_.inc(h_read_hits_row_[row - 1]);
                     counters_.inc(h_bank_read_hits_);
                     send_packet(b.outbox, noc::packet_kind::reply,
                                 bank_coord(col, row), {0, 0}, probe->addr,
@@ -598,7 +601,7 @@ void dnuca_cache::prewarm(addr_t addr)
 
 std::uint64_t dnuca_cache::hits_in_row(unsigned row) const
 {
-    return row < row_hits_.size() ? row_hits_[row] : 0;
+    return counters_.get("read_hits_row_" + std::to_string(row));
 }
 
 bool dnuca_cache::quiescent() const

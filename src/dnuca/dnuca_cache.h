@@ -104,7 +104,6 @@ public:
         written_cursor_ = std::size_t(cursor);
         ar(next_packet_);
         ar(next_group_);
-        ar(row_hits_);
         ar(controller_outbox_.vc);
         ar(controller_write_outbox_.vc);
     }
@@ -220,6 +219,10 @@ private:
         counters_.handle_of("unexpected_bank_flit");
     counter_set::handle h_unexpected_controller_flit_ =
         counters_.handle_of("unexpected_controller_flit");
+    /// Flits forwarded router to router (mesh_network::step).
+    counter_set::handle h_hops_forwarded_ = counters_.handle_of("flit_hops");
+    /// read_hits_row_<r> for bank rows r = 1 .. rows (index r - 1).
+    std::vector<counter_set::handle> h_read_hits_row_;
 
     mem::mem_client* upstream_ = nullptr;
     mem::mem_port* downstream_ = nullptr;
@@ -242,7 +245,6 @@ private:
     sim::timed_queue<mem::mem_response> memory_responses_;
     std::uint64_t next_packet_ = 1;
     std::uint64_t next_group_ = 1;
-    std::vector<std::uint64_t> row_hits_;
 };
 
 } // namespace lnuca::dnuca

@@ -30,11 +30,6 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s)
 }
 
 // Axis entries after validation, before expansion.
-struct engine_entry {
-    sim::schedule_mode mode;
-    std::string canon; ///< "skip" | "dense" | "paranoid"
-};
-
 struct sampling_entry {
     hier::sampling_config config;
     std::string canon; ///< "off" | "periodic:<detail>:<period>:<warmup>"
@@ -182,7 +177,7 @@ std::optional<manifest> parse_manifest(const std::string& json_text,
     }
 
     // --- engine (optional, default ["skip"]) ------------------------------
-    std::vector<engine_entry> engines{{sim::schedule_mode::idle_skip, "skip"}};
+    std::vector<sim::schedule_mode> engines{sim::schedule_mode::idle_skip};
     if (const jvalue* axis = field("engine")) {
         if (axis->k != jvalue::kind::array || axis->items.empty()) {
             set_error(error, "manifest \"engine\" must be a non-empty array "
@@ -191,22 +186,15 @@ std::optional<manifest> parse_manifest(const std::string& json_text,
         }
         engines.clear();
         for (const jvalue& entry : axis->items) {
-            engine_entry e;
-            if (entry.k == jvalue::kind::string && entry.text == "dense") {
-                e = {sim::schedule_mode::dense, "dense"};
-            } else if (entry.k == jvalue::kind::string &&
-                       (entry.text == "skip" || entry.text == "idle_skip" ||
-                        entry.text == "idle-skip")) {
-                e = {sim::schedule_mode::idle_skip, "skip"};
-            } else if (entry.k == jvalue::kind::string &&
-                       entry.text == "paranoid") {
-                e = {sim::schedule_mode::paranoid, "paranoid"};
-            } else {
+            const auto mode = entry.k == jvalue::kind::string
+                                  ? sim::parse_schedule_mode(entry.text)
+                                  : std::nullopt;
+            if (!mode) {
                 set_error(error, "manifest \"engine\" entries must be "
                                  "\"dense\", \"skip\" or \"paranoid\"");
                 return std::nullopt;
             }
-            engines.push_back(std::move(e));
+            engines.push_back(*mode);
         }
     }
 
@@ -336,11 +324,12 @@ std::optional<manifest> parse_manifest(const std::string& json_text,
         for (unsigned core_count : cores) {
             hier::system_config with_cores =
                 core_count == 1 ? base : hier::presets::cmp(base, core_count);
-            for (const engine_entry& engine : engines) {
+            for (const sim::schedule_mode engine : engines) {
                 hier::system_config with_engine = with_cores;
-                with_engine.engine_mode = engine.mode;
-                if (engine.canon != "skip")
-                    with_engine.name += "+" + engine.canon;
+                with_engine.engine_mode = engine;
+                if (engine != sim::schedule_mode::idle_skip)
+                    with_engine.name +=
+                        std::string("+") + sim::to_string(engine);
                 for (const sampling_entry& sampling : samplings) {
                     hier::system_config with_sampling = with_engine;
                     with_sampling.sampling = sampling.config;
@@ -395,7 +384,7 @@ std::optional<manifest> parse_manifest(const std::string& json_text,
         canon += (i != 0 ? "," : "") + std::to_string(cores[i]);
     canon += "\nengine=";
     for (std::size_t i = 0; i < engines.size(); ++i)
-        canon += (i != 0 ? "," : "") + engines[i].canon;
+        canon += (i != 0 ? "," : "") + std::string(sim::to_string(engines[i]));
     canon += "\nsampling=";
     for (std::size_t i = 0; i < samplings.size(); ++i)
         canon += (i != 0 ? "," : "") + samplings[i].canon;

@@ -157,26 +157,17 @@ app_options parse_app_options(const cli_args& args)
     opt.csv_path = args.get_string("csv", "");
     opt.quiet = args.has_flag("quiet");
     const std::string engine = args.get_string("engine", "skip");
-    if (engine == "dense")
-        opt.engine_mode = sim::schedule_mode::dense;
-    else if (engine == "skip" || engine == "idle_skip" || engine == "idle-skip")
-        opt.engine_mode = sim::schedule_mode::idle_skip;
-    else if (engine == "paranoid")
-        opt.engine_mode = sim::schedule_mode::paranoid;
+    if (const auto mode = sim::parse_schedule_mode(engine))
+        opt.engine_mode = *mode;
     else
-        std::fprintf(stderr,
-                     "unknown --engine '%s' (dense|skip|paranoid); using "
-                     "idle-skip\n",
-                     engine.c_str());
+        set_cli_error(opt, "unknown --engine '" + engine +
+                               "' (dense|skip|paranoid)");
     const std::string sampling = args.get_string("sampling", "off");
-    if (const auto parsed = hier::parse_sampling_spec(sampling)) {
+    if (const auto parsed = hier::parse_sampling_spec(sampling))
         opt.sampling = *parsed;
-    } else {
-        std::fprintf(stderr,
-                     "unknown --sampling '%s' (off|periodic:<detail>:<period>"
-                     "[:<warmup>]); sampling stays off\n",
-                     sampling.c_str());
-    }
+    else
+        set_cli_error(opt, "unknown --sampling '" + sampling +
+                               "' (off|periodic:<detail>:<period>[:<warmup>])");
     if (const auto shard = args.value("shard")) {
         // A mistyped shard used to fall back to the *full* sweep — the
         // worst possible recovery for a fleet driver, which would then run
@@ -189,11 +180,9 @@ app_options parse_app_options(const cli_args& args)
         std::string bad;
         opt.workload_override = trace::parse_workload_list(*workloads, &bad);
         if (opt.workload_override.empty())
-            std::fprintf(stderr,
-                         "unknown --workload spec '%s' (expected a SPEC "
-                         "proxy name, trace:<file>, or scenario:<name>); "
-                         "keeping the default workload set\n",
-                         bad.c_str());
+            set_cli_error(opt, "unknown --workload spec '" + bad +
+                                   "' (expected a SPEC proxy name, "
+                                   "trace:<file>, or scenario:<name>)");
         // Canonical ordering: a sweep's flat indices (and hence seeds and
         // resume/merge provenance) must be a function of the workload
         // *set*, not of the order the specs were typed in — otherwise

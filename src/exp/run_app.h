@@ -76,7 +76,8 @@
 //
 // Exit codes: 0 on success, exit_job_failure (1) when any job failed or
 // timed out (the failure summary on stderr names each one), and
-// exit_cli_error (2) for command-line/configuration errors — so fleet
+// exit_cli_error (2) for command-line/configuration errors (a mistyped
+// --engine, --sampling, --workload or --shard value among them) — so fleet
 // drivers can tell "re-run the failed rows" from "fix the invocation".
 #pragma once
 

@@ -44,15 +44,6 @@ std::vector<hier::run_result> report::row(std::size_t config) const
     return out;
 }
 
-std::vector<std::vector<hier::run_result>> report::matrix() const
-{
-    std::vector<std::vector<hier::run_result>> out;
-    out.reserve(config_count);
-    for (std::size_t c = 0; c < config_count; ++c)
-        out.push_back(row(c));
-    return out;
-}
-
 namespace {
 
 using clock = std::chrono::steady_clock;
@@ -362,21 +353,3 @@ report run_sweep(const sweep& s, const run_options& opt,
 }
 
 } // namespace lnuca::exp
-
-namespace lnuca::hier {
-
-std::vector<std::vector<run_result>>
-run_matrix(const std::vector<system_config>& configs,
-           const std::vector<wl::workload_profile>& workloads,
-           std::uint64_t instructions, std::uint64_t warmup, std::uint64_t seed)
-{
-    exp::sweep s;
-    s.add_configs(configs)
-        .add_workloads(workloads)
-        .instructions(instructions)
-        .warmup(warmup)
-        .base_seed(seed);
-    return exp::run_sweep(s).matrix();
-}
-
-} // namespace lnuca::hier

@@ -118,9 +118,6 @@ struct report {
     /// order. Only meaningful for unsharded runs; throws std::logic_error
     /// when a cell is missing (sharded report).
     std::vector<hier::run_result> row(std::size_t config) const;
-
-    /// [config][workload] view of replicate 0 (unsharded runs).
-    std::vector<std::vector<hier::run_result>> matrix() const;
 };
 
 /// Run fn(0) .. fn(n-1) on `threads` workers (0 = one per hardware

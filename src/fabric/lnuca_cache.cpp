@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <string>
 
 namespace lnuca::fabric {
 
@@ -26,9 +27,11 @@ lnuca_cache::lnuca_cache(const fabric_config& config, mem::txn_id_source& ids)
       geo_(config.levels),
       mshrs_(config.mshr_entries, config.mshr_secondary),
       search_by_slot_(config.mshr_entries),
-      rng_(config.seed),
-      level_read_hits_(config.levels + 1, 0)
+      rng_(config.seed)
 {
+    for (unsigned level = 2; level <= config.levels; ++level)
+        h_read_hits_level_.push_back(
+            counters_.handle_of("read_hits_level_" + std::to_string(level)));
     tiles_.reserve(geo_.tile_count());
     for (tile_index i = 0; i < geo_.tile_count(); ++i) {
         const bool root_fed =
@@ -193,7 +196,8 @@ void lnuca_cache::accept(const mem::mem_request& request)
         const bool dirty = victim.dirty;
         evict_queue_.erase_at(qi);
         counters_.inc(h_read_hit_);
-        level_read_hits_[2] += request.kind == mem::access_kind::read;
+        counters_.inc(h_read_hits_level_.front(),
+                      request.kind == mem::access_kind::read); // level 2
         if (upstream_ != nullptr) {
             mem::mem_response response;
             response.id = request.id;
@@ -304,10 +308,6 @@ std::uint64_t lnuca_cache::state_digest() const
     h.mix(refills_.size());
     h.mix(refills_.next_ready());
     h.mix(mshrs_.in_use());
-    h.mix(transport_actual_);
-    h.mix(transport_min_);
-    for (const std::uint64_t hits : level_read_hits_)
-        h.mix(hits);
     for (const auto& fifo : root_arrivals_)
         h.mix(fifo.total_size());
     for (const tile& t : tiles_) {
@@ -360,8 +360,8 @@ void lnuca_cache::process_root_arrivals(cycle_t now)
         auto msg = fifo.pop();
         if (!msg)
             continue;
-        transport_actual_ += now - msg->hit_cycle;
-        transport_min_ += msg->min_hops;
+        counters_.inc(h_transport_actual_cycles_, now - msg->hit_cycle);
+        counters_.inc(h_transport_min_cycles_, msg->min_hops);
         counters_.inc(h_blocks_delivered_);
 
         mem::mshr_entry* entry = mshrs_.find(msg->block);
@@ -506,7 +506,7 @@ void lnuca_cache::evaluate_tile(cycle_t now, tile_index i)
                         push_transport(now, i, out, used_outputs);
                         state().hit = true;
                         counters_.inc(h_ubuffer_hits_);
-                        level_read_hits_[level]++;
+                        counters_.inc(h_read_hits_level_[level - 2]);
                         u_hit = true;
                     } else {
                         state().marked = true;
@@ -546,7 +546,7 @@ void lnuca_cache::evaluate_tile(cycle_t now, tile_index i)
                     state().hit = true;
                     counters_.inc(h_tile_hits_);
                     counters_.inc(h_tile_data_reads_);
-                    level_read_hits_[level]++;
+                    counters_.inc(h_read_hits_level_[level - 2]);
                     stop_propagation = true;
                 } else {
                     state().marked = true;
@@ -886,7 +886,7 @@ void lnuca_cache::respond_to_targets(cycle_t now,
 
 std::uint64_t lnuca_cache::read_hits_in_level(unsigned level) const
 {
-    return level < level_read_hits_.size() ? level_read_hits_[level] : 0;
+    return counters_.get("read_hits_level_" + std::to_string(level));
 }
 
 std::uint64_t lnuca_cache::tile_capacity_bytes() const

@@ -88,8 +88,14 @@ public:
 
     /// Transport latency accounting (Table III right): sums of actual and
     /// contention-free cycles over all delivered blocks.
-    std::uint64_t transport_actual_cycles() const { return transport_actual_; }
-    std::uint64_t transport_min_cycles() const { return transport_min_; }
+    std::uint64_t transport_actual_cycles() const
+    {
+        return counters_.value(h_transport_actual_cycles_);
+    }
+    std::uint64_t transport_min_cycles() const
+    {
+        return counters_.value(h_transport_min_cycles_);
+    }
 
     /// Total data storage in tiles (for reports): tiles * tile size.
     std::uint64_t tile_capacity_bytes() const;
@@ -118,9 +124,6 @@ public:
             t.serialize(ar);
         ar.counters(counters_);
         ar(rng_);
-        ar(level_read_hits_);
-        ar(transport_actual_);
-        ar(transport_min_);
         std::uint64_t high_water = downstream_queue_high_water_;
         ar(high_water);
         downstream_queue_high_water_ = std::size_t(high_water);
@@ -271,6 +274,14 @@ private:
         counters_.handle_of("downstream_backpressure");
     counter_set::handle h_downstream_queue_high_water_ =
         counters_.handle_of("downstream_queue_high_water");
+    /// Transport latency (Table III right): actual and contention-free
+    /// cycles summed over every delivered block.
+    counter_set::handle h_transport_actual_cycles_ =
+        counters_.handle_of("transport_actual_cycles");
+    counter_set::handle h_transport_min_cycles_ =
+        counters_.handle_of("transport_min_cycles");
+    /// read_hits_level_<k> for L-NUCA levels k = 2 .. levels (index k - 2).
+    std::vector<counter_set::handle> h_read_hits_level_;
     /// Peak downstream_queue_ occupancy (mirrored into the high-water
     /// counter via delta increments - counter_set is inc-only).
     std::size_t downstream_queue_high_water_ = 0;
@@ -291,10 +302,6 @@ private:
     ring_queue<replace_msg> exit_queue_;           ///< corner victims leaving
     ring_queue<mem::mem_request> downstream_queue_; ///< global misses / writes
     sim::timed_queue<mem::mem_response> refills_;
-
-    std::vector<std::uint64_t> level_read_hits_; ///< indexed by L-NUCA level
-    std::uint64_t transport_actual_ = 0;
-    std::uint64_t transport_min_ = 0;
 
     // Warm-path state: per-level tile lists in deterministic closest-first
     // order and a rotation pointer spreading warm installs across a full

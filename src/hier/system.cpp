@@ -10,52 +10,32 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 #include <unistd.h>
 
 namespace lnuca::hier {
 
-namespace {
-
-std::vector<lane_spec>
-to_lane_specs(const std::vector<wl::workload_profile>& workloads)
-{
-    std::vector<lane_spec> lanes;
-    lanes.reserve(workloads.size());
-    for (const auto& profile : workloads)
-        lanes.push_back({profile, 0});
-    return lanes;
-}
-
-} // namespace
-
 system::system(const system_config& config, const wl::workload_profile& workload,
                std::uint64_t seed)
-    : system(config, std::vector<lane_spec>{{workload, 0}}, seed)
+    : system(config, std::vector<wl::workload_profile>{workload}, seed)
 {
 }
 
 system::system(const system_config& config,
                const std::vector<wl::workload_profile>& workloads,
                std::uint64_t seed)
-    : system(config, to_lane_specs(workloads), seed)
-{
-}
-
-system::system(const system_config& config, const std::vector<lane_spec>& lanes,
-               std::uint64_t seed)
     : config_(config), seed_(seed)
 {
-    if (lanes.empty())
+    if (workloads.empty())
         throw std::invalid_argument("system: no workloads");
     engine_.set_mode(config.engine_mode);
     if (!config_.capture_path.empty())
         capture_ = std::make_unique<trace::trace_writer>(
-            config_.capture_path, lanes.front().profile.name,
-            lanes.front().profile.floating_point,
-            std::max(1u, config_.cores));
-    build(lanes);
+            config_.capture_path, workloads.front().name,
+            workloads.front().floating_point, std::max(1u, config_.cores));
+    build(workloads);
 }
 
 system::~system()
@@ -90,26 +70,23 @@ system::trace_source(const wl::workload_profile& profile)
 }
 
 std::unique_ptr<wl::workload_stream>
-system::make_lane_stream(const lane_spec& spec, unsigned lane)
+system::make_lane_stream(const wl::workload_profile& profile, unsigned lane)
 {
     std::unique_ptr<wl::workload_stream> stream;
-    if (!spec.profile.trace_path.empty() || !spec.profile.scenario.empty()) {
-        stream =
-            std::make_unique<trace::trace_stream>(trace_source(spec.profile),
-                                                  lane);
+    if (!profile.trace_path.empty() || !profile.scenario.empty()) {
+        stream = std::make_unique<trace::trace_stream>(trace_source(profile),
+                                                       lane);
     } else {
         // The synthetic seed/region derivations are the frozen pre-trace
         // formulas: single-core and CMP bit-identity guards depend on them.
+        // Each core gets its own disjoint slot.
         const addr_t region =
-            spec.region_base != 0
-                ? spec.region_base
-                : 0x10000000 + addr_t(config_.cores > 1 ? lane : 0) *
-                      0x40000000ULL;
+            0x10000000 + addr_t(config_.cores > 1 ? lane : 0) * 0x40000000ULL;
         const std::uint64_t stream_seed =
             config_.cores > 1 ? rng::split(seed_, 0x5770c0ULL, lane)
                               : hash64(seed_ ^ hash64(0x5770));
-        stream = std::make_unique<wl::synthetic_stream>(spec.profile,
-                                                        stream_seed, region);
+        stream = std::make_unique<wl::synthetic_stream>(profile, stream_seed,
+                                                        region);
     }
     if (capture_)
         stream = std::make_unique<trace::capture_stream>(std::move(stream),
@@ -220,18 +197,19 @@ mem::mem_port* system::wire_shared_level(mem::mem_client* above)
 
 // Cores, private L1s and (with more than one core) the coherence hub above
 // the shared level. Each core's workload lane derives from
-// rng::split(seed, lane-tag, core) with a disjoint data region unless the
-// lane names one. A single core keeps the pre-CMP derived seeds, L1
-// settings and registration order: the cores=1 bit-identity guards in
-// tests/coh_test.cpp and tests/golden_rows_test.cpp depend on them.
-void system::build(const std::vector<lane_spec>& lanes)
+// rng::split(seed, lane-tag, core) with a disjoint data region. A single
+// core keeps the pre-CMP derived seeds, L1 settings and registration
+// order: the cores=1 bit-identity guards in tests/coh_test.cpp and
+// tests/golden_rows_test.cpp depend on them.
+void system::build(const std::vector<wl::workload_profile>& workloads)
 {
     const unsigned n = std::max(1u, config_.cores);
     if (n > mem::max_cores)
         throw std::invalid_argument("system: cores > 32 unsupported");
 
     for (unsigned i = 0; i < n; ++i) {
-        streams_.push_back(make_lane_stream(lanes[i % lanes.size()], i));
+        streams_.push_back(
+            make_lane_stream(workloads[i % workloads.size()], i));
         cores_.push_back(std::make_unique<cpu::ooo_core>(
             config_.core, *streams_.back(), ids_));
 
@@ -356,16 +334,6 @@ void system::prewarm()
     }
 }
 
-namespace {
-
-std::uint64_t counter_delta(const counter_set& counters, const std::string& name,
-                            const counter_set& snapshot)
-{
-    return counters.get(name) - snapshot.get(name);
-}
-
-} // namespace
-
 /// Snapshot/delta accumulator for detailed measurement: the exact driver
 /// sums its chunks (one without checkpointing), the sampled driver its
 /// windows (plus per-window CPI samples for the confidence interval).
@@ -383,9 +351,17 @@ struct system::window_totals {
     run_result counts;
     std::uint64_t load_latency_weighted = 0; ///< exact Σ latency (histogram)
     std::uint64_t load_latency_count = 0;
-    power::energy_inputs energy; ///< event counts summed over windows
-                                 ///< (cycles overwritten with the estimate
-                                 ///< before compute_energy)
+    power::energy_inputs energy; ///< event counts summed over the spans
+
+    /// Where a harvested count accumulates: a run_result count or an
+    /// energy event.
+    template <class T> std::uint64_t& at(std::uint64_t T::*member)
+    {
+        if constexpr (std::is_same_v<T, run_result>)
+            return counts.*member;
+        else
+            return energy.*member;
+    }
 
     /// The accumulated measurement travels inside the checkpoint's `driver`
     /// section, so a resumed run continues summing into the same totals.
@@ -404,114 +380,96 @@ struct system::window_totals {
     }
 };
 
-/// Baseline counter values for one measured span; harvest_levels() turns
-/// the snapshot and the post-span counters into window_totals deltas. One
-/// snapshot/delta implementation serves both drivers.
-struct system::level_snapshot {
-    std::vector<counter_set> l1;
-    counter_set l2, l3, fabric, dnuca, memory;
-    std::uint64_t dn_hops = 0;
-    std::vector<std::uint64_t> fab_hits;
-    std::uint64_t transport_actual = 0;
-    std::uint64_t transport_min = 0;
-};
+namespace {
 
-system::level_snapshot system::snap_levels() const
+/// Where every harvested count comes from, as f(target, section, counter,
+/// second counter or nullptr). A target is one of run_result's extrapolated
+/// counts or one of the energy model's events. It accumulates a measured
+/// span's delta of the named counter(s), summed over every component of
+/// the section (all cores, all L1s). The u64 array collects the counters
+/// named <counter><k> at index k.
+template <class F> void for_each_harvested(F&& f)
 {
-    level_snapshot snap;
-    snap.l1.reserve(l1s_.size());
-    for (const auto& l1 : l1s_)
-        snap.l1.push_back(l1->counters());
-    if (l2_)
-        snap.l2 = l2_->counters();
-    if (l3_)
-        snap.l3 = l3_->counters();
-    if (fabric_) {
-        snap.fabric = fabric_->counters();
-        for (unsigned level = 0; level <= config_.fabric.levels; ++level)
-            snap.fab_hits.push_back(fabric_->read_hits_in_level(level));
-        snap.transport_actual = fabric_->transport_actual_cycles();
-        snap.transport_min = fabric_->transport_min_cycles();
-    }
-    if (dnuca_) {
-        snap.dnuca = dnuca_->counters();
-        snap.dn_hops = dnuca_->mesh().flit_hops();
-    }
-    snap.memory = memory_->counters();
-    return snap;
+    using ckpt::section_id;
+    using in = power::energy_inputs;
+    const auto from = [&](auto target, section_id section, const char* counter,
+                          const char* plus = nullptr) {
+        f(target, section, counter, plus);
+    };
+    from(&run_result::l2_read_hits, section_id::l2, "read_hit");
+    from(&run_result::fabric_read_hits, section_id::fabric, "read_hits_level_");
+    from(&run_result::transport_actual, section_id::fabric,
+         "transport_actual_cycles");
+    from(&run_result::transport_min, section_id::fabric,
+         "transport_min_cycles");
+    from(&run_result::search_restarts, section_id::fabric, "search_restarts");
+    from(&run_result::searches, section_id::fabric, "searches_injected");
+    from(&run_result::loads_l1, section_id::core, "loads_l1");
+    from(&run_result::loads_fabric, section_id::core, "loads_fabric");
+    from(&run_result::loads_l2, section_id::core, "loads_l2");
+    from(&run_result::loads_l3, section_id::core, "loads_l3");
+    from(&run_result::loads_dnuca, section_id::core, "loads_dnuca");
+    from(&run_result::loads_memory, section_id::core, "loads_memory");
+    from(&run_result::loads_peer, section_id::core, "loads_peer");
+    from(&in::l1_accesses, section_id::l1, "accesses");
+    from(&in::l2_accesses, section_id::l2, "accesses");
+    from(&in::tile_tag_lookups, section_id::fabric, "tile_tag_lookups");
+    from(&in::tile_data_accesses, section_id::fabric, "tile_data_reads",
+         "tile_data_writes");
+    from(&in::transport_hops, section_id::fabric, "transport_hops");
+    from(&in::replacement_hops, section_id::fabric, "replacement_hops");
+    from(&in::search_hops, section_id::fabric, "search_broadcast_hops");
+    from(&in::l3_accesses, section_id::l3, "accesses");
+    from(&in::bank_accesses, section_id::dnuca, "bank_lookups", "bank_writes");
+    from(&in::dnuca_flit_hops, section_id::dnuca, "flit_hops");
+    from(&in::memory_transfers, section_id::memory, "transfers");
 }
 
-void system::harvest_levels(const level_snapshot& snap, window_totals& totals)
-{
-    if (l2_)
-        totals.counts.l2_read_hits +=
-            counter_delta(l2_->counters(), "read_hit", snap.l2);
-    if (fabric_) {
-        auto& fabric_hits = totals.counts.fabric_read_hits;
-        if (fabric_hits.empty())
-            fabric_hits.assign(config_.fabric.levels + 1, 0);
-        for (unsigned level = 2; level <= config_.fabric.levels; ++level)
-            fabric_hits[level] +=
-                fabric_->read_hits_in_level(level) - snap.fab_hits[level];
-        totals.counts.transport_actual +=
-            fabric_->transport_actual_cycles() - snap.transport_actual;
-        totals.counts.transport_min +=
-            fabric_->transport_min_cycles() - snap.transport_min;
-        totals.counts.search_restarts +=
-            counter_delta(fabric_->counters(), "search_restarts", snap.fabric);
-        totals.counts.searches += counter_delta(
-            fabric_->counters(), "searches_injected", snap.fabric);
-    }
+} // namespace
 
-    power::energy_inputs& in = totals.energy;
-    for (std::size_t i = 0; i < l1s_.size(); ++i)
-        in.l1_accesses +=
-            counter_delta(l1s_[i]->counters(), "accesses", snap.l1[i]);
-    if (l2_) {
-        in.has_l2 = true;
-        in.l2_accesses += counter_delta(l2_->counters(), "accesses", snap.l2);
-    }
-    if (fabric_) {
-        const auto& fc = fabric_->counters();
-        in.fabric_tiles = fabric_->geo().tile_count();
-        in.tile_tag_lookups +=
-            counter_delta(fc, "tile_tag_lookups", snap.fabric);
-        in.tile_data_accesses +=
-            counter_delta(fc, "tile_data_reads", snap.fabric) +
-            counter_delta(fc, "tile_data_writes", snap.fabric);
-        in.transport_hops += counter_delta(fc, "transport_hops", snap.fabric);
-        in.replacement_hops +=
-            counter_delta(fc, "replacement_hops", snap.fabric);
-        in.search_hops +=
-            counter_delta(fc, "search_broadcast_hops", snap.fabric);
-    }
-    if (l3_) {
-        in.has_l3 = true;
-        in.l3_accesses += counter_delta(l3_->counters(), "accesses", snap.l3);
-    }
-    if (dnuca_) {
-        in.dnuca_banks = config_.dnuca.bank_sets * config_.dnuca.rows;
-        in.bank_accesses +=
-            counter_delta(dnuca_->counters(), "bank_lookups", snap.dnuca) +
-            counter_delta(dnuca_->counters(), "bank_writes", snap.dnuca);
-        in.dnuca_flit_hops += dnuca_->mesh().flit_hops() - snap.dn_hops;
-    }
-    in.memory_transfers +=
-        counter_delta(memory_->counters(), "transfers", snap.memory);
+system::counter_values system::snapshot_counters() const
+{
+    counter_values values;
+    for_each_component([&](ckpt::section_id, std::uint32_t,
+                           const auto& component) {
+        values.emplace_back();
+        for (const auto& item : component.counters().items())
+            values.back().push_back(item.second);
+    });
+    return values;
 }
 
-void system::harvest_core(cpu::ooo_core& core, window_totals& totals) const
+void system::harvest(const counter_values& before, window_totals& totals) const
 {
-    run_result& c = totals.counts;
-    c.loads_l1 += core.loads_served_by(mem::service_level::l1);
-    c.loads_fabric += core.loads_served_by(mem::service_level::lnuca_tile);
-    c.loads_l2 += core.loads_served_by(mem::service_level::l2);
-    c.loads_l3 += core.loads_served_by(mem::service_level::l3);
-    c.loads_dnuca += core.loads_served_by(mem::service_level::dnuca);
-    c.loads_memory += core.loads_served_by(mem::service_level::memory);
-    c.loads_peer += core.loads_served_by(mem::service_level::peer_l1);
-    totals.load_latency_weighted += core.load_latency().weighted_sum();
-    totals.load_latency_count += core.load_latency().total();
+    std::size_t next = 0;
+    for_each_component([&](ckpt::section_id id, std::uint32_t,
+                           const auto& component) {
+        const auto& items = component.counters().items();
+        const std::vector<std::uint64_t>& base = before[next++];
+        for_each_harvested([&](auto target, ckpt::section_id section,
+                               const char* counter, const char* plus) {
+            if (section != id)
+                return;
+            const std::size_t prefix = std::strlen(counter);
+            for (std::size_t i = 0; i < items.size(); ++i) {
+                const std::string& name = items[i].first;
+                const std::uint64_t delta = items[i].second - base[i];
+                if constexpr (std::is_same_v<decltype(target),
+                                             std::vector<std::uint64_t>
+                                                 run_result::*>) {
+                    if (name.compare(0, prefix, counter) != 0)
+                        continue;
+                    std::vector<std::uint64_t>& sums = totals.counts.*target;
+                    const std::size_t k = std::stoul(name.substr(prefix));
+                    if (sums.size() <= k)
+                        sums.resize(k + 1);
+                    sums[k] += delta;
+                } else if (name == counter || (plus && name == plus)) {
+                    totals.at(target) += delta;
+                }
+            }
+        });
+    });
 }
 
 void system::apply_totals(run_result& r, const window_totals& totals,
@@ -535,18 +493,13 @@ void system::apply_totals(run_result& r, const window_totals& totals,
             : totals.load_latency_weighted / double(totals.load_latency_count);
 
     power::energy_inputs in = totals.energy;
+    power::energy_inputs::for_each_event(
+        [&](auto member) { in.*member = scaled(in.*member); });
     in.cycles = r.cycles;
-    in.l1_accesses = scaled(in.l1_accesses);
-    in.l2_accesses = scaled(in.l2_accesses);
-    in.tile_tag_lookups = scaled(in.tile_tag_lookups);
-    in.tile_data_accesses = scaled(in.tile_data_accesses);
-    in.transport_hops = scaled(in.transport_hops);
-    in.replacement_hops = scaled(in.replacement_hops);
-    in.search_hops = scaled(in.search_hops);
-    in.l3_accesses = scaled(in.l3_accesses);
-    in.bank_accesses = scaled(in.bank_accesses);
-    in.dnuca_flit_hops = scaled(in.dnuca_flit_hops);
-    in.memory_transfers = scaled(in.memory_transfers);
+    in.has_l2 = l2_ != nullptr;
+    in.fabric_tiles = fabric_ ? fabric_->geo().tile_count() : 0;
+    in.has_l3 = l3_ != nullptr;
+    in.dnuca_banks = dnuca_ ? config_.dnuca.bank_sets * config_.dnuca.rows : 0;
     r.energy = power::compute_energy(in);
 }
 
@@ -1111,7 +1064,7 @@ void system::detailed_segment(std::uint64_t instructions, cycle_t max_cycles,
         return;
     }
 
-    const level_snapshot snap = snap_levels();
+    const counter_values before = snapshot_counters();
 
     const cycle_t start = engine_.now();
     for (auto& core : cores_)
@@ -1136,9 +1089,11 @@ void system::detailed_segment(std::uint64_t instructions, cycle_t max_cycles,
     totals->window_cpi.push_back(instr == 0 ? 0.0
                                             : double(cycles) / double(instr));
 
-    harvest_levels(snap, *totals);
-    for (auto& core : cores_)
-        harvest_core(*core, *totals);
+    harvest(before, *totals);
+    for (const auto& core : cores_) {
+        totals->load_latency_weighted += core->load_latency().weighted_sum();
+        totals->load_latency_count += core->load_latency().total();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1329,8 +1284,5 @@ double weighted_speedup(const run_result& cmp_result,
         ws += ipc / single_core_baseline.ipc;
     return ws;
 }
-
-// run_matrix lives in src/exp/runner.cpp: it is a thin wrapper over the
-// exp experiment runner (parallel_for + rng::split job seeding).
 
 } // namespace lnuca::hier

@@ -272,36 +272,19 @@ template <class F> void for_each_energy_part(F&& f)
     f("static_l3_j", &power::energy_breakdown::static_l3_j);
 }
 
-/// One core's front-end assignment: what to run and where its data lives.
-/// Scenario/trace profiles carry their own addresses and ignore
-/// region_base; synthetic lanes use it to place the data region - two
-/// lanes may name the same base (shared-region overlap), which the
-/// default disjoint layout cannot express.
-struct lane_spec {
-    wl::workload_profile profile;
-    /// 0 selects the default disjoint per-core slot
-    /// (0x10000000 + core * 0x40000000).
-    addr_t region_base = 0;
-};
-
 class system {
 public:
     system(const system_config& config, const wl::workload_profile& workload,
            std::uint64_t seed);
 
     /// CMP construction: core i runs workloads[i % workloads.size()] on
-    /// its own rng::split lane with a disjoint address region (a
-    /// multiprogrammed mix). A single profile replicates into a
-    /// rate-style homogeneous mix. cores == 1 ignores all but the first
-    /// profile and builds the exact single-core wiring.
+    /// its own rng::split lane. Synthetic lanes get disjoint address
+    /// regions (a multiprogrammed mix); scenario and trace lanes carry
+    /// their own addresses. A single profile replicates into a rate-style
+    /// homogeneous mix. cores == 1 ignores all but the first profile and
+    /// builds the exact single-core wiring.
     system(const system_config& config,
            const std::vector<wl::workload_profile>& workloads,
-           std::uint64_t seed);
-
-    /// Full-control construction: core i runs lanes[i % lanes.size()].
-    /// The profile-based constructors forward here with region_base = 0
-    /// (default disjoint layout), so private-lane callers are untouched.
-    system(const system_config& config, const std::vector<lane_spec>& lanes,
            std::uint64_t seed);
 
     /// Writes the capture file (config.capture_path), if one was recorded.
@@ -334,7 +317,8 @@ public:
 
 private:
     struct window_totals;
-    struct level_snapshot;
+    /// Every component's counter values, in for_each_component order.
+    using counter_values = std::vector<std::vector<std::uint64_t>>;
 
     /// Which shared-level components this hierarchy kind carries.
     struct level_set {
@@ -348,11 +332,11 @@ private:
     /// One loop over the lanes: core i, its private L1 and, when there is
     /// more than one core, the coherence hub they share. A single lane
     /// keeps the pre-CMP seeds, L1 settings and registration order.
-    void build(const std::vector<lane_spec>& lanes);
+    void build(const std::vector<wl::workload_profile>& workloads);
     /// Realise one lane's stream: synthetic generator, trace replay, or
     /// scenario lane - wrapped for capture when config.capture_path is set.
-    std::unique_ptr<wl::workload_stream> make_lane_stream(const lane_spec& spec,
-                                                          unsigned lane);
+    std::unique_ptr<wl::workload_stream>
+    make_lane_stream(const wl::workload_profile& profile, unsigned lane);
     /// Open/generate (and cache) the trace behind a trace/scenario profile.
     std::shared_ptr<const trace::trace_data>
     trace_source(const wl::workload_profile& profile);
@@ -364,8 +348,8 @@ private:
     void prewarm();
     /// Visit the timed components in the fixed checkpoint section order -
     /// cores, L1s, hub, bus, L2, L3, fabric, D-NUCA, memory - as
-    /// f(section_id, index, component&). Save, restore, the digest list and
-    /// quiescent() all walk this one list.
+    /// f(section_id, index, component&). Save, restore, the digest list,
+    /// quiescent() and the counter harvest all walk this one list.
     template <class F> void for_each_component(F&& f) const;
 
     // The two run drivers. Both run every lane to the same per-lane
@@ -406,15 +390,14 @@ private:
     /// Cycles lane i took in the segment that started at `start`, up to
     /// its own committing tick (early finishers stop accruing).
     cycle_t lane_cycles(std::size_t i, cycle_t start) const;
-    // Counter-snapshot/harvest plumbing shared by both drivers (one
-    // implementation of the delta arithmetic each).
-    level_snapshot snap_levels() const;
-    void harvest_levels(const level_snapshot& snap, window_totals& totals);
-    void harvest_core(cpu::ooo_core& core, window_totals& totals) const;
+    /// Snapshot before a measured span; harvest() adds the span's counter
+    /// deltas to the totals through the table in system.cpp.
+    counter_values snapshot_counters() const;
+    void harvest(const counter_values& before, window_totals& totals) const;
     /// Copy the harvested totals (the table's counts, latency, energy) into
     /// `r`, counts and energy events scaled by `factor` (1 for exact runs,
-    /// retired / measured instructions for sampled ones); r.cycles must
-    /// already be set.
+    /// retired / measured instructions for sampled ones), and describe the
+    /// built hierarchy to the energy model; r.cycles must already be set.
     void apply_totals(run_result& r, const window_totals& totals,
                       double factor) const;
 
@@ -500,17 +483,6 @@ run_result run_one(const system_config& config,
                    const wl::workload_profile& workload,
                    std::uint64_t instructions, std::uint64_t warmup,
                    std::uint64_t seed = 1);
-
-/// Run a configs x workloads matrix, parallelised across hardware threads
-/// by the exp runner (src/exp/). Results are indexed [config][workload].
-/// Each job's seed derives from rng::split(seed, config, workload, 0), so a
-/// cell is reproduced serially by
-/// run_one(configs[c], workloads[w], ..., rng::split(seed, c, w, 0)).
-std::vector<std::vector<run_result>>
-run_matrix(const std::vector<system_config>& configs,
-           const std::vector<wl::workload_profile>& workloads,
-           std::uint64_t instructions, std::uint64_t warmup,
-           std::uint64_t seed = 1);
 
 /// Default bench run lengths; override with --instructions/--warmup.
 inline constexpr std::uint64_t default_instructions = 400'000;

@@ -95,9 +95,10 @@ port_dir mesh_network::opposite(port_dir d)
     return port_dir::local;
 }
 
-void mesh_network::step(cycle_t now)
+std::uint64_t mesh_network::step(cycle_t now)
 {
     const std::uint32_t vcs = config_.virtual_channels;
+    std::uint64_t hops = 0;
 
     // Phase A: route computation + virtual-channel allocation for new heads.
     for (auto& r : routers_) {
@@ -170,7 +171,7 @@ void mesh_network::step(cycle_t now)
                         .vcs[ivc.out_vc]
                         .buffer.push(moving);
                     r.credits_[out][ivc.out_vc]--;
-                    ++flit_hops_;
+                    ++hops;
                     r.counters_.inc(r.h_forwarded_);
                 }
 
@@ -198,6 +199,7 @@ void mesh_network::step(cycle_t now)
         for (auto& port : r.inputs_)
             for (auto& vc : port.vcs)
                 vc.buffer.commit();
+    return hops;
 }
 
 bool mesh_network::quiescent() const
@@ -210,7 +212,7 @@ bool mesh_network::quiescent() const
 
 std::uint64_t mesh_network::occupancy_digest() const
 {
-    std::uint64_t h = flit_hops_;
+    std::uint64_t h = 0;
     for (const auto& r : routers_) {
         h = h * 0x100000001b3ULL + r.ejected_.size();
         for (const auto& port : r.inputs_)

@@ -103,12 +103,9 @@ public:
     vc_router& at(coord c) { return routers_[index(c)]; }
     const vc_router& at(coord c) const { return routers_[index(c)]; }
 
-    /// Advance every router one cycle.
-    void step(cycle_t now);
-
-    /// Total flit-hops performed (energy model input).
-    std::uint64_t flit_hops() const { return flit_hops_; }
-    std::uint64_t router_traversals() const { return flit_hops_; }
+    /// Advance every router one cycle. Returns the flits forwarded to a
+    /// neighbour this cycle (flit-hops, an energy model input).
+    std::uint64_t step(cycle_t now);
 
     bool quiescent() const;
 
@@ -119,13 +116,11 @@ public:
     /// X-Y route: next hop direction from `from` towards `to`.
     static port_dir route_xy(coord from, coord to);
 
-    /// Checkpoint support: per-router counters + the hop total that feeds
-    /// the energy model.
+    /// Checkpoint support: per-router counters.
     template <class Ar> void serialize(Ar& ar)
     {
         for (vc_router& r : routers_)
             r.serialize(ar);
-        ar(flit_hops_);
     }
 
 private:
@@ -146,7 +141,6 @@ private:
     int width_;
     int height_;
     std::vector<vc_router> routers_;
-    std::uint64_t flit_hops_ = 0;
 };
 
 } // namespace lnuca::noc

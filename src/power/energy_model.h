@@ -56,30 +56,29 @@ struct energy_inputs {
     // Main memory transfers.
     std::uint64_t memory_transfers = 0;
 
-    /// Checkpoint support: the sampled driver accumulates these across
-    /// windows, so they ride in the checkpoint's driver section.
+    /// f(member) once per event count, the fields summed from component
+    /// counters. The checkpoint layout (the driver section carries the
+    /// events summed so far) and the sampled driver's extrapolation both
+    /// walk this list; the structure fields above are set from the built
+    /// hierarchy.
+    template <class F> static void for_each_event(F&& f)
+    {
+        f(&energy_inputs::l1_accesses);
+        f(&energy_inputs::l2_accesses);
+        f(&energy_inputs::tile_tag_lookups);
+        f(&energy_inputs::tile_data_accesses);
+        f(&energy_inputs::transport_hops);
+        f(&energy_inputs::replacement_hops);
+        f(&energy_inputs::search_hops);
+        f(&energy_inputs::l3_accesses);
+        f(&energy_inputs::bank_accesses);
+        f(&energy_inputs::dnuca_flit_hops);
+        f(&energy_inputs::memory_transfers);
+    }
+
     template <class Ar> void serialize(Ar& ar)
     {
-        ar(cycles);
-        ar(l1_accesses);
-        ar(has_l2);
-        ar(l2_accesses);
-        std::uint64_t tiles = fabric_tiles;
-        ar(tiles);
-        fabric_tiles = unsigned(tiles);
-        ar(tile_tag_lookups);
-        ar(tile_data_accesses);
-        ar(transport_hops);
-        ar(replacement_hops);
-        ar(search_hops);
-        ar(has_l3);
-        ar(l3_accesses);
-        std::uint64_t banks = dnuca_banks;
-        ar(banks);
-        dnuca_banks = unsigned(banks);
-        ar(bank_accesses);
-        ar(dnuca_flit_hops);
-        ar(memory_transfers);
+        for_each_event([&](auto member) { ar(this->*member); });
     }
 };
 

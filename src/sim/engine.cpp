@@ -5,6 +5,17 @@
 
 namespace lnuca::sim {
 
+std::optional<schedule_mode> parse_schedule_mode(std::string_view token)
+{
+    if (token == "dense")
+        return schedule_mode::dense;
+    if (token == "skip" || token == "idle_skip" || token == "idle-skip")
+        return schedule_mode::idle_skip;
+    if (token == "paranoid")
+        return schedule_mode::paranoid;
+    return std::nullopt;
+}
+
 void engine::step()
 {
     for (ticked* component : components_)
@@ -45,34 +56,6 @@ void engine::paranoid_step()
                 "component " + std::to_string(i) + " acted on cycle " +
                 std::to_string(cycle) +
                 " although its next_event() declared it idle");
-    }
-}
-
-void engine::run(cycle_t cycles)
-{
-    const cycle_t target = now_ + cycles;
-    switch (mode_) {
-    case schedule_mode::dense:
-        while (now_ < target)
-            step();
-        return;
-    case schedule_mode::paranoid:
-        while (now_ < target)
-            paranoid_step();
-        return;
-    case schedule_mode::idle_skip:
-        while (now_ < target) {
-            const cycle_t h = horizon();
-            if (h > now_) {
-                const cycle_t jump = std::min(h, target);
-                skipped_ += jump - now_;
-                now_ = jump;
-                if (now_ >= target)
-                    return;
-            }
-            step();
-        }
-        return;
     }
 }
 

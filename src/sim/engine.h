@@ -29,12 +29,29 @@
 #include "src/sim/ticked.h"
 
 #include <functional>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 namespace lnuca::sim {
 
 enum class schedule_mode : std::uint8_t { dense, idle_skip, paranoid };
+
+/// The command-line and manifest spelling of a mode: "dense", "skip" (also
+/// "idle_skip"/"idle-skip") or "paranoid"; std::nullopt for anything else.
+std::optional<schedule_mode> parse_schedule_mode(std::string_view token);
+
+/// The canonical token parse_schedule_mode reads back.
+constexpr const char* to_string(schedule_mode mode)
+{
+    switch (mode) {
+    case schedule_mode::dense: return "dense";
+    case schedule_mode::idle_skip: return "skip";
+    case schedule_mode::paranoid: return "paranoid";
+    }
+    return "unknown";
+}
 
 /// Thrown by paranoid mode when a component acted on a cycle its
 /// next_event() claimed was idle.
@@ -76,7 +93,10 @@ public:
     }
 
     /// Run exactly `cycles` cycles.
-    void run(cycle_t cycles);
+    void run(cycle_t cycles)
+    {
+        run_until([] { return false; }, cycles);
+    }
 
     /// Run until `done()` returns true or `max_cycles` elapse.
     /// Returns true when the predicate fired (false: cycle budget exhausted).

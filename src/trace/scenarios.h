@@ -26,8 +26,9 @@ struct scenario_params {
     /// traversal length).
     unsigned phase_len = 32;
     /// Shared-region placement and extent. Every lane touches this region;
-    /// overlap is the point - run it through a lane_spec with a common
-    /// region so the system build does not re-base it away.
+    /// overlap is the point. Trace lanes carry their own addresses, so the
+    /// system build's disjoint per-core layout (synthetic lanes only) does
+    /// not re-base it away.
     addr_t shared_base = 0x70000000;
     std::uint64_t shared_blocks = 1024;
     /// Per-lane private working set (disjoint across lanes) the filler

@@ -355,43 +355,47 @@ TEST(ckpt_damage, other_cadence_snapshot_is_rejected_cold)
     expect_sim_fields_identical(clean, r);
 }
 
-TEST(ckpt_damage, version_1_file_is_rejected_cold)
+TEST(ckpt_damage, older_version_files_are_rejected_cold)
 {
-    // The run drivers' `driver` section layout changed in format version
-    // 2. A version-1 snapshot (otherwise intact, header CRC re-signed) must
-    // be refused at open and the resumed run must start cold.
+    // Every format bump changed a payload layout (version 2: the `driver`
+    // section; version 3: the component counters and the driver's energy
+    // events). An older snapshot (otherwise intact, header CRC re-signed)
+    // must be refused at open and the resumed run must start cold.
     const hier::system_config config = with_checkpoint(
-        hier::presets::l2_256kb(), temp_path("version1.ckpt"), 4000);
+        hier::presets::l2_256kb(), temp_path("old_version.ckpt"), 4000);
     const wl::workload_profile workload = *wl::find_spec2006("429.mcf");
     const auto clean = run_clean(config, workload, 12'000, 1'000, 7);
 
-    leave_snapshot(config, workload, 12'000, 1'000, 7);
-    {
-        std::fstream f(config.checkpoint.path,
-                       std::ios::in | std::ios::out | std::ios::binary);
-        ASSERT_TRUE(f.good());
-        ckpt::file_header header{};
-        f.read(reinterpret_cast<char*>(&header), sizeof header);
-        ASSERT_EQ(header.version, ckpt::k_version);
-        header.version = 1;
-        header.header_crc = 0;
-        header.header_crc = ckpt::crc32(&header, sizeof header);
-        f.seekp(0);
-        f.write(reinterpret_cast<const char*>(&header), sizeof header);
-    }
-    try {
-        const ckpt::reader r(config.checkpoint.path);
-        FAIL() << "a version-1 file must not open";
-    } catch (const ckpt::ckpt_error& e) {
-        EXPECT_NE(std::string(e.what()).find("format version 1"),
-                  std::string::npos)
-            << e.what();
-    }
+    for (std::uint32_t version = 1; version < ckpt::k_version; ++version) {
+        leave_snapshot(config, workload, 12'000, 1'000, 7);
+        {
+            std::fstream f(config.checkpoint.path,
+                           std::ios::in | std::ios::out | std::ios::binary);
+            ASSERT_TRUE(f.good());
+            ckpt::file_header header{};
+            f.read(reinterpret_cast<char*>(&header), sizeof header);
+            ASSERT_EQ(header.version, ckpt::k_version);
+            header.version = version;
+            header.header_crc = 0;
+            header.header_crc = ckpt::crc32(&header, sizeof header);
+            f.seekp(0);
+            f.write(reinterpret_cast<const char*>(&header), sizeof header);
+        }
+        const std::string expected =
+            "format version " + std::to_string(version);
+        try {
+            const ckpt::reader r(config.checkpoint.path);
+            FAIL() << "a version-" << version << " file must not open";
+        } catch (const ckpt::ckpt_error& e) {
+            EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+                << e.what();
+        }
 
-    hier::system_config resumed = config;
-    resumed.checkpoint.resume = true;
-    const auto r = hier::run_one(resumed, workload, 12'000, 1'000, 7);
-    expect_sim_fields_identical(clean, r);
+        hier::system_config resumed = config;
+        resumed.checkpoint.resume = true;
+        const auto r = hier::run_one(resumed, workload, 12'000, 1'000, 7);
+        expect_sim_fields_identical(clean, r);
+    }
 }
 
 // ---------------------------------------------------------------------------

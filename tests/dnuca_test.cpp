@@ -258,5 +258,21 @@ TEST_F(dnuca_fixture, row_hit_statistics_accumulate)
     EXPECT_EQ(total, 1u);
 }
 
+TEST_F(dnuca_fixture, flit_hops_counter_matches_router_forwards)
+{
+    build();
+    cache->prewarm(0xb0000);
+    read(0xb0000);
+    read(0xc0000);
+    write(0xd0000);
+    engine.run(600);
+    std::uint64_t forwarded = 0;
+    for (int y = 0; y < cache->mesh().height(); ++y)
+        for (int x = 0; x < cache->mesh().width(); ++x)
+            forwarded += cache->mesh().at({x, y}).counters().get("forwarded");
+    EXPECT_GT(forwarded, 0u);
+    EXPECT_EQ(cache->counters().get("flit_hops"), forwarded);
+}
+
 } // namespace
 } // namespace lnuca::dnuca

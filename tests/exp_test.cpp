@@ -612,6 +612,32 @@ TEST(run_app_options, bad_shard_is_a_cli_error_not_a_full_sweep)
     EXPECT_FALSE(parse_app_options(cli_args(3, good)).cli_error);
 }
 
+TEST(run_app_options, mistyped_run_flags_are_cli_errors)
+{
+    // A typo must not run something else: an unknown engine used to fall
+    // back to idle-skip, an unknown sampling spec to exact execution and an
+    // unknown workload to the bench's full default set - all with exit 0.
+    const std::pair<const char*, const char*> bad[] = {
+        {"--engine", "parnoid"},
+        {"--sampling", "periodc:1:2"},
+        {"--workload", "429.mfc"},
+        {"--workload", "429.mcf,429.mfc"},
+    };
+    for (const auto& [flag, value] : bad) {
+        const char* argv[] = {"bench", flag, value};
+        const app_options opt = parse_app_options(cli_args(3, argv));
+        EXPECT_TRUE(opt.cli_error) << flag << " " << value;
+        EXPECT_NE(opt.cli_error_text.find(flag), std::string::npos)
+            << opt.cli_error_text;
+    }
+    const char* good[] = {"bench",      "--engine",  "paranoid",
+                          "--sampling", "periodic:1000:5000",
+                          "--workload", "429.mcf,scenario:ping_pong"};
+    const app_options opt = parse_app_options(cli_args(7, good));
+    EXPECT_FALSE(opt.cli_error) << opt.cli_error_text;
+    EXPECT_EQ(opt.workload_override.size(), 2u);
+}
+
 TEST(run_app_options, parses_fault_tolerance_flags)
 {
     const char* argv[] = {"bench",     "--timeout", "2.5",  "--retries",

@@ -264,22 +264,5 @@ TEST(engine_modes, host_throughput_fields_are_populated)
     EXPECT_GT(r.sim_instructions_per_second, 0.0);
 }
 
-TEST(run_matrix, parallel_matches_serial)
-{
-    const std::vector<system_config> configs{presets::l2_256kb(),
-                                             presets::lnuca_l3(2)};
-    std::vector<wl::workload_profile> workloads{*wl::find_spec2006("456.hmmer"),
-                                                *wl::find_spec2006("401.bzip2")};
-    const auto matrix = run_matrix(configs, workloads, 6000, 1000, 9);
-    ASSERT_EQ(matrix.size(), 2u);
-    ASSERT_EQ(matrix[0].size(), 2u);
-    // Each cell's seed derives from rng::split(base, config, workload, 0),
-    // so the serial reproduction of cell (1, 0) uses that same lane.
-    const auto serial =
-        run_one(configs[1], workloads[0], 6000, 1000, rng::split(9, 1, 0, 0));
-    EXPECT_EQ(matrix[1][0].cycles, serial.cycles);
-    EXPECT_EQ(matrix[1][0].ipc, serial.ipc);
-}
-
 } // namespace
 } // namespace lnuca::hier

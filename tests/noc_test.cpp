@@ -299,14 +299,19 @@ TEST(mesh, single_flit_traverses_one_hop_per_cycle)
     // Path: 2 east hops + 1 north + ejection. Route+traverse costs a cycle
     // per hop; give it the budget and verify delivery.
     cycle_t now = 0;
+    std::uint64_t hops = 0;
     std::optional<flit> got;
     for (int i = 0; i < 12 && !got; ++i) {
-        mesh.step(now++);
+        hops += mesh.step(now++);
         got = mesh.at({2, 1}).local_eject();
     }
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->packet_id, 1u);
-    EXPECT_EQ(mesh.flit_hops(), 3u);
+    EXPECT_EQ(hops, 3u);
+    EXPECT_EQ(mesh.at({0, 0}).counters().get("forwarded") +
+                  mesh.at({1, 0}).counters().get("forwarded") +
+                  mesh.at({2, 0}).counters().get("forwarded"),
+              3u);
     EXPECT_TRUE(mesh.quiescent());
 }
 

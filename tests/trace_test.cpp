@@ -364,42 +364,18 @@ TEST(trace_scenarios, producer_consumer_moves_data_between_l1s)
     EXPECT_GT(r.loads_peer, 0u);
 }
 
-TEST(lane_specs, overlapping_regions_enable_sharing)
+TEST(cmp_layout, disjoint_synthetic_lanes_never_share)
 {
+    // Synthetic lanes get disjoint per-core regions: a multiprogrammed mix
+    // never shares a line. Sharing comes from the scenario library, whose
+    // lanes carry their own addresses (see producer_consumer above).
     const hier::system_config config =
         hier::presets::cmp(hier::presets::l2_256kb(), 2);
     const wl::workload_profile p = *wl::find_spec2006("456.hmmer");
-
-    // Default disjoint slots: a multiprogrammed mix never shares a line.
-    hier::system disjoint(config, std::vector<hier::lane_spec>{{p, 0}, {p, 0}},
-                          5);
+    hier::system disjoint(config, std::vector<wl::workload_profile>{p, p}, 5);
     const hier::run_result rd = disjoint.run(20'000, 4'000);
     EXPECT_EQ(rd.loads_peer, 0u);
     EXPECT_EQ(disjoint.hub()->counters().get("c2c_transfers"), 0u);
-
-    // Same base for both lanes: the footprints coincide and coherence
-    // traffic appears - the overlap the default disjoint layout cannot
-    // express.
-    hier::system overlapping(
-        config,
-        std::vector<hier::lane_spec>{{p, 0x1000'0000}, {p, 0x1000'0000}}, 5);
-    const hier::run_result ro = overlapping.run(20'000, 4'000);
-    EXPECT_GT(ro.loads_peer, 0u);
-    EXPECT_GT(overlapping.hub()->counters().get("invalidations_sent"), 0u);
-}
-
-TEST(lane_specs, default_layout_matches_profile_constructor)
-{
-    const hier::system_config config =
-        hier::presets::cmp(hier::presets::lnuca_l3(2), 2);
-    const wl::workload_profile p = *wl::find_spec2006("433.milc");
-
-    hier::system by_profiles(
-        config, std::vector<wl::workload_profile>{p, p}, 9);
-    hier::system by_lanes(config,
-                          std::vector<hier::lane_spec>{{p, 0}, {p, 0}}, 9);
-    expect_sim_fields_identical(by_profiles.run(15'000, 3'000),
-                                by_lanes.run(15'000, 3'000));
 }
 
 TEST(workload_spec, parses_every_source_kind)

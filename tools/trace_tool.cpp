@@ -11,9 +11,10 @@
 //   trace_tool capture <workload> <out.trace> [run flags]
 //   trace_tool replay <trace> [run flags]
 //
-// Run flags (capture/replay): --preset NAME (l2|ln2|ln3|ln4|dnuca),
-// --cores N, --instructions N, --warmup N, --seed S, --sampling SPEC,
-// --engine MODE. Positional operands must precede the -- flags.
+// Run flags (capture/replay): --preset NAME (any hier::presets::by_name
+// name: l2, ln2..ln4, dnuca, ln2+dn..ln4+dn), --cores N, --instructions N,
+// --warmup N, --seed S, --sampling SPEC, --engine dense|skip|paranoid.
+// Positional operands must precede the -- flags.
 #include "src/lnuca.h"
 
 #include <cstdio>
@@ -41,9 +42,9 @@ int usage()
         "--phase-len)\n"
         "  capture <workload> <out>  run + serialise the consumed stream(s)\n"
         "  replay <trace>            run a captured/generated trace\n"
-        "run flags: --preset l2|ln2|ln3|ln4|dnuca  --cores N  "
-        "--instructions N\n"
-        "           --warmup N  --seed S  --sampling SPEC  --engine MODE\n"
+        "run flags: --preset l2|ln2..ln4|dnuca|ln2+dn..ln4+dn  --cores N\n"
+        "           --instructions N  --warmup N  --seed S  --sampling SPEC\n"
+        "           --engine dense|skip|paranoid\n"
         "scenarios:");
     for (const std::string& name : trace::scenario_names())
         std::fprintf(stderr, " %s", name.c_str());
@@ -67,32 +68,27 @@ std::vector<std::string> operands(int argc, char** argv)
 hier::system_config resolve_preset(const cli_args& args, bool& ok)
 {
     const std::string name = args.get_string("preset", "l2");
-    hier::system_config config;
-    if (name == "l2" || name == "l2_256kb")
-        config = hier::presets::l2_256kb();
-    else if (name == "ln2")
-        config = hier::presets::lnuca_l3(2);
-    else if (name == "ln3")
-        config = hier::presets::lnuca_l3(3);
-    else if (name == "ln4")
-        config = hier::presets::lnuca_l3(4);
-    else if (name == "dnuca" || name == "dnuca_4x8")
-        config = hier::presets::dnuca_4x8();
-    else {
+    const auto preset = hier::presets::by_name(name);
+    if (!preset) {
         std::fprintf(stderr,
-                     "unknown --preset '%s' (l2|ln2|ln3|ln4|dnuca)\n",
+                     "unknown --preset '%s' (l2|ln2..ln4|dnuca|"
+                     "ln2+dn..ln4+dn)\n",
                      name.c_str());
         ok = false;
-        return config;
+        return {};
     }
+    hier::system_config config = *preset;
     const unsigned cores = unsigned(args.get_u64("cores", 1));
     if (cores > 1)
         config = hier::presets::cmp(config, cores);
     const std::string engine = args.get_string("engine", "skip");
-    if (engine == "dense")
-        config.engine_mode = sim::schedule_mode::dense;
-    else if (engine == "paranoid")
-        config.engine_mode = sim::schedule_mode::paranoid;
+    if (const auto mode = sim::parse_schedule_mode(engine)) {
+        config.engine_mode = *mode;
+    } else {
+        std::fprintf(stderr, "unknown --engine '%s' (dense|skip|paranoid)\n",
+                     engine.c_str());
+        ok = false;
+    }
     const std::string sampling = args.get_string("sampling", "off");
     if (const auto parsed = hier::parse_sampling_spec(sampling)) {
         config.sampling = *parsed;
