@@ -3,6 +3,7 @@
 #include "src/common/log.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 namespace lnuca::dnuca {
@@ -19,6 +20,7 @@ dnuca_cache::dnuca_cache(const dnuca_config& config, mem::txn_id_source& ids)
                                                 int(config.bank_sets),
                                                 int(config.rows) + 1);
     banks_.resize(std::size_t(config.bank_sets) * config.rows);
+    active_banks_ = index_mask(banks_.size());
     for (unsigned row = 1; row <= config.rows; ++row) {
         for (unsigned col = 0; col < config.bank_sets; ++col) {
             bank& b = bank_at(col, row);
@@ -191,7 +193,8 @@ cycle_t dnuca_cache::next_event(cycle_t now) const
 {
     // Flits move and queues drain every cycle while anything is in flight:
     // outstanding probe sets (requests_), injection queues, bank work or
-    // mesh traffic make the cache immediately busy.
+    // mesh traffic make the cache immediately busy. The mesh answers from
+    // its router bitmasks, without walking the VC buffers.
     if (!controller_outbox_.queue.empty() ||
         !controller_write_outbox_.queue.empty() || !memory_queue_.empty() ||
         !requests_.empty())
@@ -200,13 +203,14 @@ cycle_t dnuca_cache::next_event(cycle_t now) const
         return now;
     // Quiet: only bank-array completions and main-memory responses remain.
     cycle_t next = memory_responses_.next_ready();
-    for (const auto& b : banks_) {
-        if (!b.probes.empty() || !b.write_probes.empty() ||
-            !b.outbox.queue.empty())
-            return now;
+    bool bank_busy = false;
+    active_banks_.for_each([&](std::size_t i) {
+        const bank& b = banks_[i];
+        bank_busy = bank_busy || !b.probes.empty() || !b.write_probes.empty() ||
+                    !b.outbox.queue.empty();
         next = std::min(next, b.lookups.next_ready());
-    }
-    return next;
+    });
+    return bank_busy ? now : next;
 }
 
 std::uint64_t dnuca_cache::state_digest() const
@@ -225,7 +229,11 @@ std::uint64_t dnuca_cache::state_digest() const
     h.mix(next_packet_);
     h.mix(next_group_);
     h.mix(mesh_->occupancy_digest());
-    for (const auto& b : banks_) {
+    for (std::size_t i = 0; i < banks_.size(); ++i) {
+        const bank& b = banks_[i];
+        if (active_banks_.test(i) == idle(b))
+            throw std::logic_error(
+                "D-NUCA active-bank mask disagrees with the bank queues");
         h.mix(b.probes.size());
         h.mix(b.write_probes.size());
         h.mix(b.outbox.queue.size());
@@ -254,9 +262,13 @@ void dnuca_cache::tick(cycle_t now)
         inject_from(controller_outbox_, {0, 0});
     else
         inject_from(controller_write_outbox_, {0, 0});
-    for (unsigned row = 1; row <= config_.rows; ++row)
-        for (unsigned col = 0; col < config_.bank_sets; ++col)
-            inject_from(bank_at(col, row).outbox, bank_coord(col, row));
+    active_banks_.for_each([&](std::size_t i) {
+        inject_from(banks_[i].outbox,
+                    bank_coord(unsigned(i % config_.bank_sets),
+                               unsigned(i / config_.bank_sets) + 1));
+        if (idle(banks_[i]))
+            active_banks_.clear(i);
+    });
 
     drain_memory_queue(now);
     counters_.inc(h_hops_forwarded_, mesh_->step(now));
@@ -294,82 +306,88 @@ void dnuca_cache::process_memory_responses(cycle_t now)
 
 void dnuca_cache::eject_and_handle(cycle_t now)
 {
-    // Controller ejection point.
-    if (auto f = mesh_->at({0, 0}).local_eject())
-        controller_flit(now, *f);
-
-    // Bank ejection points.
-    for (unsigned row = 1; row <= config_.rows; ++row) {
-        for (unsigned col = 0; col < config_.bank_sets; ++col) {
-            auto f = mesh_->at(bank_coord(col, row)).local_eject();
-            if (!f)
-                continue;
-            switch (f->kind) {
-            case noc::packet_kind::request:
-                bank_at(col, row).probes.push_back(*f);
-                break;
-            case noc::packet_kind::writeback:
-                bank_at(col, row).write_probes.push_back(*f);
-                break;
-            case noc::packet_kind::migrate:
-                // Functional swap already applied; the packet models the
-                // traffic. Nothing to do at arrival.
-                if (f->tail())
-                    counters_.inc(h_migrations_delivered_);
-                break;
-            default:
-                counters_.inc(h_unexpected_bank_flit_);
-                break;
-            }
+    // One flit per ejection point per cycle, polled only where the mesh
+    // holds ejected flits. Router index order is the controller (0,0)
+    // first, then the banks row-major, the order the handlers must see.
+    mesh_->for_each_ejecting([&](noc::vc_router& router) {
+        const noc::coord at = router.position();
+        if (at.y == 0) {
+            // Controller rail: (0,0) is its only ejection point.
+            if (at.x == 0)
+                controller_flit(now, *router.local_eject());
+            return;
         }
-    }
+        const noc::flit f = *router.local_eject();
+        const std::size_t i = bank_index(unsigned(at.x), unsigned(at.y));
+        switch (f.kind) {
+        case noc::packet_kind::request:
+            banks_[i].probes.push_back(f);
+            active_banks_.set(i);
+            break;
+        case noc::packet_kind::writeback:
+            banks_[i].write_probes.push_back(f);
+            active_banks_.set(i);
+            break;
+        case noc::packet_kind::migrate:
+            // Functional swap already applied; the packet models the
+            // traffic. Nothing to do at arrival.
+            if (f.tail())
+                counters_.inc(h_migrations_delivered_);
+            break;
+        default:
+            counters_.inc(h_unexpected_bank_flit_);
+            break;
+        }
+    });
 }
 
 void dnuca_cache::run_banks(cycle_t now)
 {
-    for (unsigned row = 1; row <= config_.rows; ++row) {
-        for (unsigned col = 0; col < config_.bank_sets; ++col) {
-            bank& b = bank_at(col, row);
+    // Active banks only, in row-major order: replies and promotions number
+    // their packets in this order.
+    active_banks_.for_each([&](std::size_t i) {
+        const unsigned row = unsigned(i / config_.bank_sets) + 1;
+        const unsigned col = unsigned(i % config_.bank_sets);
+        bank& b = banks_[i];
 
-            // Finish lookups whose completion time arrived.
-            while (auto probe = b.lookups.pop_ready(now)) {
-                const addr_t block = to_bank_addr(probe->addr);
-                counters_.inc(h_bank_lookups_);
-                const bool is_write_probe =
-                    probe->kind == noc::packet_kind::writeback;
-                const auto hit = b.tags->lookup(block);
-                if (hit && !is_write_probe) {
-                    counters_.inc(h_read_hits_row_[row - 1]);
-                    counters_.inc(h_bank_read_hits_);
-                    send_packet(b.outbox, noc::packet_kind::reply,
-                                bank_coord(col, row), {0, 0}, probe->addr,
-                                probe->txn, flits_for_block(), now);
-                    if (row > 1)
-                        promote(now, col, row, block);
-                } else if (hit && is_write_probe) {
-                    b.tags->set_dirty(block, true);
-                    counters_.inc(h_bank_write_hits_);
-                    send_packet(b.outbox, noc::packet_kind::reply,
-                                bank_coord(col, row), {0, 0}, probe->addr,
-                                probe->txn, 1, now); // write ack
-                } else {
-                    send_packet(b.outbox, noc::packet_kind::nack,
-                                bank_coord(col, row), {0, 0}, probe->addr,
-                                probe->txn, 1, now);
-                }
-            }
-
-            // Start the next probe when the array is free; reads first.
-            if (b.busy_until <= now &&
-                (!b.probes.empty() || !b.write_probes.empty())) {
-                auto& queue = b.probes.empty() ? b.write_probes : b.probes;
-                const noc::flit probe = queue.take_front();
-                b.busy_until = now + config_.bank_initiation;
-                const cycle_t done = now + config_.bank_latency;
-                b.lookups.push(done > 0 ? done - 1 : 0, probe);
+        // Finish lookups whose completion time arrived.
+        while (auto probe = b.lookups.pop_ready(now)) {
+            const addr_t block = to_bank_addr(probe->addr);
+            counters_.inc(h_bank_lookups_);
+            const bool is_write_probe =
+                probe->kind == noc::packet_kind::writeback;
+            const auto hit = b.tags->lookup(block);
+            if (hit && !is_write_probe) {
+                counters_.inc(h_read_hits_row_[row - 1]);
+                counters_.inc(h_bank_read_hits_);
+                send_packet(b.outbox, noc::packet_kind::reply,
+                            bank_coord(col, row), {0, 0}, probe->addr,
+                            probe->txn, flits_for_block(), now);
+                if (row > 1)
+                    promote(now, col, row, block);
+            } else if (hit && is_write_probe) {
+                b.tags->set_dirty(block, true);
+                counters_.inc(h_bank_write_hits_);
+                send_packet(b.outbox, noc::packet_kind::reply,
+                            bank_coord(col, row), {0, 0}, probe->addr,
+                            probe->txn, 1, now); // write ack
+            } else {
+                send_packet(b.outbox, noc::packet_kind::nack,
+                            bank_coord(col, row), {0, 0}, probe->addr,
+                            probe->txn, 1, now);
             }
         }
-    }
+
+        // Start the next probe when the array is free; reads first.
+        if (b.busy_until <= now &&
+            (!b.probes.empty() || !b.write_probes.empty())) {
+            auto& queue = b.probes.empty() ? b.write_probes : b.probes;
+            const noc::flit probe = queue.take_front();
+            b.busy_until = now + config_.bank_initiation;
+            const cycle_t done = now + config_.bank_latency;
+            b.lookups.push(done > 0 ? done - 1 : 0, probe);
+        }
+    });
 }
 
 void dnuca_cache::promote(cycle_t now, unsigned column, unsigned row,
@@ -412,6 +430,7 @@ void dnuca_cache::promote(cycle_t now, unsigned column, unsigned row,
     send_packet(upper.outbox, noc::packet_kind::migrate,
                 bank_coord(column, row - 1), bank_coord(column, row), block,
                 0, flits_for_block(), now);
+    active_banks_.set(bank_index(column, row - 1)); // the hit bank is active
 }
 
 void dnuca_cache::controller_flit(cycle_t now, const noc::flit& f)
@@ -429,7 +448,6 @@ void dnuca_cache::controller_flit(cycle_t now, const noc::flit& f)
     if (f.kind == noc::packet_kind::reply) {
         if (f.count > 1) {
             // Data reply for a demand read.
-            state.satisfied = true;
             const auto entry = mshrs_.release(state.block);
             if (entry && upstream_ != nullptr) {
                 for (std::uint32_t t = 0; t < entry.target_count; ++t) {
@@ -464,7 +482,7 @@ void dnuca_cache::controller_flit(cycle_t now, const noc::flit& f)
         return;
     }
 
-    if (++state.miss_replies < config_.rows || state.satisfied)
+    if (++state.miss_replies < config_.rows)
         return;
 
     // All banks of the set missed.
@@ -601,7 +619,9 @@ void dnuca_cache::prewarm(addr_t addr)
 
 std::uint64_t dnuca_cache::hits_in_row(unsigned row) const
 {
-    return counters_.get("read_hits_row_" + std::to_string(row));
+    if (row < 1 || row > h_read_hits_row_.size())
+        return 0;
+    return counters_.value(h_read_hits_row_[row - 1]);
 }
 
 bool dnuca_cache::quiescent() const
@@ -611,11 +631,7 @@ bool dnuca_cache::quiescent() const
         !mshrs_.empty() || !requests_.empty() || !outstanding_memory_.empty() ||
         !memory_responses_.empty())
         return false;
-    for (const auto& b : banks_)
-        if (!b.probes.empty() || !b.write_probes.empty() ||
-            !b.outbox.queue.empty() || !b.lookups.empty())
-            return false;
-    return mesh_->quiescent();
+    return !active_banks_.any() && mesh_->quiescent();
 }
 
 } // namespace lnuca::dnuca

@@ -15,6 +15,7 @@
 // exactly the structural bottleneck the L-NUCA paper criticises.
 #pragma once
 
+#include "src/common/index_mask.h"
 #include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
@@ -75,7 +76,8 @@ public:
         return std::uint64_t(config_.bank_sets) * config_.rows *
                config_.bank_bytes;
     }
-    /// Read hits per row (promotion effectiveness; row 1 = closest).
+    /// Read hits per row (promotion effectiveness; row 1 = closest); 0 for
+    /// rows outside 1..rows.
     std::uint64_t hits_in_row(unsigned row) const;
     bool quiescent() const;
 
@@ -129,7 +131,6 @@ private:
     struct request_state {
         addr_t block = no_addr;
         unsigned miss_replies = 0;
-        bool satisfied = false;
         bool is_demand_read = false; ///< expects data back
         bool is_write = false;
         bool is_writeback = false;
@@ -140,9 +141,20 @@ private:
     {
         return {int(column), int(row)}; // rows 1..config_.rows hold banks
     }
+    /// Banks are numbered row-major from row 1: bank index + bank_sets is
+    /// the router index of the bank's mesh node.
+    std::size_t bank_index(unsigned column, unsigned row) const
+    {
+        return std::size_t(row - 1) * config_.bank_sets + column;
+    }
     bank& bank_at(unsigned column, unsigned row)
     {
-        return banks_[(row - 1) * config_.bank_sets + column];
+        return banks_[bank_index(column, row)];
+    }
+    static bool idle(const bank& b)
+    {
+        return b.probes.empty() && b.write_probes.empty() &&
+               b.lookups.empty() && b.outbox.queue.empty();
     }
     unsigned column_of(addr_t block) const
     {
@@ -214,6 +226,9 @@ private:
         counters_.handle_of("fills_from_memory");
     counter_set::handle h_untracked_response_ =
         counters_.handle_of("untracked_response");
+    /// Nacks and write acks whose probe set already completed. Expected:
+    /// after an early hit in a near row, the farther banks' nacks arrive
+    /// once the request has been retired.
     counter_set::handle h_orphan_reply_ = counters_.handle_of("orphan_reply");
     counter_set::handle h_unexpected_bank_flit_ =
         counters_.handle_of("unexpected_bank_flit");
@@ -229,6 +244,10 @@ private:
 
     std::unique_ptr<noc::mesh_network> mesh_;
     std::vector<bank> banks_;
+    /// Banks with probes, lookups or outbox flits (by bank index). tick()
+    /// visits only these, in bank index order; quiet banks leave the set
+    /// after injection.
+    index_mask active_banks_;
     injector controller_outbox_;        ///< read probes (priority)
     injector controller_write_outbox_;  ///< write probes (background)
     ring_queue<mem::mem_request> memory_queue_; ///< misses + writebacks out

@@ -4,6 +4,7 @@
 // control, round-robin switch allocation, one cycle per hop.
 #pragma once
 
+#include "src/common/index_mask.h"
 #include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
@@ -11,6 +12,7 @@
 #include "src/noc/message.h"
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -28,10 +30,13 @@ struct router_config {
 class mesh_network; // forward; owns and wires routers
 
 /// One mesh node. Input-buffered; the local port is the bank/controller
-/// attachment point.
+/// attachment point. Input VC `vc` of port `p` is slot `p * V + vc`; the
+/// router tracks which slots hold flits in a bitmask, so a cycle visits
+/// only occupied VCs (at most 64 slots: V <= 12).
 class vc_router {
 public:
-    vc_router(const router_config& config, coord position);
+    vc_router(const router_config& config, coord position, mesh_network& mesh,
+              std::size_t index);
 
     coord position() const { return position_; }
 
@@ -45,7 +50,10 @@ public:
     std::optional<flit> local_eject();
 
     const counter_set& counters() const { return counters_; }
-    bool quiescent() const;
+    bool quiescent() const { return occupied_ == 0 && ejected_.empty(); }
+
+    /// Input VC slots holding a committed or staged flit (bit p * V + vc).
+    std::uint64_t occupied_vcs() const { return occupied_; }
 
     /// Checkpoint support: at quiescence buffers are empty, credits are
     /// back to full and every VC is unowned, so only counters persist.
@@ -63,24 +71,32 @@ private:
         std::uint32_t out_vc = 0;
     };
 
-    struct input_port {
-        std::vector<input_vc> vcs;
-    };
-
-    input_vc& in(port_dir port, std::uint32_t vc)
-    {
-        return inputs_[std::size_t(port)].vcs[vc];
-    }
+    /// Stage `f` into input slot `slot` (visible after the next commit).
+    void stage(std::size_t slot, const flit& f);
+    /// Route and allocate a VC for every unrouted head (phase A).
+    void allocate_vcs();
+    /// Move at most one flit per output port (phase B); returns flit-hops.
+    std::uint64_t traverse(std::size_t rotate);
+    /// Move the head flit of `slot` through the crossbar.
+    void move_flit(std::size_t slot);
+    /// Make staged flits visible; returns whether any flit remains.
+    bool commit();
 
     router_config config_;
     coord position_;
-    std::array<input_port, port_count> inputs_;
-    // Downstream credits per output port per VC (free buffer slots).
-    std::array<std::vector<std::uint32_t>, port_count> credits_;
-    // Output VC ownership for wormhole: encoded input (port * V + vc), -1 free.
-    // (Switch-allocation round-robin rotates by cycle number - see
+    mesh_network* mesh_;
+    std::size_t index_; ///< position in the mesh's router order
+    std::vector<input_vc> inputs_; ///< by slot p * V + vc
+    // Downstream credits per output VC (free buffer slots), by o * V + vc.
+    std::vector<std::uint32_t> credits_;
+    // Output VC ownership for wormhole, by o * V + vc: owning input slot,
+    // -1 free. (Switch-allocation round-robin rotates by cycle number - see
     // mesh_network::step - so routers hold no per-cycle arbitration state.)
-    std::array<std::vector<std::int32_t>, port_count> vc_owner_;
+    std::vector<std::int32_t> vc_owner_;
+    /// Neighbour in each direction (nullptr at the mesh edge and for local).
+    std::array<vc_router*, port_count> links_{};
+    std::uint64_t occupied_ = 0; ///< slots with committed or staged flits
+    std::uint64_t staged_ = 0;   ///< slots with staged flits
     ring_queue<flit> ejected_;
     counter_set counters_;
     counter_set::handle h_injected_ = counters_.handle_of("injected");
@@ -92,10 +108,15 @@ private:
 };
 
 /// A width x height mesh of vc_routers with neighbour wiring. Call step()
-/// once per cycle; flits staged this cycle are visible next cycle.
+/// once per cycle; flits staged this cycle are visible next cycle. The mesh
+/// keeps two router bitmasks (bit = router index): routers holding flits,
+/// which step() visits, and routers with undrained ejections.
 class mesh_network {
 public:
     mesh_network(const router_config& config, int width, int height);
+    // Routers point at each other and at the mesh.
+    mesh_network(const mesh_network&) = delete;
+    mesh_network& operator=(const mesh_network&) = delete;
 
     int width() const { return width_; }
     int height() const { return height_; }
@@ -107,10 +128,19 @@ public:
     /// neighbour this cycle (flit-hops, an energy model input).
     std::uint64_t step(cycle_t now);
 
+    /// No flit buffered and none waiting at an ejection port. O(routers/64).
     bool quiescent() const;
 
+    /// Call `fn(router)` for each router with an undrained ejection, in
+    /// router index order (row-major from (0,0)).
+    template <class Fn> void for_each_ejecting(Fn fn)
+    {
+        ejecting_.for_each([&](std::size_t i) { fn(routers_[i]); });
+    }
+
     /// Cheap summary of buffer/ejection occupancy across all routers
-    /// (paranoid-mode state digests; see sim/ticked.h).
+    /// (paranoid-mode state digests; see sim/ticked.h). Throws
+    /// std::logic_error when an occupancy mask disagrees with the buffers.
     std::uint64_t occupancy_digest() const;
 
     /// X-Y route: next hop direction from `from` towards `to`.
@@ -124,6 +154,8 @@ public:
     }
 
 private:
+    friend class vc_router;
+
     std::size_t index(coord c) const
     {
         return std::size_t(c.y) * std::size_t(width_) + std::size_t(c.x);
@@ -141,6 +173,8 @@ private:
     int width_;
     int height_;
     std::vector<vc_router> routers_;
+    index_mask busy_;     ///< routers with occupied VCs
+    index_mask ejecting_; ///< routers with ejected flits
 };
 
 } // namespace lnuca::noc

@@ -65,7 +65,9 @@ public:
     /// to assert that a tick on a skippable cycle is a no-op. Components
     /// fold in their counters, queue occupancies and schedule horizons -
     /// anything a dishonest next_event() could silently change. Default 0
-    /// ("stateless"): such a component is vacuously checkable.
+    /// ("stateless"): such a component is vacuously checkable. A component
+    /// that keeps worklists beside its queues (the D-NUCA mesh and banks)
+    /// throws std::logic_error here when they disagree.
     virtual std::uint64_t state_digest() const { return 0; }
 };
 

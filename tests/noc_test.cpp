@@ -1,9 +1,12 @@
 // NoC substrate: synchronous FIFOs (On/Off link buffers) and the wormhole
 // virtual-channel mesh used by the D-NUCA.
+#include "src/common/rng.h"
 #include "src/noc/fifo.h"
 #include "src/noc/vc_router.h"
 
 #include <gtest/gtest.h>
+
+#include <deque>
 
 namespace lnuca::noc {
 namespace {
@@ -393,6 +396,146 @@ TEST(mesh, router_counters_track_activity)
         mesh.step(now++);
     EXPECT_EQ(mesh.at({0, 0}).counters().get("injected"), 1u);
     EXPECT_GE(mesh.at({2, 2}).counters().get("ejected"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Flit-exact pin: seeded random traffic through a full 8x5 mesh. The digest
+// covers every ejection (cycle, node, packet, flit) and each router's five
+// counters, so any change to routing, VC allocation, switch arbitration,
+// credit timing or stall accounting moves it. The constants were recorded
+// on the full-scan step() that the occupancy-driven one replaced.
+// ---------------------------------------------------------------------------
+
+struct traffic_source {
+    std::deque<flit> queue;
+    std::uint32_t vc = 0;
+    bool mid_packet = false;
+};
+
+/// Wormhole injection as dnuca_cache does it: a packet keeps one VC, the
+/// next packet starts on the next VC with room.
+void inject_one(vc_router& router, traffic_source& from, std::uint32_t vcs)
+{
+    if (from.queue.empty())
+        return;
+    if (!from.mid_packet) {
+        bool found = false;
+        for (std::uint32_t k = 0; k < vcs && !found; ++k) {
+            const std::uint32_t vc = (from.vc + k) % vcs;
+            if (router.local_can_accept(vc)) {
+                from.vc = vc;
+                found = true;
+            }
+        }
+        if (!found)
+            return;
+    } else if (!router.local_can_accept(from.vc)) {
+        return;
+    }
+    const flit f = from.queue.front();
+    from.queue.pop_front();
+    router.local_inject(from.vc, f);
+    from.mid_packet = !f.tail();
+    if (f.tail())
+        from.vc = (from.vc + 1) % vcs;
+}
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t v)
+{
+    return (h ^ v) * 0x100000001b3ULL;
+}
+
+/// The mesh answers quiescent() from its router bitmasks; each router
+/// answers from its own VC occupancy mask and ejection queue. Checked every
+/// cycle, the two levels must agree.
+void expect_mesh_masks_match_routers(const mesh_network& mesh)
+{
+    bool idle = true;
+    for (int y = 0; y < mesh.height(); ++y)
+        for (int x = 0; x < mesh.width(); ++x)
+            idle = idle && mesh.at({x, y}).quiescent();
+    EXPECT_EQ(mesh.quiescent(), idle);
+}
+
+std::uint64_t random_traffic_digest(const router_config& config,
+                                    std::uint64_t seed)
+{
+    constexpr int width = 8;
+    constexpr int height = 5;
+    constexpr cycle_t inject_cycles = 3000;
+    constexpr cycle_t drain_limit = 40000;
+    mesh_network mesh(config, width, height);
+    rng gen(seed);
+    std::vector<traffic_source> sources(std::size_t(width * height));
+    std::uint64_t next_packet = 1;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    cycle_t now = 0;
+    for (; now < drain_limit; ++now) {
+        const bool generating = now < inject_cycles;
+        bool sources_empty = true;
+        for (int n = 0; n < width * height; ++n) {
+            traffic_source& src = sources[std::size_t(n)];
+            const coord at{n % width, n / width};
+            // Every node draws every generating cycle, so the random
+            // stream never depends on the mesh's state.
+            const std::uint64_t draw = gen();
+            if (generating && draw % 100 < 9 && src.queue.size() < 12) {
+                const std::uint16_t count = (draw >> 8) % 2 ? 5 : 1;
+                const coord dst{int((draw >> 16) % width),
+                                int((draw >> 32) % height)};
+                for (std::uint16_t s = 0; s < count; ++s)
+                    src.queue.push_back(
+                        make_flit(next_packet, at, dst, s, count));
+                ++next_packet;
+            }
+            inject_one(mesh.at(at), src, config.virtual_channels);
+            sources_empty = sources_empty && src.queue.empty();
+        }
+
+        mesh.step(now);
+
+        // Consumers drain at most one flit per node per cycle, and only
+        // three cycles in four, so ejection queues build up too.
+        for (int n = 0; n < width * height; ++n) {
+            if (gen() % 4 == 0)
+                continue;
+            if (const auto f = mesh.at({n % width, n / width}).local_eject())
+                h = mix(mix(mix(mix(h, now), std::uint64_t(n)), f->packet_id),
+                        f->seq);
+        }
+
+        expect_mesh_masks_match_routers(mesh);
+        if (!generating && sources_empty && mesh.quiescent())
+            break;
+    }
+    EXPECT_LT(now, drain_limit) << "mesh did not drain";
+    EXPECT_TRUE(mesh.quiescent());
+
+    for (int y = 0; y < height; ++y)
+        for (int x = 0; x < width; ++x) {
+            EXPECT_EQ(mesh.at({x, y}).occupied_vcs(), 0u);
+            const counter_set& c = mesh.at({x, y}).counters();
+            for (const char* name : {"injected", "ejected", "forwarded",
+                                     "credit_stall", "vc_alloc_stall"})
+                h = mix(h, c.get(name));
+        }
+    return mix(h, now);
+}
+
+TEST(mesh, random_traffic_four_vcs_four_deep_is_pinned)
+{
+    EXPECT_EQ(random_traffic_digest({4, 4}, 1), 0xe209f2d1d67c3a48ULL);
+}
+
+TEST(mesh, random_traffic_one_vc_wormhole_is_pinned)
+{
+    EXPECT_EQ(random_traffic_digest({1, 2}, 7), 0xc578bb74aa278ad3ULL);
+}
+
+TEST(mesh, random_traffic_heap_backed_buffers_is_pinned)
+{
+    EXPECT_EQ(random_traffic_digest({2, 8}, 42), 0x7fac1333ac9d22efULL);
 }
 
 } // namespace
