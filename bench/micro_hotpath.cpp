@@ -10,8 +10,7 @@
 //     review.
 //  2. google-benchmark timings of saturated-preset whole-system simulation
 //     (cycles/second and allocations/cycle as reported counters), emitted
-//     as BENCH_hotpath.json by CI next to BENCH_engine.json. DN-4x8 is
-//     timed here but kept out of the gate (see bm_saturated_dnuca).
+//     as BENCH_hotpath.json by CI next to BENCH_engine.json.
 //
 // "Saturated" means the core acts nearly every cycle (a cache-resident
 // 456.hmmer proxy), i.e. the idle-skip engine cannot delete cycles and all
@@ -158,6 +157,10 @@ std::vector<hotpath_case> saturated_cases()
     cases.push_back({"LN3-trace-2c",
                      hier::presets::cmp(hier::presets::lnuca_l3(3), 2),
                      trace_workload("producer_consumer")});
+    // D-NUCA: the controller's request slab, the mesh routers and the bank
+    // queues are all fixed or pre-sized.
+    cases.push_back({"DN-4x8", hier::presets::dnuca_4x8(),
+                     saturated_workload()});
     for (auto& c : cases)
         c.config.engine_mode = sim::schedule_mode::dense; // every cycle executes
     return cases;
@@ -274,9 +277,6 @@ void bm_saturated_cmp2(benchmark::State& s)
     bm_hotpath(s, config);
 }
 
-/// Timed only, not gated: the D-NUCA controller tracks probe sets and
-/// outstanding misses in unordered_maps that allocate per request (the
-/// gate's one known exception, see DESIGN.md).
 void bm_saturated_dnuca(benchmark::State& s)
 {
     auto config = hier::presets::dnuca_4x8();

@@ -10,12 +10,12 @@
 // touching three tag pipelines.
 //
 // Storage follows the mem::mshr_file recipe: a fixed slab recycled
-// through a free stack plus an open-addressed block index with
-// backward-shift deletion - sized once at construction, never allocating
+// through a free stack plus the shared slot_index (block -> slot,
+// src/common/slot_index.h) - sized once at construction, never allocating
 // afterwards (the executed-cycle zero-allocation gate covers the hub).
 #pragma once
 
-#include "src/common/rng.h"
+#include "src/common/slot_index.h"
 #include "src/common/types.h"
 #include "src/mem/request.h"
 
@@ -59,13 +59,10 @@ struct dir_entry {
 
 class directory {
 public:
-    explicit directory(std::uint32_t capacity) : capacity_(capacity)
+    explicit directory(std::uint32_t capacity)
+        : capacity_(capacity), index_(capacity)
     {
-        std::uint64_t buckets = 16;
-        while (buckets < 2 * std::uint64_t(capacity))
-            buckets *= 2;
         slab_.assign(capacity, dir_entry{});
-        table_.assign(std::size_t(buckets), 0);
         free_.reserve(capacity);
         for (std::uint32_t slot = capacity; slot-- > 0;)
             free_.push_back(slot);
@@ -73,14 +70,14 @@ public:
 
     dir_entry* find(addr_t block)
     {
-        const std::int32_t slot = find_slot(block);
-        return slot < 0 ? nullptr : &slab_[std::size_t(slot)];
+        const std::uint32_t slot = index_.find(block);
+        return slot == slot_index::npos ? nullptr : &slab_[slot];
     }
 
     const dir_entry* find(addr_t block) const
     {
-        const std::int32_t slot = find_slot(block);
-        return slot < 0 ? nullptr : &slab_[std::size_t(slot)];
+        const std::uint32_t slot = index_.find(block);
+        return slot == slot_index::npos ? nullptr : &slab_[slot];
     }
 
     /// Entry for `block`, creating an invalid one if absent. The capacity
@@ -98,7 +95,7 @@ public:
         e = dir_entry{};
         e.block = block;
         e.live = true;
-        index_insert(block, slot);
+        index_.insert(block, slot);
         ++version_;
         return e;
     }
@@ -108,7 +105,7 @@ public:
     {
         if (!e.live || e.busy() || e.sharers != 0)
             return;
-        index_erase(e.block);
+        index_.erase(e.block);
         free_.push_back(std::uint32_t(&e - slab_.data()));
         e = dir_entry{};
         ++version_;
@@ -131,75 +128,28 @@ public:
                 f(e);
     }
 
-    /// Checkpoint support. The slab, free stack and probe table all
-    /// round-trip verbatim so slot recycling (and thus every later
-    /// allocation decision) continues exactly as the uninterrupted run's.
+    /// Checkpoint support. The slab and free stack round-trip verbatim so
+    /// slot recycling (and thus every later allocation decision) continues
+    /// exactly as the uninterrupted run's; the index is rebuilt from the
+    /// slab on load.
     template <class Ar> void serialize(Ar& ar)
     {
         ar(slab_);
         ar(free_);
-        ar(table_);
         ar(version_);
+        if constexpr (Ar::is_loading) {
+            index_.clear();
+            for (std::uint32_t slot = 0; slot < slab_.size(); ++slot)
+                if (slab_[slot].live)
+                    index_.insert(slab_[slot].block, slot);
+        }
     }
 
 private:
-    std::size_t home_bucket(addr_t block) const
-    {
-        return std::size_t(hash64(block)) & (table_.size() - 1);
-    }
-
-    std::int32_t find_slot(addr_t block) const
-    {
-        const std::size_t mask = table_.size() - 1;
-        std::size_t b = home_bucket(block);
-        while (table_[b] != 0) {
-            const std::uint32_t slot = table_[b] - 1;
-            if (slab_[slot].block == block)
-                return std::int32_t(slot);
-            b = (b + 1) & mask;
-        }
-        return -1;
-    }
-
-    void index_insert(addr_t block, std::uint32_t slot)
-    {
-        const std::size_t mask = table_.size() - 1;
-        std::size_t b = home_bucket(block);
-        while (table_[b] != 0)
-            b = (b + 1) & mask;
-        table_[b] = slot + 1;
-    }
-
-    void index_erase(addr_t block)
-    {
-        const std::size_t mask = table_.size() - 1;
-        std::size_t i = home_bucket(block);
-        while (table_[i] != 0 && slab_[table_[i] - 1].block != block)
-            i = (i + 1) & mask;
-        if (table_[i] == 0)
-            return;
-        // Linear-probe backward shift (no tombstones); see mem::mshr_file.
-        table_[i] = 0;
-        std::size_t j = i;
-        for (;;) {
-            j = (j + 1) & mask;
-            if (table_[j] == 0)
-                return;
-            const std::size_t home = home_bucket(slab_[table_[j] - 1].block);
-            const bool cyclically_between =
-                i <= j ? (i < home && home <= j) : (i < home || home <= j);
-            if (!cyclically_between) {
-                table_[i] = table_[j];
-                table_[j] = 0;
-                i = j;
-            }
-        }
-    }
-
     std::uint32_t capacity_;
     std::vector<dir_entry> slab_;
     std::vector<std::uint32_t> free_; ///< free slot stack
-    std::vector<std::uint32_t> table_; ///< slot + 1, 0 = empty
+    slot_index index_;                ///< block -> slot
     std::uint64_t version_ = 0;
 };
 

@@ -1,14 +1,14 @@
 // Data TLB: fully-associative LRU over pages; misses add a fixed page-walk
 // latency to the access (Table I: 30 cycles).
 //
-// Lookup goes through an open-addressed page index (linear probing,
-// backward-shift deletion) instead of scanning the entry array, so the
+// Lookup goes through the shared slot_index (page -> entry,
+// src/common/slot_index.h) instead of scanning the entry array, so the
 // common hit costs O(1) - this sits on both the detailed issue path and the
 // sampled fast-forward path. Replacement decisions are unchanged: the LRU
 // victim scan only runs on a miss.
 #pragma once
 
-#include "src/common/rng.h"
+#include "src/common/slot_index.h"
 #include "src/common/types.h"
 
 #include <cstdint>
@@ -20,12 +20,8 @@ class tlb {
 public:
     tlb(std::size_t entries, std::uint64_t page_bytes)
         : page_bytes_(page_bytes), entries_(entries, no_addr),
-          last_use_(entries, 0)
+          last_use_(entries, 0), index_(entries)
     {
-        std::size_t buckets = 8;
-        while (buckets < entries * 4)
-            buckets <<= 1;
-        index_.assign(buckets, 0);
     }
 
     /// Touch the page containing `addr`; returns true on a TLB hit.
@@ -33,9 +29,9 @@ public:
     {
         const addr_t page = addr / page_bytes_;
         ++stamp_;
-        const std::size_t bucket = find_bucket(page);
-        if (index_[bucket] != 0) {
-            last_use_[index_[bucket] - 1] = stamp_;
+        const std::uint32_t hit = index_.find(page);
+        if (hit != slot_index::npos) {
+            last_use_[hit] = stamp_;
             ++hits_;
             return true;
         }
@@ -45,10 +41,10 @@ public:
             if (last_use_[i] < last_use_[victim])
                 victim = i;
         if (entries_[victim] != no_addr)
-            erase(entries_[victim]);
+            index_.erase(entries_[victim]);
         entries_[victim] = page;
         last_use_[victim] = stamp_;
-        index_[find_bucket(page)] = std::uint32_t(victim + 1);
+        index_.insert(page, std::uint32_t(victim));
         ++misses_;
         return false;
     }
@@ -56,53 +52,28 @@ public:
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
-    /// Checkpoint support. The probe index is derivable from entries_, but
-    /// round-tripping it keeps the exact probe-cluster layout (and thus
-    /// state identical to the uninterrupted run, not merely equivalent).
+    /// Checkpoint support. The page index is derived state: rebuilt from
+    /// entries_ on load.
     template <class Ar> void serialize(Ar& ar)
     {
         ar(entries_);
         ar(last_use_);
-        ar(index_);
         ar(stamp_);
         ar(hits_);
         ar(misses_);
-    }
-
-private:
-    std::size_t mask() const { return index_.size() - 1; }
-
-    /// Bucket holding `page`, or the empty bucket where it would insert.
-    std::size_t find_bucket(addr_t page) const
-    {
-        std::size_t b = std::size_t(hash64(page)) & mask();
-        while (index_[b] != 0 && entries_[index_[b] - 1] != page)
-            b = (b + 1) & mask();
-        return b;
-    }
-
-    void erase(addr_t page)
-    {
-        std::size_t b = find_bucket(page);
-        if (index_[b] == 0)
-            return;
-        index_[b] = 0;
-        // Backward-shift deletion: re-place the probe cluster behind the
-        // hole so later lookups never stop early at a stale gap.
-        std::size_t i = (b + 1) & mask();
-        while (index_[i] != 0) {
-            const std::uint32_t v = index_[i];
-            index_[i] = 0;
-            index_[find_bucket(entries_[v - 1])] = v;
-            i = (i + 1) & mask();
+        if constexpr (Ar::is_loading) {
+            index_.clear();
+            for (std::size_t i = 0; i < entries_.size(); ++i)
+                if (entries_[i] != no_addr)
+                    index_.insert(entries_[i], std::uint32_t(i));
         }
     }
 
+private:
     std::uint64_t page_bytes_;
     std::vector<addr_t> entries_;
     std::vector<std::uint64_t> last_use_;
-    /// Page -> entry index + 1; 0 = empty (power-of-two, linear probing).
-    std::vector<std::uint32_t> index_;
+    slot_index index_; ///< page -> entry index
     std::uint64_t stamp_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -11,7 +11,10 @@ namespace lnuca::dnuca {
 dnuca_cache::dnuca_cache(const dnuca_config& config, mem::txn_id_source& ids)
     : config_(config),
       ids_(ids),
-      mshrs_(config.mshr_entries, config.mshr_secondary)
+      mshrs_(config.mshr_entries, config.mshr_secondary),
+      memory_txn_(config.mshr_entries, 0),
+      request_index_(0),
+      active_writes_(0)
 {
     for (unsigned row = 1; row <= config.rows; ++row)
         h_read_hits_row_.push_back(
@@ -45,6 +48,7 @@ dnuca_cache::dnuca_cache(const dnuca_config& config, mem::txn_id_source& ids)
     memory_queue_.reserve(128);
     memory_responses_.reserve(config.mshr_entries + 8);
     written_lines_.reserve(64);
+    grow_requests();
 }
 
 bool dnuca_cache::can_accept(const mem::mem_request& request) const
@@ -82,18 +86,15 @@ void dnuca_cache::accept(const mem::mem_request& request)
         mshrs_.add_target(entry,
                           {request.id, request.addr, request.kind,
                            request.created_at});
+        memory_txn_[mshrs_.slot_of(entry)] = 0;
     } else {
         // Coalesce write traffic per 128B line: the probe set in flight
         // already carries this line's update.
-        const auto it = active_writes_.find(block);
-        if (it != active_writes_.end()) {
-            auto rit = requests_.find(it->second);
-            if (rit != requests_.end()) {
-                rit->second.dirty = true;
-                counters_.inc(h_writes_coalesced_);
-                return;
-            }
-            active_writes_.erase(it);
+        const std::uint32_t writing = active_writes_.find(block);
+        if (writing != slot_index::npos) {
+            requests_[writing].dirty = true;
+            counters_.inc(h_writes_coalesced_);
+            return;
         }
         // Lines recently confirmed dirty absorb stores with no probe.
         for (const addr_t line : written_lines_) {
@@ -105,15 +106,13 @@ void dnuca_cache::accept(const mem::mem_request& request)
     }
 
     request_state state;
+    state.group = next_group_++;
     state.block = block;
     state.is_demand_read = demand_read;
     state.is_write = request.kind == mem::access_kind::write;
     state.is_writeback = request.kind == mem::access_kind::writeback;
     state.dirty = request.dirty || state.is_write || state.is_writeback;
-    const std::uint64_t group = next_group_++;
-    requests_[group] = state;
-    if (!demand_read)
-        active_writes_[block] = group;
+    open_request(state);
 
     // Multicast search: one probe per bank of the column, all from the
     // single injection point.
@@ -124,8 +123,51 @@ void dnuca_cache::accept(const mem::mem_request& request)
                                    : controller_write_outbox_;
     for (unsigned row = 1; row <= config_.rows; ++row)
         send_packet(outbox, probe_kind, {0, 0}, bank_coord(column, row),
-                    block, group, 1, now);
+                    block, state.group, 1, now);
     counters_.inc(demand_read ? h_read_probes_ : h_write_probes_);
+}
+
+void dnuca_cache::open_request(const request_state& state)
+{
+    if (free_requests_.empty())
+        grow_requests();
+    const std::uint32_t slot = free_requests_.back();
+    free_requests_.pop_back();
+    requests_[slot] = state;
+    request_index_.insert(state.group, slot);
+    if (!state.is_demand_read)
+        active_writes_.insert(state.block, slot);
+}
+
+void dnuca_cache::close_request(std::uint32_t slot)
+{
+    const request_state& state = requests_[slot];
+    request_index_.erase(state.group);
+    if (!state.is_demand_read)
+        active_writes_.erase(state.block);
+    requests_[slot] = request_state{};
+    free_requests_.push_back(slot);
+}
+
+void dnuca_cache::grow_requests()
+{
+    // Every slot holds a live probe set (or none exist yet): double the
+    // slab and re-index the live sets. A fresh slab of free slots follows
+    // the live ones, so slot numbers stay stable.
+    const std::size_t live = requests_.size();
+    const std::size_t size =
+        std::max<std::size_t>(2 * live, 4 * std::size_t(config_.mshr_entries));
+    requests_.resize(size);
+    request_index_ = slot_index(size);
+    active_writes_ = slot_index(size);
+    free_requests_.reserve(size);
+    for (std::size_t slot = size; slot-- > live;)
+        free_requests_.push_back(std::uint32_t(slot));
+    for (std::uint32_t slot = 0; slot < live; ++slot) {
+        request_index_.insert(requests_[slot].group, slot);
+        if (!requests_[slot].is_demand_read)
+            active_writes_.insert(requests_[slot].block, slot);
+    }
 }
 
 void dnuca_cache::respond(const mem::mem_response& response)
@@ -192,12 +234,12 @@ void dnuca_cache::inject_from(injector& from, noc::coord at)
 cycle_t dnuca_cache::next_event(cycle_t now) const
 {
     // Flits move and queues drain every cycle while anything is in flight:
-    // outstanding probe sets (requests_), injection queues, bank work or
+    // outstanding probe sets (request_index_), injection queues, bank work or
     // mesh traffic make the cache immediately busy. The mesh answers from
     // its router bitmasks, without walking the VC buffers.
     if (!controller_outbox_.queue.empty() ||
         !controller_write_outbox_.queue.empty() || !memory_queue_.empty() ||
-        !requests_.empty())
+        !request_index_.empty())
         return now;
     if (!mesh_->quiescent())
         return now;
@@ -222,7 +264,7 @@ std::uint64_t dnuca_cache::state_digest() const
     h.mix(controller_write_outbox_.queue.size());
     h.mix(controller_write_outbox_.vc);
     h.mix(memory_queue_.size());
-    h.mix(requests_.size());
+    h.mix(request_index_.size());
     h.mix(mshrs_.in_use());
     h.mix(memory_responses_.size());
     h.mix(memory_responses_.next_ready());
@@ -242,11 +284,14 @@ std::uint64_t dnuca_cache::state_digest() const
         h.mix(b.lookups.size());
         h.mix(b.lookups.next_ready());
     }
-    for (const auto& [txn, block] : outstanding_memory_)
-        h.mix_unordered(txn * 0x9e3779b97f4a7c15ULL + block);
-    for (const auto& [group, state] : requests_)
-        h.mix_unordered(group * 0x9e3779b97f4a7c15ULL + state.block +
-                        state.miss_replies);
+    for (const auto* e = mshrs_.first_live(); e != nullptr;
+         e = mshrs_.next_live(*e))
+        if (const txn_id_t txn = memory_txn_[mshrs_.slot_of(*e)]; txn != 0)
+            h.mix_unordered(txn * 0x9e3779b97f4a7c15ULL + e->block_addr);
+    for (const request_state& state : requests_)
+        if (state.group != 0)
+            h.mix_unordered(state.group * 0x9e3779b97f4a7c15ULL +
+                            state.block + state.miss_replies);
     return h.value();
 }
 
@@ -277,18 +322,18 @@ void dnuca_cache::tick(cycle_t now)
 void dnuca_cache::process_memory_responses(cycle_t now)
 {
     while (auto response = memory_responses_.pop_ready(now)) {
-        const auto it = outstanding_memory_.find(response->id);
-        if (it == outstanding_memory_.end()) {
+        // Memory reads are issued block-aligned, so the response's addr
+        // names the block; the per-slot txn id validates the match.
+        const addr_t block = response->addr;
+        const mem::mshr_entry* pending = mshrs_.find(block);
+        if (pending == nullptr ||
+            memory_txn_[mshrs_.slot_of(*pending)] != response->id) {
             counters_.inc(h_untracked_response_);
             continue;
         }
-        const addr_t block = it->second;
-        outstanding_memory_.erase(it);
 
         install_at_tail(now, block, /*dirty=*/false);
         const auto entry = mshrs_.release(block);
-        if (!entry)
-            continue;
         if (upstream_ != nullptr) {
             for (std::uint32_t t = 0; t < entry.target_count; ++t) {
                 const auto& target = entry.targets[t];
@@ -438,12 +483,12 @@ void dnuca_cache::controller_flit(cycle_t now, const noc::flit& f)
     if (f.kind == noc::packet_kind::reply && !f.tail())
         return; // wait for the full data packet
 
-    const auto it = requests_.find(f.txn);
-    if (it == requests_.end()) {
+    const std::uint32_t slot = request_index_.find(f.txn);
+    if (slot == slot_index::npos) {
         counters_.inc(h_orphan_reply_);
         return;
     }
-    request_state& state = it->second;
+    request_state& state = requests_[slot];
 
     if (f.kind == noc::packet_kind::reply) {
         if (f.count > 1) {
@@ -461,7 +506,7 @@ void dnuca_cache::controller_flit(cycle_t now, const noc::flit& f)
                 }
             }
             counters_.inc(h_read_hits_);
-            requests_.erase(it);
+            close_request(slot);
         } else {
             // Write probe absorbed by a bank: remember the line so
             // follow-up stores skip the probe entirely.
@@ -471,8 +516,7 @@ void dnuca_cache::controller_flit(cycle_t now, const noc::flit& f)
                 written_lines_[written_cursor_] = state.block;
                 written_cursor_ = (written_cursor_ + 1) % written_lines_.size();
             }
-            active_writes_.erase(state.block);
-            requests_.erase(it);
+            close_request(slot);
         }
         return;
     }
@@ -495,14 +539,14 @@ void dnuca_cache::controller_flit(cycle_t now, const noc::flit& f)
         read.kind = mem::access_kind::read;
         read.created_at = now;
         memory_queue_.push_back(read);
-        outstanding_memory_[read.id] = state.block;
-        requests_.erase(it);
+        if (const mem::mshr_entry* entry = mshrs_.find(state.block))
+            memory_txn_[mshrs_.slot_of(*entry)] = read.id;
+        close_request(slot);
     } else {
         // Word write or writeback that found no copy: install at the tail.
         counters_.inc(h_write_installs_);
         install_at_tail(now, state.block, state.dirty);
-        active_writes_.erase(state.block);
-        requests_.erase(it);
+        close_request(slot);
     }
 }
 
@@ -628,7 +672,7 @@ bool dnuca_cache::quiescent() const
 {
     if (!controller_outbox_.queue.empty() ||
         !controller_write_outbox_.queue.empty() || !memory_queue_.empty() ||
-        !mshrs_.empty() || !requests_.empty() || !outstanding_memory_.empty() ||
+        !mshrs_.empty() || !request_index_.empty() ||
         !memory_responses_.empty())
         return false;
     return !active_banks_.any() && mesh_->quiescent();

@@ -17,6 +17,7 @@
 
 #include "src/common/index_mask.h"
 #include "src/common/ring_queue.h"
+#include "src/common/slot_index.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/mem/mshr.h"
@@ -27,7 +28,6 @@
 #include "src/sim/timed_queue.h"
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace lnuca::dnuca {
@@ -89,8 +89,8 @@ public:
     /// the write-combining filter, packet/group id cursors, the mesh
     /// counters and every injector's VC rotation cursor (it advances per
     /// packet and keeps its position between packets, so it survives an
-    /// empty queue). Request tracking maps, probes and flit buffers are
-    /// empty by the quiesce contract.
+    /// empty queue). Request tracking, probes and flit buffers are empty by
+    /// the quiesce contract.
     template <class Ar> void serialize(Ar& ar)
     {
         for (bank& b : banks_) {
@@ -128,7 +128,9 @@ private:
         sim::timed_queue<noc::flit> lookups; ///< probes inside the array
     };
 
+    /// One probe set in flight (a requests_ slot; group 0 = free slot).
     struct request_state {
+        std::uint64_t group = 0; ///< id the set's probe flits carry
         addr_t block = no_addr;
         unsigned miss_replies = 0;
         bool is_demand_read = false; ///< expects data back
@@ -191,6 +193,9 @@ private:
     void send_packet(injector& from, noc::packet_kind kind, noc::coord src,
                      noc::coord dst, addr_t block, std::uint64_t group,
                      std::uint32_t flit_count, cycle_t now);
+    void open_request(const request_state& state);
+    void close_request(std::uint32_t slot);
+    void grow_requests();
 
     dnuca_config config_;
     mem::txn_id_source& ids_;
@@ -252,15 +257,25 @@ private:
     injector controller_write_outbox_;  ///< write probes (background)
     ring_queue<mem::mem_request> memory_queue_; ///< misses + writebacks out
     mem::mshr_file mshrs_;
-    std::unordered_map<std::uint64_t, request_state> requests_; ///< by group id
-    /// Write probes in flight by block: later stores to the same 128B line
-    /// coalesce instead of multicasting another probe set.
-    std::unordered_map<addr_t, std::uint64_t> active_writes_;
+    /// Parallel to the MSHR slab: txn id of the memory read issued for the
+    /// entry's block (0 = none). A memory response is matched by block via
+    /// mshrs_.find and validated against it (the fabric's downstream_txn
+    /// idiom), so no txn -> block map is needed.
+    std::vector<txn_id_t> memory_txn_;
+    /// Probe sets in flight: a slab recycled through a free stack and found
+    /// by the monotonic group id their flits carry, so a late nack of a
+    /// retired set finds nothing (orphan_reply) even once its slot is
+    /// reused. Starts at 4 x mshr_entries slots and doubles only when full.
+    std::vector<request_state> requests_;
+    std::vector<std::uint32_t> free_requests_; ///< free slot stack
+    slot_index request_index_;                 ///< group id -> slot
+    /// Write probe sets in flight, block -> slot: later stores to the same
+    /// 128B line coalesce instead of multicasting another probe set.
+    slot_index active_writes_;
     /// Controller-side write-combining filter: lines recently confirmed
     /// present-and-dirty absorb further stores without probing the banks.
     std::vector<addr_t> written_lines_;
     std::size_t written_cursor_ = 0;
-    std::unordered_map<txn_id_t, addr_t> outstanding_memory_;
     sim::timed_queue<mem::mem_response> memory_responses_;
     std::uint64_t next_packet_ = 1;
     std::uint64_t next_group_ = 1;

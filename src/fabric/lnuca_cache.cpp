@@ -27,7 +27,9 @@ lnuca_cache::lnuca_cache(const fabric_config& config, mem::txn_id_source& ids)
       geo_(config.levels),
       mshrs_(config.mshr_entries, config.mshr_secondary),
       search_by_slot_(config.mshr_entries),
-      rng_(config.seed)
+      rng_(config.seed),
+      warm_index_(std::size_t(geo_.tile_count()) *
+                  (config.tile.size_bytes / config.tile.block_bytes))
 {
     for (unsigned level = 2; level <= config.levels; ++level)
         h_read_hits_level_.push_back(
@@ -86,63 +88,18 @@ lnuca_cache::lnuca_cache(const fabric_config& config, mem::txn_id_source& ids)
     for (unsigned level = 2; level <= config.levels; ++level)
         tiles_by_level_[level] = geo_.tiles_in_level(level);
     warm_rotate_.assign(config.levels + 1, 0);
-
-    const std::uint64_t fabric_lines =
-        std::uint64_t(geo_.tile_count()) *
-        (config.tile.size_bytes / config.tile.block_bytes);
-    std::size_t buckets = 8;
-    while (buckets < fabric_lines * 2)
-        buckets <<= 1;
-    warm_slots_.assign(buckets, {no_addr, 0});
-    warm_mask_ = buckets - 1;
-}
-
-std::size_t lnuca_cache::warm_find(addr_t block) const
-{
-    std::size_t b = std::size_t(hash64(block)) & warm_mask_;
-    while (warm_slots_[b].first != no_addr) {
-        if (warm_slots_[b].first == block)
-            return b;
-        b = (b + 1) & warm_mask_;
-    }
-    return ~std::size_t{0};
-}
-
-void lnuca_cache::warm_index_insert(addr_t block, tile_index holder)
-{
-    std::size_t b = std::size_t(hash64(block)) & warm_mask_;
-    while (warm_slots_[b].first != no_addr && warm_slots_[b].first != block)
-        b = (b + 1) & warm_mask_;
-    warm_slots_[b] = {block, holder};
-}
-
-void lnuca_cache::warm_index_erase(addr_t block)
-{
-    std::size_t b = warm_find(block);
-    if (b == ~std::size_t{0})
-        return;
-    warm_slots_[b].first = no_addr;
-    // Backward-shift: re-place the probe cluster behind the hole.
-    std::size_t i = (b + 1) & warm_mask_;
-    while (warm_slots_[i].first != no_addr) {
-        const auto entry = warm_slots_[i];
-        warm_slots_[i].first = no_addr;
-        warm_index_insert(entry.first, entry.second);
-        i = (i + 1) & warm_mask_;
-    }
 }
 
 void lnuca_cache::warm_index_rebuild()
 {
-    for (auto& slot : warm_slots_)
-        slot.first = no_addr;
+    warm_index_.clear();
     for (tile_index i = 0; i < tile_index(tiles_.size()); ++i) {
         const mem::tag_array& tags = tiles_[i].cache;
         for (std::uint32_t set = 0; set < tags.sets(); ++set)
             for (std::uint32_t way = 0; way < tags.ways(); ++way) {
                 const mem::cache_line& line = tags.line(set, way);
                 if (line.valid)
-                    warm_index_insert(line.tag, i);
+                    warm_index_.insert(line.tag, i);
             }
     }
     warm_index_stale_ = false;
@@ -454,6 +411,32 @@ bool lnuca_cache::push_transport(cycle_t, tile_index i, const transport_msg& msg
     return true;
 }
 
+void lnuca_cache::send_hit(cycle_t now, tile_index i, unsigned level,
+                           addr_t block, bool dirty, link_mask& used_outputs)
+{
+    transport_msg out;
+    out.block = block;
+    out.dirty = dirty;
+    out.level = std::uint8_t(level);
+    out.hit_cycle = now;
+    out.min_hops = geo_.transport_distance(geo_.coord_of(i));
+    push_transport(now, i, out, used_outputs);
+}
+
+void lnuca_cache::mark_search(tile_index i, const search_msg& msg,
+                              search_state& state)
+{
+    state.marked = true;
+    counters_.inc(h_transport_contention_);
+    // Re-emit marked so the miss line sees the restart.
+    search_msg marked = msg;
+    marked.marked = true;
+    for (const tile_index child : geo_.search_children(i)) {
+        tiles_[child].ma_next = marked;
+        counters_.inc(h_search_broadcast_hops_);
+    }
+}
+
 void lnuca_cache::evaluate_tile(cycle_t now, tile_index i)
 {
     tile& t = tiles_[i];
@@ -497,29 +480,15 @@ void lnuca_cache::evaluate_tile(cycle_t now, tile_index i)
                         auto taken = fifo.extract([&](const replace_msg& r) {
                             return r.block == msg.block;
                         });
-                        transport_msg out;
-                        out.block = taken->block;
-                        out.dirty = taken->dirty;
-                        out.level = std::uint8_t(level);
-                        out.hit_cycle = now;
-                        out.min_hops = geo_.transport_distance(geo_.coord_of(i));
-                        push_transport(now, i, out, used_outputs);
+                        send_hit(now, i, level, taken->block, taken->dirty,
+                                 used_outputs);
                         state().hit = true;
                         counters_.inc(h_ubuffer_hits_);
                         counters_.inc(h_read_hits_level_[level - 2]);
-                        u_hit = true;
                     } else {
-                        state().marked = true;
-                        counters_.inc(h_transport_contention_);
-                        // Re-emit marked so the miss line sees the restart.
-                        search_msg marked = msg;
-                        marked.marked = true;
-                        for (const tile_index child : geo_.search_children(i)) {
-                            tiles_[child].ma_next = marked;
-                            counters_.inc(h_search_broadcast_hops_);
-                        }
-                        u_hit = true;
+                        mark_search(i, msg, state());
                     }
+                    u_hit = true;
                 }
                 if (u_hit)
                     break;
@@ -536,27 +505,15 @@ void lnuca_cache::evaluate_tile(cycle_t now, tile_index i)
                     stop_propagation = true;
                 } else if (any_transport_output_free(i, used_outputs)) {
                     const auto line = t.cache.extract(msg.block);
-                    transport_msg out;
-                    out.block = msg.block;
-                    out.dirty = line->dirty;
-                    out.level = std::uint8_t(level);
-                    out.hit_cycle = now;
-                    out.min_hops = geo_.transport_distance(geo_.coord_of(i));
-                    push_transport(now, i, out, used_outputs);
+                    send_hit(now, i, level, msg.block, line->dirty,
+                             used_outputs);
                     state().hit = true;
                     counters_.inc(h_tile_hits_);
                     counters_.inc(h_tile_data_reads_);
                     counters_.inc(h_read_hits_level_[level - 2]);
                     stop_propagation = true;
                 } else {
-                    state().marked = true;
-                    counters_.inc(h_transport_contention_);
-                    search_msg marked = msg;
-                    marked.marked = true;
-                    for (const tile_index child : geo_.search_children(i)) {
-                        tiles_[child].ma_next = marked;
-                        counters_.inc(h_search_broadcast_hops_);
-                    }
+                    mark_search(i, msg, state());
                     stop_propagation = true; // marked copy already forwarded
                 }
             }
@@ -886,7 +843,9 @@ void lnuca_cache::respond_to_targets(cycle_t now,
 
 std::uint64_t lnuca_cache::read_hits_in_level(unsigned level) const
 {
-    return counters_.get("read_hits_level_" + std::to_string(level));
+    if (level < 2 || level - 2 >= h_read_hits_level_.size())
+        return 0;
+    return counters_.value(h_read_hits_level_[level - 2]);
 }
 
 std::uint64_t lnuca_cache::tile_capacity_bytes() const
@@ -906,11 +865,10 @@ mem::warm_result lnuca_cache::warm_access(const mem::warm_request& request)
         warm_index_rebuild();
     switch (request.kind) {
     case mem::access_kind::read: {
-        const std::size_t slot = warm_find(block);
-        if (slot != ~std::size_t{0}) {
-            const tile_index holder = warm_slots_[slot].second;
+        const std::uint32_t holder = warm_index_.find(block);
+        if (holder != slot_index::npos) {
             const auto line = tiles_[holder].cache.extract(block);
-            warm_index_erase(block);
+            warm_index_.erase(block);
             return {line && line->dirty, false};
         }
         // Global miss: fetch from the next level; the fill travels straight
@@ -923,9 +881,9 @@ mem::warm_result lnuca_cache::warm_access(const mem::warm_request& request)
         return {};
     }
     case mem::access_kind::write: {
-        const std::size_t slot = warm_find(block);
-        if (slot != ~std::size_t{0}) {
-            mem::tag_array& tags = tiles_[warm_slots_[slot].second].cache;
+        const std::uint32_t holder = warm_index_.find(block);
+        if (holder != slot_index::npos) {
+            mem::tag_array& tags = tiles_[holder].cache;
             tags.lookup(block); // store hit in place: recency + dirty
             tags.set_dirty(block, true);
             return {};
@@ -946,9 +904,9 @@ void lnuca_cache::warm_install(addr_t block, bool dirty)
 {
     // An r-tile victim entering the replacement network. Exclusion check
     // first: a copy already in a tile absorbs the eviction in place.
-    const std::size_t slot = warm_find(block);
-    if (slot != ~std::size_t{0}) {
-        mem::tag_array& tags = tiles_[warm_slots_[slot].second].cache;
+    const std::uint32_t holder = warm_index_.find(block);
+    if (holder != slot_index::npos) {
+        mem::tag_array& tags = tiles_[holder].cache;
         tags.lookup(block);
         if (dirty)
             tags.set_dirty(block, true);
@@ -959,7 +917,7 @@ void lnuca_cache::warm_install(addr_t block, bool dirty)
         for (const tile_index i : tiles_by_level_[level]) {
             if (tiles_[i].cache.set_has_free_way(block)) {
                 tiles_[i].cache.install(block, dirty);
-                warm_index_insert(block, i);
+                warm_index_.insert(block, i);
                 return;
             }
         }
@@ -972,10 +930,11 @@ void lnuca_cache::warm_install(addr_t block, bool dirty)
         const auto& tiles = tiles_by_level_[level];
         const tile_index i = tiles[warm_rotate_[level]++ % tiles.size()];
         const auto victim = tiles_[i].cache.install(moving, moving_dirty);
-        warm_index_insert(moving, i);
+        if (victim) // erase first: a full fabric has no spare index slot
+            warm_index_.erase(victim->block_addr);
+        warm_index_.insert(moving, i);
         if (!victim)
             return;
-        warm_index_erase(victim->block_addr);
         moving = victim->block_addr;
         moving_dirty = victim->dirty;
     }

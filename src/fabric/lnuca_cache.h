@@ -27,6 +27,7 @@
 
 #include "src/common/ring_queue.h"
 #include "src/common/rng.h"
+#include "src/common/slot_index.h"
 #include "src/common/stats.h"
 #include "src/fabric/geometry.h"
 #include "src/fabric/tile.h"
@@ -83,7 +84,8 @@ public:
     const counter_set& counters() const { return counters_; }
     bool quiescent() const;
 
-    /// Read hits serviced by L-NUCA level `level` (2-based, Table III).
+    /// Read hits serviced by L-NUCA level `level` (2-based, Table III); 0
+    /// for levels outside 2..levels.
     std::uint64_t read_hits_in_level(unsigned level) const;
 
     /// Transport latency accounting (Table III right): sums of actual and
@@ -182,6 +184,13 @@ private:
     bool push_transport(cycle_t now, tile_index i, const transport_msg& msg,
                         link_mask& used_outputs);
     bool any_transport_output_free(tile_index i, link_mask used_outputs) const;
+    /// A read hit at tile `i` starts its block's transport towards the root
+    /// (caller checked any_transport_output_free).
+    void send_hit(cycle_t now, tile_index i, unsigned level, addr_t block,
+                  bool dirty, link_mask& used_outputs);
+    /// No transport output is free: mark the search and re-emit it marked
+    /// to the children so the miss line sees the restart.
+    void mark_search(tile_index i, const search_msg& msg, search_state& state);
 
     search_state& state_of(const mem::mshr_entry& entry)
     {
@@ -310,18 +319,14 @@ private:
     std::vector<std::size_t> warm_rotate_;
 
     // Warm-path block index: block -> holding tile (content exclusion
-    // guarantees at most one copy). Open addressing with backward-shift
-    // deletion, sized for every fabric line; makes a warm search O(1)
-    // instead of probing every tile. The detailed path mutates tiles
-    // without maintaining the index, so any tick marks it stale and the
-    // next warm access rebuilds it from the tag arrays.
-    std::size_t warm_find(addr_t block) const; ///< slot, or npos when absent
-    void warm_index_insert(addr_t block, tile_index holder);
-    void warm_index_erase(addr_t block);
+    // guarantees at most one copy), the shared slot_index sized for every
+    // fabric line; makes a warm search O(1) instead of probing every tile.
+    // The detailed path mutates tiles without maintaining the index, so
+    // any tick (and any checkpoint load) marks it stale and the next warm
+    // access rebuilds it from the tag arrays.
     void warm_index_rebuild();
 
-    std::vector<std::pair<addr_t, tile_index>> warm_slots_;
-    std::size_t warm_mask_ = 0;
+    slot_index warm_index_;
     bool warm_index_stale_ = true;
 };
 

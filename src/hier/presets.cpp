@@ -135,17 +135,10 @@ system_config cmp(const system_config& base, unsigned cores)
     s.cores = cores;
     s.name = base.name + "-" + std::to_string(cores) + "c";
 
-    // Private L1s are copy-back write-allocate (MESI needs an M state to
-    // live somewhere) and notify the directory of every eviction - clean
-    // victims included - so the sharer masks track L1 contents exactly.
-    s.l1.write_through = false;
-    s.l1.write_allocate = true;
-    s.l1.writeback_clean = true;
-    s.l1.coherent = true;
-
+    // The coherent private-L1 settings and the hub's core count and block
+    // size are system::build's to normalise for every cores > 1 build;
+    // the preset only picks the transport latencies.
     coh::coherence_config& c = s.coherence;
-    c.cores = cores;
-    c.block_bytes = s.l1.block_bytes;
     switch (s.kind) {
     case hierarchy_kind::conventional:
         // Coherence messages cross the same narrow shared bus the L2

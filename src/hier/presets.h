@@ -138,7 +138,8 @@ system_config lnuca_dnuca(unsigned levels);
 std::optional<system_config> by_name(const std::string& name);
 
 /// N-core CMP over any single-core preset: private copy-back L1s (MESI,
-/// eviction-notifying) per core, the base hierarchy's shared level behind
+/// eviction-notifying; system::build normalises the L1 settings for any
+/// cores > 1) per core, the base hierarchy's shared level behind
 /// a coherence hub whose message latencies match the backend (narrow bus
 /// for the conventional L2, abutted links for the L-NUCA fabric, mesh
 /// hops for the D-NUCA). `base` must be one of the presets above;

@@ -220,10 +220,11 @@ void system::build(const std::vector<wl::workload_profile>& workloads)
             l1c.name = "L1#" + std::to_string(i);
             l1c.seed = rng::split(seed_, 0x11c0ULL, i);
             // MESI structurally requires copy-back write-allocate L1s that
-            // notify the directory of every eviction; normalise here (same
-            // settings presets::cmp applies) so setting `cores` directly on
-            // a stock preset cannot silently break coherence - a
-            // write-through L1 would drain stores as access_kind::write,
+            // notify the directory of every eviction - clean victims
+            // included - so the sharer masks track L1 contents exactly.
+            // This is the one place that sets them, so setting `cores`
+            // directly on a stock preset cannot silently break coherence -
+            // a write-through L1 would drain stores as access_kind::write,
             // which the hub has no transition for.
             l1c.write_through = false;
             l1c.write_allocate = true;
@@ -240,9 +241,8 @@ void system::build(const std::vector<wl::workload_profile>& workloads)
         cc.block_bytes = config_.l1.block_bytes;
         if (cc.directory_entries == 0) {
             // Inclusive over the L1s: size for every line every L1 can hold
-            // plus in-flight fills/evictions, doubled for the open-addressed
-            // index's load factor - overflow becomes structurally
-            // impossible.
+            // plus in-flight fills/evictions - overflow becomes
+            // structurally impossible.
             const std::uint32_t l1_lines =
                 std::uint32_t(config_.l1.size_bytes / config_.l1.block_bytes);
             cc.directory_entries = n * (l1_lines + config_.l1.mshr_entries +

@@ -1,29 +1,15 @@
 #include "src/mem/mshr.h"
 
-#include "src/common/ring_queue.h" // pow2_at_least
-
 #include <algorithm>
 #include <stdexcept>
 
 namespace lnuca::mem {
 
-namespace {
-
-std::uint64_t mix_addr(addr_t block_addr)
-{
-    std::uint64_t h = block_addr;
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return h;
-}
-
-} // namespace
-
 mshr_file::mshr_file(std::uint32_t entries, std::uint32_t max_targets)
     : capacity_(entries),
       max_targets_(max_targets),
-      target_stride_(std::max(1u, max_targets))
+      target_stride_(std::max(1u, max_targets)),
+      index_(entries)
 {
     if (entries == 0)
         throw std::invalid_argument("mshr_file needs at least one entry");
@@ -32,82 +18,18 @@ mshr_file::mshr_file(std::uint32_t entries, std::uint32_t max_targets)
     free_.reserve(entries);
     for (std::uint32_t i = 0; i < entries; ++i)
         free_.push_back(entries - 1 - i); // pop_back hands out slot 0 first
-    table_.assign(pow2_at_least(std::size_t(entries) * 2), 0);
-}
-
-std::size_t mshr_file::home_bucket(addr_t block_addr) const
-{
-    return std::size_t(mix_addr(block_addr)) & (table_.size() - 1);
-}
-
-std::int32_t mshr_file::find_slot(addr_t block_addr) const
-{
-    const std::size_t mask = table_.size() - 1;
-    std::size_t b = home_bucket(block_addr);
-    while (table_[b] != 0) {
-        const std::uint32_t slot = table_[b] - 1;
-        if (slab_[slot].block_addr == block_addr)
-            return std::int32_t(slot);
-        b = (b + 1) & mask;
-    }
-    return -1;
-}
-
-void mshr_file::index_insert(addr_t block_addr, std::uint32_t slot)
-{
-    const std::size_t mask = table_.size() - 1;
-    std::size_t b = home_bucket(block_addr);
-    while (table_[b] != 0)
-        b = (b + 1) & mask;
-    table_[b] = slot + 1;
-}
-
-void mshr_file::index_erase(addr_t block_addr)
-{
-    const std::size_t mask = table_.size() - 1;
-    std::size_t i = home_bucket(block_addr);
-    while (table_[i] != 0 && slab_[table_[i] - 1].block_addr != block_addr)
-        i = (i + 1) & mask;
-    if (table_[i] == 0)
-        return; // not present (release of an absent block is a no-op)
-
-    // Classic linear-probe backward shift: close the hole without leaving
-    // a tombstone, keeping every remaining key reachable from its home.
-    table_[i] = 0;
-    std::size_t j = i;
-    for (;;) {
-        j = (j + 1) & mask;
-        if (table_[j] == 0)
-            return;
-        const std::size_t home = home_bucket(slab_[table_[j] - 1].block_addr);
-        // Move table_[j] into the hole unless its home lies in (i, j].
-        const bool cyclically_between =
-            i <= j ? (i < home && home <= j)
-                   : (i < home || home <= j);
-        if (!cyclically_between) {
-            table_[i] = table_[j];
-            table_[j] = 0;
-            i = j;
-        }
-    }
 }
 
 mshr_entry* mshr_file::find(addr_t block_addr)
 {
-    const std::int32_t slot = find_slot(block_addr);
-    return slot < 0 ? nullptr : &slab_[std::size_t(slot)];
+    const std::uint32_t slot = index_.find(block_addr);
+    return slot == slot_index::npos ? nullptr : &slab_[slot];
 }
 
 const mshr_entry* mshr_file::find(addr_t block_addr) const
 {
-    const std::int32_t slot = find_slot(block_addr);
-    return slot < 0 ? nullptr : &slab_[std::size_t(slot)];
-}
-
-bool mshr_file::can_merge(addr_t block_addr) const
-{
-    const mshr_entry* e = find(block_addr);
-    return e != nullptr && e->target_count < max_targets_;
+    const std::uint32_t slot = index_.find(block_addr);
+    return slot == slot_index::npos ? nullptr : &slab_[slot];
 }
 
 mshr_entry& mshr_file::allocate(addr_t block_addr, cycle_t now)
@@ -142,7 +64,7 @@ mshr_entry& mshr_file::allocate(addr_t block_addr, cycle_t now)
         head_unissued_ = std::int32_t(slot);
     tail_unissued_ = std::int32_t(slot);
 
-    index_insert(block_addr, slot);
+    index_.insert(block_addr, slot);
     return e;
 }
 
@@ -158,15 +80,6 @@ void mshr_file::add_target(mshr_entry& entry, const mshr_target& target)
 const mshr_target* mshr_file::targets(const mshr_entry& entry) const
 {
     return target_pool_.data() + std::size_t(slot_of(entry)) * target_stride_;
-}
-
-bool mshr_file::merge(addr_t block_addr, const mshr_target& target)
-{
-    mshr_entry* e = find(block_addr);
-    if (e == nullptr || e->target_count >= max_targets_)
-        return false;
-    add_target(*e, target);
-    return true;
 }
 
 void mshr_file::mark_issued(mshr_entry& entry)
@@ -190,10 +103,9 @@ void mshr_file::mark_issued(mshr_entry& entry)
 
 mshr_file::released_entry mshr_file::release(addr_t block_addr)
 {
-    const std::int32_t sslot = find_slot(block_addr);
-    if (sslot < 0)
+    const std::uint32_t slot = index_.find(block_addr);
+    if (slot == slot_index::npos)
         return {};
-    const std::uint32_t slot = std::uint32_t(sslot);
     mshr_entry& e = slab_[slot];
 
     released_entry out;
@@ -218,7 +130,7 @@ mshr_file::released_entry mshr_file::release(addr_t block_addr)
     if (!e.issued)
         mark_issued(e); // reuses the unlink; issued flag dies with the entry
 
-    index_erase(block_addr);
+    index_.erase(block_addr);
     e = mshr_entry{};
     free_.push_back(slot);
     return out;

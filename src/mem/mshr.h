@@ -9,8 +9,8 @@
 //
 //   * entries live in a slab of `capacity` slots recycled through a free
 //     stack;
-//   * an open-addressed hash index maps block address -> slot, replacing
-//     the old linear scan on every find();
+//   * the shared slot_index (src/common/slot_index.h) maps block address
+//     -> slot, so find() is O(1);
 //   * live entries are threaded on an intrusive list in allocation order
 //     (the order the old vector preserved), and unissued entries on a
 //     second intrusive FIFO, so any_unissued() is O(1) and the issue scan
@@ -23,6 +23,7 @@
 // after the caller has finished responding to the targets.
 #pragma once
 
+#include "src/common/slot_index.h"
 #include "src/common/types.h"
 #include "src/mem/request.h"
 
@@ -65,17 +66,8 @@ public:
     /// Can a brand-new miss to `block_addr` allocate an entry?
     bool can_allocate() const { return free_.size() > 0; }
 
-    /// Can a secondary miss merge into the existing entry?
-    bool can_merge(addr_t block_addr) const;
-
     /// Allocate a new entry (caller checked can_allocate).
     mshr_entry& allocate(addr_t block_addr, cycle_t now);
-
-    /// Add a target to an existing entry (caller checked can_merge).
-    /// Returns false — touching nothing — when no entry exists for the
-    /// block or its target slots are exhausted, instead of dereferencing a
-    /// null find() result as the old implementation did.
-    bool merge(addr_t block_addr, const mshr_target& target);
 
     /// Append a target to a live entry (caller bounds-checked; throws on
     /// overflow — a target-limit violation is a caller logic error).
@@ -134,11 +126,6 @@ public:
     }
 
 private:
-    std::size_t home_bucket(addr_t block_addr) const;
-    std::int32_t find_slot(addr_t block_addr) const;
-    void index_insert(addr_t block_addr, std::uint32_t slot);
-    void index_erase(addr_t block_addr);
-
     std::uint32_t capacity_;
     std::uint32_t max_targets_;
     std::uint32_t target_stride_; ///< pool slots per entry: max(1, max_targets)
@@ -147,10 +134,7 @@ private:
     std::vector<mshr_entry> slab_;       ///< capacity_ slots
     std::vector<mshr_target> target_pool_; ///< capacity_ x max_targets_
     std::vector<std::uint32_t> free_;    ///< free slot stack
-    /// Open-addressed (linear probe) block->slot index; stores slot + 1,
-    /// 0 = empty. Power-of-two size >= 2 x capacity; erase uses the classic
-    /// backward-shift so no tombstones accumulate.
-    std::vector<std::uint32_t> table_;
+    slot_index index_;                   ///< block address -> slot
 
     std::int32_t head_live_ = -1;
     std::int32_t tail_live_ = -1;

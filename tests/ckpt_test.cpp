@@ -359,7 +359,7 @@ TEST(ckpt_damage, older_version_files_are_rejected_cold)
 {
     // Every format bump changed a payload layout (version 2: the `driver`
     // section; version 3: the component counters and the driver's energy
-    // events). An older snapshot (otherwise intact, header CRC re-signed)
+    // events; version 4: the directory and TLB index tables). An older snapshot (otherwise intact, header CRC re-signed)
     // must be refused at open and the resumed run must start cold.
     const hier::system_config config = with_checkpoint(
         hier::presets::l2_256kb(), temp_path("old_version.ckpt"), 4000);

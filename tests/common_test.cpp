@@ -1,8 +1,9 @@
-// Unit tests for the common foundation: rng, statistics, histogram,
-// tables, CLI parsing, and the type helpers.
+// Unit tests for the common foundation: rng, the slot index, statistics,
+// histogram, tables, CLI parsing, and the type helpers.
 #include "src/common/cli.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
+#include "src/common/slot_index.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/common/types.h"
@@ -11,6 +12,8 @@
 
 #include <array>
 #include <cmath>
+#include <unordered_map>
+#include <vector>
 
 namespace lnuca {
 namespace {
@@ -101,6 +104,77 @@ TEST(rng, hash64_stateless)
 {
     EXPECT_EQ(hash64(1), hash64(1));
     EXPECT_NE(hash64(1), hash64(2));
+}
+
+TEST(slot_index, matches_unordered_map_on_a_wrapping_table)
+{
+    // Capacity 4 means 8 buckets, so probe clusters regularly wrap past the
+    // last bucket. Seeded inserts, overwrites, erases and finds run against
+    // std::unordered_map; every step checks every key of the universe.
+    slot_index index(4);
+    std::unordered_map<std::uint64_t, std::uint32_t> model;
+    rng r(19);
+    constexpr std::uint64_t universe = 12;
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t key = r.below(universe) * 0x40; // block addresses
+        const std::uint32_t value = std::uint32_t(r.below(1000));
+        switch (r.below(3)) {
+        case 0: // insert, or overwrite a present key
+            if (model.size() < index.capacity() || model.count(key) != 0) {
+                index.insert(key, value);
+                model[key] = value;
+            }
+            break;
+        case 1:
+            ASSERT_EQ(index.erase(key), model.erase(key) == 1) << step;
+            break;
+        default: // find-only step
+            break;
+        }
+        ASSERT_EQ(index.size(), model.size()) << step;
+        for (std::uint64_t k = 0; k < universe; ++k) {
+            const auto it = model.find(k * 0x40);
+            ASSERT_EQ(index.find(k * 0x40),
+                      it == model.end() ? slot_index::npos : it->second)
+                << "step " << step << " key " << k;
+        }
+    }
+}
+
+TEST(slot_index, erase_inside_a_wrapped_cluster_shifts_the_tail_back)
+{
+    // a, b, d hash to the last of 8 buckets and c to bucket 0, so inserting
+    // a, b, c, d fills buckets 7, 0, 1, 2. Erasing b (bucket 0, mid-cluster)
+    // must pull c and d back one bucket each, keeping both reachable.
+    std::vector<std::uint64_t> last_home, first_home;
+    for (std::uint64_t k = 0; last_home.size() < 3 || first_home.empty(); ++k) {
+        if ((hash64(k) & 7) == 7 && last_home.size() < 3)
+            last_home.push_back(k);
+        else if ((hash64(k) & 7) == 0 && first_home.empty())
+            first_home.push_back(k);
+    }
+    const std::uint64_t a = last_home[0], b = last_home[1], c = first_home[0],
+                        d = last_home[2];
+    slot_index index(4);
+    index.insert(a, 10);
+    index.insert(b, 11);
+    index.insert(c, 12);
+    index.insert(d, 13);
+    EXPECT_THROW(index.insert(d + 0x1000, 14), std::logic_error); // full
+    index.insert(c, 22); // overwrite needs no free capacity
+    EXPECT_EQ(index.size(), 4u);
+
+    EXPECT_TRUE(index.erase(b));
+    EXPECT_FALSE(index.erase(b));
+    EXPECT_EQ(index.size(), 3u);
+    EXPECT_EQ(index.find(a), 10u);
+    EXPECT_EQ(index.find(b), slot_index::npos);
+    EXPECT_EQ(index.find(c), 22u);
+    EXPECT_EQ(index.find(d), 13u);
+
+    index.clear();
+    EXPECT_TRUE(index.empty());
+    EXPECT_EQ(index.find(a), slot_index::npos);
 }
 
 TEST(stats, harmonic_mean_known_values)

@@ -12,7 +12,12 @@ namespace {
 
 struct recorder final : mem::mem_client {
     std::map<txn_id_t, mem::mem_response> responses;
-    void respond(const mem::mem_response& r) override { responses[r.id] = r; }
+    std::map<txn_id_t, unsigned> deliveries;
+    void respond(const mem::mem_response& r) override
+    {
+        responses[r.id] = r;
+        ++deliveries[r.id];
+    }
 };
 
 struct stub_memory final : sim::ticked, mem::mem_port {
@@ -256,6 +261,58 @@ TEST_F(dnuca_fixture, row_hit_statistics_accumulate)
     for (unsigned row = 1; row <= config.rows; ++row)
         total += cache->hits_in_row(row);
     EXPECT_EQ(total, 1u);
+}
+
+TEST_F(dnuca_fixture, late_nacks_after_an_early_hit_are_orphans)
+{
+    // Requests are tracked by a monotonic probe-set (group) id. A read that
+    // hits in row 1 retires on the data reply, so nacks of the farther rows
+    // arriving later find a closed group and count as orphan replies. A
+    // second read of the block, issued while the first read's nacks are
+    // still in flight, opens a new group: the stale nacks must not resolve
+    // against it, and it is answered exactly once. Of the six nacks, one
+    // overtakes its own group's five-flit reply and is absorbed by that
+    // live group; the other five are orphans.
+    build();
+    cache->prewarm(0x20000); // lands in row 1
+    const txn_id_t a = read(0x20000);
+    engine.run_until([&] { return client.responses.count(a) > 0; }, 400);
+    ASSERT_EQ(client.deliveries[a], 1u);
+    EXPECT_EQ(cache->hits_in_row(1), 1u);
+    EXPECT_EQ(cache->counters().get("orphan_reply"), 0u);
+
+    const txn_id_t b = read(0x20000);
+    engine.run(400);
+    EXPECT_EQ(client.deliveries[a], 1u);
+    EXPECT_EQ(client.deliveries[b], 1u);
+    EXPECT_EQ(client.responses[b].served_by, mem::service_level::dnuca);
+    EXPECT_EQ(cache->hits_in_row(1), 2u);
+    EXPECT_EQ(cache->counters().get("read_hits"), 2u);
+    EXPECT_EQ(cache->counters().get("read_misses"), 0u);
+    EXPECT_EQ(cache->counters().get("bank_lookups"), 2 * config.rows);
+    EXPECT_EQ(cache->counters().get("orphan_reply"), 5u);
+    EXPECT_EQ(memory->accepted, 0);
+    EXPECT_TRUE(cache->quiescent());
+}
+
+TEST_F(dnuca_fixture, request_slab_grows_past_its_initial_size)
+{
+    // The probe-set slab starts at 4 x mshr_entries slots. With one MSHR, a
+    // burst of ten write probe sets doubles it twice; the re-indexed sets
+    // still coalesce a store to an in-flight line and all complete.
+    config.mshr_entries = 1;
+    build();
+    for (unsigned i = 0; i < 10; ++i)
+        write(0x200000 + addr_t(i) * 0x1000);
+    write(0x200008); // the first write's line, still in flight
+    const txn_id_t id = read(0x300000);
+    engine.run(2000);
+    EXPECT_EQ(cache->counters().get("write_probes"), 10u);
+    EXPECT_EQ(cache->counters().get("writes_coalesced"), 1u);
+    EXPECT_EQ(cache->counters().get("write_installs"), 10u);
+    EXPECT_EQ(cache->counters().get("read_misses"), 1u);
+    EXPECT_EQ(client.deliveries[id], 1u);
+    EXPECT_TRUE(cache->quiescent());
 }
 
 TEST_F(dnuca_fixture, flit_hops_counter_matches_router_forwards)

@@ -394,6 +394,10 @@ TEST_F(fabric_fixture, per_level_hit_counters)
     read(0xc000);
     engine.run(15);
     EXPECT_EQ(fab->read_hits_in_level(2) + fab->read_hits_in_level(3), 1u);
+    // Levels outside 2..levels have no counter and read as zero.
+    EXPECT_EQ(fab->read_hits_in_level(0), 0u);
+    EXPECT_EQ(fab->read_hits_in_level(1), 0u);
+    EXPECT_EQ(fab->read_hits_in_level(4), 0u);
 }
 
 TEST_F(fabric_fixture, search_bandwidth_one_per_cycle)

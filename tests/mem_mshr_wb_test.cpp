@@ -42,29 +42,18 @@ TEST(mshr, capacity_limit)
 
 TEST(mshr, secondary_merge_limit)
 {
+    // Components merge a secondary miss with find() + add_target(), bounded
+    // by the entry's target count.
     mshr_file m(2, 2);
     auto& e = m.allocate(0x100, 0);
     m.add_target(e, {1, 0x100, access_kind::read, 0});
-    EXPECT_TRUE(m.can_merge(0x100));
-    EXPECT_TRUE(m.merge(0x100, {2, 0x108, access_kind::read, 1}));
-    EXPECT_FALSE(m.can_merge(0x100)); // 2 targets = limit
-    EXPECT_FALSE(m.can_merge(0x999)); // absent block cannot merge
-}
-
-TEST(mshr, merge_into_absent_block_is_refused)
-{
-    // The old implementation dereferenced find()'s nullptr; merge now
-    // reports the condition instead of crashing.
-    mshr_file m(2, 2);
-    EXPECT_FALSE(m.merge(0x500, {1, 0x500, access_kind::read, 0}));
-    EXPECT_TRUE(m.empty());
-
-    // A full entry refuses further merges the same way.
-    auto& e = m.allocate(0x100, 0);
-    m.add_target(e, {1, 0x100, access_kind::read, 0});
-    m.add_target(e, {2, 0x104, access_kind::read, 0});
-    EXPECT_FALSE(m.merge(0x100, {3, 0x108, access_kind::read, 1}));
-    EXPECT_EQ(e.target_count, 2u);
+    mshr_entry* found = m.find(0x100);
+    ASSERT_EQ(found, &e);
+    EXPECT_LT(found->target_count, m.max_targets());
+    m.add_target(*found, {2, 0x108, access_kind::read, 1});
+    EXPECT_EQ(found->target_count, m.max_targets()); // 2 targets = limit
+    EXPECT_EQ(m.targets(e)[1].id, 2u);
+    EXPECT_EQ(m.find(0x999), nullptr); // absent block has no entry to merge
 }
 
 TEST(mshr, zero_max_targets_still_stores_the_primary_target)
@@ -75,8 +64,7 @@ TEST(mshr, zero_max_targets_still_stores_the_primary_target)
     auto& e = m.allocate(0x100, 0);
     m.add_target(e, {1, 0x100, access_kind::read, 0});
     EXPECT_EQ(e.target_count, 1u);
-    EXPECT_FALSE(m.can_merge(0x100));
-    EXPECT_FALSE(m.merge(0x100, {2, 0x108, access_kind::read, 1}));
+    EXPECT_GE(e.target_count, m.max_targets()); // no room for a secondary
     const auto out = m.release(0x100);
     ASSERT_TRUE(bool(out));
     ASSERT_EQ(out.target_count, 1u);
