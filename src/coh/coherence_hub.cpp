@@ -52,139 +52,146 @@ void coherence_hub::accept(const mem::mem_request& request)
 
 mem::warm_result coherence_hub::warm_access(const mem::warm_request& request)
 {
-    // Functional twin of process_read() / process_writeback() /
-    // process_snoops(): identical directory transitions and the same
-    // propagation into the shared level, with snoops applied synchronously -
-    // the warm contract guarantees a quiescent machine, so nothing is in
-    // flight, nothing races, and `retry` cannot occur. Zero timing state:
-    // no transactions, no queues, no counters.
+    // The directory transitions of process_writeback(), process_read(),
+    // process_snoops() and maybe_finish() applied at once, with the plan's
+    // snoops landing synchronously: the warm contract guarantees a
+    // quiescent machine, so nothing is in flight, nothing races, and
+    // `retry` cannot occur. No transactions, no queues, no counters.
     const addr_t block = block_of(request.addr);
     const mem::core_id_t core = request.core;
-    const std::uint32_t me = 1u << core;
 
     if (request.kind == mem::access_kind::writeback) {
-        // process_writeback() minus the in-flight races (impossible warm).
-        // still_backed mirrors the eviction-vs-refetch guard: a warm
-        // re-fetch for the block cannot be outstanding, but the check keeps
-        // the two paths textually parallel and costs one tag probe.
-        if (dir_entry* e = dir_.find(block)) {
-            const bool still_backed =
-                l1s_[core] != nullptr && l1s_[core]->holds_or_in_flight(block);
-            if (!still_backed) {
-                e->sharers &= ~me;
-                if (e->owner == core) {
-                    e->owner = mem::no_core;
-                    if (e->state == dir_state::exclusive_modified)
-                        e->state = e->sharers == 0 ? dir_state::invalid
-                                                   : dir_state::shared;
-                }
-                if (e->sharers == 0)
-                    e->state = dir_state::invalid;
-            }
-            dir_.touch();
-            dir_.release_if_idle(*e);
-        }
-        if ((request.dirty || config_.forward_clean_victims) &&
-            downstream_ != nullptr)
+        release_copy(block, core);
+        if (forwards_victim(request.dirty) && downstream_ != nullptr)
             downstream_->warm_access({block, mem::access_kind::writeback,
                                       request.dirty, false, core});
         return {};
     }
 
     dir_entry& e = dir_.get_or_create(block);
-    mem::warm_result result;
     // A plain warm write can only come from a non-coherent upper level;
     // treat it as a read-for-ownership so the directory stays sound.
     const bool rfo =
         request.exclusive || request.kind == mem::access_kind::write;
-
-    if (rfo) {
-        // RFO / upgrade: every other copy invalidates. An EM owner's line
-        // migrates cache-to-cache - dirty data transfers to the requester
-        // without touching the shared level, exactly like the detailed
-        // recall (t.peer_dirty -> response.dirty -> requester installs M).
-        const bool upgrade = (e.sharers & me) != 0;
-        bool peer_data = false;
-        if (e.state == dir_state::exclusive_modified && e.owner != core) {
-            const mem::core_id_t owner = e.owner;
-            const mem::snoop_result s =
-                l1s_[owner]->warm_snoop_invalidate(block);
-            e.sharers &= ~(1u << owner);
-            if (s != mem::snoop_result::not_present) {
-                peer_data = true;
-                result.dirty = s == mem::snoop_result::applied_dirty;
-            }
-        } else {
-            for (unsigned j = 0; j < config_.cores; ++j)
-                if (j != core && (e.sharers & (1u << j)) != 0) {
-                    l1s_[j]->warm_snoop_invalidate(block);
-                    e.sharers &= ~(1u << j);
-                }
+    const request_plan plan = plan_request(e, core, rfo);
+    mem::warm_result result;
+    bool fetch = plan.fetch;
+    if (plan.source != mem::no_core) {
+        mem::conventional_cache& owner = *l1s_[plan.source];
+        const mem::snoop_result s = rfo ? owner.invalidate_line(block)
+                                        : owner.downgrade_line(block);
+        snooped(e, plan.source, rfo, s);
+        // A recalled line migrates to the requester with its modified
+        // data; a downgraded one flushes it into the shared level.
+        if (s == mem::snoop_result::applied_dirty) {
+            if (rfo)
+                result.dirty = true;
+            else if (downstream_ != nullptr)
+                downstream_->warm_access({block, mem::access_kind::writeback,
+                                          true, false, plan.source});
         }
-        // Upgrades move no data; a vanished owner copy (defensive - warm
-        // evictions notify synchronously) falls back to the shared level,
-        // mirroring the detailed race fallback.
-        if (!upgrade && !peer_data && downstream_ != nullptr)
-            result.dirty = downstream_
-                               ->warm_access({block, mem::access_kind::read,
-                                              false, true, core})
-                               .dirty;
-        e.sharers = me;
-        e.state = dir_state::exclusive_modified;
-        e.owner = core;
-        result.exclusive = true;
-    } else {
-        switch (e.state) {
-        case dir_state::invalid:
-        case dir_state::shared:
-            // Data lives in (or below) the shared level.
-            if (downstream_ != nullptr)
-                result.dirty =
-                    downstream_
-                        ->warm_access({block, mem::access_kind::read, false,
-                                       false, core})
-                        .dirty;
-            break;
-        case dir_state::exclusive_modified:
-            if (e.owner != core) {
-                // Owner downgrades to S; modified data flushes into the
-                // shared level and the requester installs clean (the
-                // detailed downgrade path never sets peer_dirty).
-                const mem::core_id_t owner = e.owner;
-                const mem::snoop_result s =
-                    l1s_[owner]->warm_snoop_downgrade(block);
-                e.owner = mem::no_core;
-                e.state = dir_state::shared;
-                if (s == mem::snoop_result::applied_dirty &&
-                    downstream_ != nullptr)
-                    downstream_->warm_access({block,
-                                              mem::access_kind::writeback,
-                                              true, false, owner});
-                if (s == mem::snoop_result::not_present) {
-                    // The owner evicted the line (defensive, as above):
-                    // fetch from the shared level instead.
-                    e.sharers &= ~(1u << owner);
-                    if (downstream_ != nullptr)
-                        result.dirty = downstream_
-                                           ->warm_access(
-                                               {block, mem::access_kind::read,
-                                                false, false, core})
-                                           .dirty;
-                }
-            }
-            // owner == core: stale self-request shape - the directory
-            // re-grants below without moving data.
-            break;
-        }
-        e.sharers |= me;
-        const bool exclusive = e.sharers == me;
-        e.state = exclusive ? dir_state::exclusive_modified
-                            : dir_state::shared;
-        e.owner = exclusive ? core : mem::no_core;
-        result.exclusive = exclusive;
+        // A vanished owner copy (defensive: warm evictions notify
+        // synchronously) falls back to the shared level, like the detailed
+        // race fallback.
+        fetch = s == mem::snoop_result::not_present;
     }
+    for (unsigned j = 0; j < config_.cores; ++j)
+        if ((plan.invalidate & (1u << j)) != 0)
+            snooped(e, mem::core_id_t(j), true,
+                    l1s_[j]->invalidate_line(block));
+    if (fetch && downstream_ != nullptr)
+        result.dirty = downstream_
+                           ->warm_access({block, mem::access_kind::read, false,
+                                          rfo, core})
+                           .dirty;
+    result.exclusive = grant(e, core, rfo);
     dir_.touch();
     return result;
+}
+
+coherence_hub::request_plan
+coherence_hub::plan_request(const dir_entry& e, mem::core_id_t core,
+                            bool rfo) const
+{
+    const std::uint32_t me = 1u << core;
+    request_plan plan;
+    if (e.state == dir_state::exclusive_modified && e.owner != core) {
+        // A remote owner supplies the data cache-to-cache: recalled for
+        // an RFO, downgraded to S for a read.
+        plan.source = e.owner;
+    } else if (rfo) {
+        // Every other copy invalidates; an upgrade (the requester already
+        // shares the line) moves no data.
+        plan.invalidate = e.sharers & ~me;
+        plan.fetch = (e.sharers & me) == 0;
+    } else {
+        // I or S: the data lives in (or below) the shared level. EM owned
+        // by the requester is a stale self-request: re-grant, move nothing.
+        plan.fetch = e.state != dir_state::exclusive_modified;
+    }
+    return plan;
+}
+
+void coherence_hub::drop_sharer(dir_entry& e, mem::core_id_t core)
+{
+    e.sharers &= ~(1u << core);
+    if (e.owner == core) {
+        // An EM entry never carries owner = no_core, even transiently
+        // (check_invariants asserts the shape on every paranoid tick).
+        e.owner = mem::no_core;
+        if (e.state == dir_state::exclusive_modified)
+            e.state = e.sharers == 0 ? dir_state::invalid : dir_state::shared;
+    }
+    if (e.sharers == 0 && !e.busy())
+        e.state = dir_state::invalid;
+}
+
+void coherence_hub::snooped(dir_entry& e, mem::core_id_t core,
+                            bool invalidate, mem::snoop_result result)
+{
+    if (!invalidate) {
+        // Downgrade: the owner keeps a Shared copy.
+        if (e.owner == core)
+            e.owner = mem::no_core;
+        if (e.state == dir_state::exclusive_modified)
+            e.state = dir_state::shared;
+    }
+    // An invalidated copy leaves the mask; so does an owner that had
+    // already evicted the line (its writeback left, or is about to leave,
+    // for the shared level).
+    if (invalidate || result == mem::snoop_result::not_present)
+        drop_sharer(e, core);
+}
+
+bool coherence_hub::grant(dir_entry& e, mem::core_id_t core, bool rfo)
+{
+    const std::uint32_t me = 1u << core;
+    e.sharers |= me;
+    const bool exclusive = rfo || e.sharers == me;
+    e.state = exclusive ? dir_state::exclusive_modified : dir_state::shared;
+    e.owner = exclusive ? core : mem::no_core;
+    return exclusive;
+}
+
+dir_entry* coherence_hub::release_copy(addr_t block, mem::core_id_t core)
+{
+    dir_entry* e = dir_.find(block);
+    if (e == nullptr)
+        return nullptr;
+    // An eviction notification can trail the same core's re-fetch of the
+    // block (upgrade raced a capacity eviction; the fill is in - or has
+    // landed from - the MSHR). The copy the directory tracks is then the
+    // new one: the sharer bit must survive, or the entry would vanish
+    // under a live (possibly E/M) cached line. The mirror ordering -
+    // re-request arriving while the directory still shows ownership - is
+    // the stale-self-request case of plan_request().
+    if (l1s_[core] == nullptr || !l1s_[core]->holds_or_in_flight(block))
+        drop_sharer(*e, core);
+    dir_.touch();
+    if (e->busy())
+        return e;
+    dir_.release_if_idle(*e);
+    return nullptr;
 }
 
 void coherence_hub::respond(const mem::mem_response& response)
@@ -233,7 +240,7 @@ void coherence_hub::tick(cycle_t now)
     process_below_responses(now);
     process_snoops(now);
     process_requests(now);
-    drain_downstream(now);
+    drain_downstream();
     if (paranoid_)
         check_invariants();
 }
@@ -300,9 +307,8 @@ void coherence_hub::push_writeback_below(cycle_t now, addr_t block, bool dirty,
     down_pending_.push_back(wb);
 }
 
-void coherence_hub::drain_downstream(cycle_t now)
+void coherence_hub::drain_downstream()
 {
-    (void)now;
     while (!down_pending_.empty() && downstream_ != nullptr &&
            downstream_->can_accept(down_pending_.front())) {
         downstream_->accept(down_pending_.front());
@@ -333,7 +339,6 @@ void coherence_hub::process_read(cycle_t now, const mem::mem_request& request)
     counters_.inc(request.exclusive ? h_rfos_ : h_reads_);
 
     dir_entry& e = dir_.get_or_create(block);
-    const std::uint32_t me = 1u << request.core;
     const std::int32_t slot = allocate_txn();
     txn& t = txns_[std::size_t(slot)];
     t.block = block;
@@ -343,49 +348,23 @@ void coherence_hub::process_read(cycle_t now, const mem::mem_request& request)
     t.rfo = request.exclusive;
     e.txn = slot;
 
-    if (request.exclusive) {
-        const bool upgrade = (e.sharers & me) != 0;
-        if (upgrade)
-            counters_.inc(h_upgrades_);
-        if (e.state == dir_state::exclusive_modified &&
-            e.owner != request.core) {
-            // Recall the owner; the (possibly dirty) line migrates
-            // cache-to-cache without touching the shared level.
-            send_snoop(now, slot, e.owner, /*invalidate=*/true);
-            t.data_pending = true;
-        } else {
-            for (unsigned j = 0; j < config_.cores; ++j)
-                if (j != request.core && (e.sharers & (1u << j)) != 0)
-                    send_snoop(now, slot, mem::core_id_t(j),
-                               /*invalidate=*/true);
-            if (!upgrade)
-                fetch_below(now, slot);
-        }
-        if (e.state == dir_state::exclusive_modified &&
-            e.owner == request.core)
-            counters_.inc(h_owner_rerequests_);
-    } else {
-        switch (e.state) {
-        case dir_state::invalid:
-        case dir_state::shared:
-            // Data lives in (or below) the shared level.
-            fetch_below(now, slot);
-            break;
-        case dir_state::exclusive_modified:
-            if (e.owner == request.core) {
-                // Stale self-request (ownership raced an eviction
-                // notification): re-grant from the directory itself.
-                counters_.inc(h_owner_rerequests_);
-            } else {
-                // Owner downgrades to S; modified data flushes to the
-                // shared level and the line forwards cache-to-cache.
-                send_snoop(now, slot, e.owner, /*invalidate=*/false);
-                t.data_pending = true;
-            }
-            break;
-        }
+    if (request.exclusive && (e.sharers & (1u << request.core)) != 0)
+        counters_.inc(h_upgrades_);
+    if (e.state == dir_state::exclusive_modified && e.owner == request.core)
+        counters_.inc(h_owner_rerequests_);
+    const request_plan plan = plan_request(e, request.core, request.exclusive);
+    if (plan.source != mem::no_core) {
+        send_snoop(now, slot, plan.source, /*invalidate=*/request.exclusive);
+        t.data_pending = true;
     }
-    e.sharers |= me;
+    for (unsigned j = 0; j < config_.cores; ++j)
+        if ((plan.invalidate & (1u << j)) != 0)
+            send_snoop(now, slot, mem::core_id_t(j), /*invalidate=*/true);
+    if (plan.fetch)
+        fetch_below(now, slot);
+    // Listed at once: the fill is in flight, and the invariant checker
+    // counts the MSHR as backing.
+    e.sharers |= 1u << request.core;
     dir_.touch();
     maybe_finish(now, slot);
 }
@@ -404,46 +383,19 @@ void coherence_hub::process_writeback(cycle_t now,
         }
     }
 
-    if (dir_entry* e = dir_.find(block)) {
-        // An eviction notification can trail the same core's re-fetch of
-        // the block (upgrade raced a capacity eviction; the fill is in -
-        // or has landed from - the MSHR). The copy the directory tracks
-        // is then the new one: the sharer bit must survive, or the entry
-        // would vanish under a live (possibly E/M) cached line. The
-        // mirror ordering - re-request arriving while the directory still
-        // shows ownership - is the stale-self-request path in
-        // process_read().
-        const bool still_backed =
-            l1s_[request.core] != nullptr &&
-            l1s_[request.core]->holds_or_in_flight(block);
-        if (!still_backed) {
-            e->sharers &= ~(1u << request.core);
-            if (e->owner == request.core) {
-                e->owner = mem::no_core;
-                if (e->state == dir_state::exclusive_modified)
-                    e->state = e->sharers == 0 ? dir_state::invalid
-                                               : dir_state::shared;
-            }
-            if (e->sharers == 0 && !e->busy())
-                e->state = dir_state::invalid;
-        }
-        dir_.touch();
-        if (e->busy()) {
-            // The requester of the in-flight transaction just evicted its
-            // own copy (upgrade raced a capacity eviction): the data it
-            // assumed local is gone, so fetch it from the shared level.
-            txn& t = txns_[std::size_t(e->txn)];
-            if (t.requester == request.core && t.rfo && !t.peer_data &&
-                !t.data_pending && !t.waiting_below) {
-                counters_.inc(h_race_fallbacks_);
-                fetch_below(now, e->txn);
-            }
-        } else {
-            dir_.release_if_idle(*e);
+    if (dir_entry* e = release_copy(block, request.core)) {
+        // The requester of the in-flight transaction just evicted its own
+        // copy (upgrade raced a capacity eviction): the data it assumed
+        // local is gone, so fetch it from the shared level.
+        txn& t = txns_[std::size_t(e->txn)];
+        if (t.requester == request.core && t.rfo && !t.peer_data &&
+            !t.data_pending && !t.waiting_below) {
+            counters_.inc(h_race_fallbacks_);
+            fetch_below(now, e->txn);
         }
     }
 
-    if (request.dirty || config_.forward_clean_victims)
+    if (forwards_victim(request.dirty))
         push_writeback_below(now, block, request.dirty, request.core);
 }
 
@@ -461,42 +413,18 @@ void coherence_hub::process_snoops(cycle_t now)
         }
 
         txn& t = txns_[std::size_t(msg->txn)];
-        dir_entry* e = dir_.find(t.block);
+        snooped(*dir_.find(t.block), msg->core, msg->invalidate, result);
         // A transaction sends at most one data-sourcing snoop (the EM
         // recall/downgrade), and sends it alone - so if one is pending,
-        // this is it.
+        // this is it. A recalled line migrates with its modified data; a
+        // downgraded one flushes it into the shared level.
         const bool data_source = t.data_pending;
-        if (msg->invalidate) {
-            e->sharers &= ~(1u << msg->core);
-            if (e->owner == msg->core) {
-                // Mirror process_writeback: an EM entry never carries
-                // owner = no_core, even transiently (check_invariants
-                // asserts the shape on every paranoid tick).
-                e->owner = mem::no_core;
-                if (e->state == dir_state::exclusive_modified)
-                    e->state = e->sharers == 0 ? dir_state::invalid
-                                               : dir_state::shared;
-            }
-            if (result != mem::snoop_result::not_present && data_source) {
-                t.peer_data = true;
-                t.peer_dirty = result == mem::snoop_result::applied_dirty;
-            }
-        } else {
-            // Downgrade: the owner keeps a Shared copy; modified data
-            // flushes into the shared level so every copy is clean.
-            if (e->owner == msg->core)
-                e->owner = mem::no_core;
-            if (e->state == dir_state::exclusive_modified)
-                e->state = dir_state::shared;
-            if (result != mem::snoop_result::not_present) {
-                if (result == mem::snoop_result::applied_dirty)
-                    push_writeback_below(now, t.block, true, msg->core);
-                t.peer_data = true;
-            } else {
-                // The owner evicted the line; its writeback already left
-                // (or is about to leave) for the shared level.
-                e->sharers &= ~(1u << msg->core);
-            }
+        if (result != mem::snoop_result::not_present && data_source) {
+            t.peer_data = true;
+            t.peer_dirty = msg->invalidate &&
+                           result == mem::snoop_result::applied_dirty;
+            if (!msg->invalidate && result == mem::snoop_result::applied_dirty)
+                push_writeback_below(now, t.block, true, msg->core);
         }
         dir_.touch();
         if (data_source) {
@@ -536,11 +464,7 @@ void coherence_hub::maybe_finish(cycle_t now, std::int32_t slot)
         return;
 
     dir_entry* e = dir_.find(t.block);
-    const std::uint32_t me = 1u << t.requester;
-    e->sharers |= me;
-    const bool exclusive = t.rfo || e->sharers == me;
-    e->state = exclusive ? dir_state::exclusive_modified : dir_state::shared;
-    e->owner = exclusive ? t.requester : mem::no_core;
+    const bool exclusive = grant(*e, t.requester, t.rfo);
     e->txn = -1;
     dir_.touch();
 

@@ -81,14 +81,14 @@ public:
     // mem_port (L1 side)
     bool can_accept(const mem::mem_request& request) const override;
     void accept(const mem::mem_request& request) override;
-    /// Functional twin of the MESI transaction machinery for the sampled
-    /// fast-forward path: applies the same directory transitions and the
-    /// same remote-copy invalidations/downgrades synchronously (the warm
-    /// contract guarantees a quiescent machine, so snoops cannot race or
-    /// retry), then falls through to the shared backend's warm_access.
-    /// Returns the E/M grant and migrated dirtiness exactly like the
-    /// detailed response fields the L1's refill path reads. See DESIGN.md,
-    /// "Sampling and statistical confidence" for the transition table.
+    /// The sampled fast-forward path: runs the same directory transitions
+    /// as the timed transactions (plan_request, snooped, grant,
+    /// release_copy), landing the plan's snoops synchronously through the
+    /// L1s' line transitions (the warm contract guarantees a quiescent
+    /// machine, so snoops cannot race or retry), then falls through to the
+    /// shared backend's warm_access. Returns the E/M grant and migrated
+    /// dirtiness exactly like the detailed response fields the L1's refill
+    /// path reads. See DESIGN.md, "Warm coherence".
     mem::warm_result warm_access(const mem::warm_request& request) override;
 
     // mem_client (shared-level side)
@@ -166,7 +166,39 @@ private:
     void process_requests(cycle_t now);
     void process_read(cycle_t now, const mem::mem_request& request);
     void process_writeback(cycle_t now, const mem::mem_request& request);
-    void drain_downstream(cycle_t now);
+    void drain_downstream();
+
+    // Directory transitions, one definition each, shared by the timed
+    // transactions and warm_access(). Only the timed path counts.
+
+    /// What a read or RFO needs before it can be granted: a remote EM
+    /// owner that supplies the data (recalled for an RFO, downgraded for a
+    /// read), other sharers to invalidate, and whether the data comes from
+    /// the shared level.
+    struct request_plan {
+        mem::core_id_t source = mem::no_core;
+        std::uint32_t invalidate = 0;
+        bool fetch = false;
+    };
+    request_plan plan_request(const dir_entry& e, mem::core_id_t core,
+                              bool rfo) const;
+    /// Drop `core`'s copy from the entry (writeback, invalidation): its
+    /// sharer bit, and its ownership if it owned the line.
+    void drop_sharer(dir_entry& e, mem::core_id_t core);
+    /// A snoop on `core`'s copy resolved with `result` (never retry).
+    void snooped(dir_entry& e, mem::core_id_t core, bool invalidate,
+                 mem::snoop_result result);
+    /// Completion: the requester joins the sharers with E/M (sole copy or
+    /// RFO) or S. Returns the exclusive grant.
+    bool grant(dir_entry& e, mem::core_id_t core, bool rfo);
+    /// An eviction notification from `core`. Returns the entry when a
+    /// transaction is in flight on it (the caller checks for a race),
+    /// else nullptr (the entry is released once it tracks nothing).
+    dir_entry* release_copy(addr_t block, mem::core_id_t core);
+    bool forwards_victim(bool dirty) const
+    {
+        return dirty || config_.forward_clean_victims;
+    }
 
     std::int32_t allocate_txn();
     txn* txn_by_down_id(txn_id_t id);

@@ -332,7 +332,7 @@ void dnuca_cache::process_memory_responses(cycle_t now)
             continue;
         }
 
-        install_at_tail(now, block, /*dirty=*/false);
+        install_at_tail(block, /*dirty=*/false);
         const auto entry = mshrs_.release(block);
         if (upstream_ != nullptr) {
             for (std::uint32_t t = 0; t < entry.target_count; ++t) {
@@ -438,44 +438,40 @@ void dnuca_cache::run_banks(cycle_t now)
 void dnuca_cache::promote(cycle_t now, unsigned column, unsigned row,
                           addr_t bank_local)
 {
-    // Generational promotion: swap the hit block one row closer to the
-    // controller. The arrays swap immediately; two migrate packets model
-    // the traffic and contention of the exchange.
-    bank& lower = bank_at(column, row);      // hit bank (farther)
-    bank& upper = bank_at(column, row - 1);  // closer bank
-    const addr_t block = bank_local;
-
-    const auto moving = lower.tags->extract(block);
-    if (!moving)
-        return; // already promoted by a racing access
-
-    // Make room in the closer bank: its victim drops into the hit bank.
-    if (auto displaced = upper.tags->install(block, moving->dirty)) {
-        if (auto re = lower.tags->install(displaced->block_addr,
-                                          displaced->dirty)) {
-            // Both sets full and distinct victims: the doubly-displaced
-            // block leaves the cache (zero-copy replacement).
-            mem::mem_request writeback;
-            writeback.id = ids_.next();
-            writeback.addr = from_bank_addr(re->block_addr, column);
-            writeback.size = config_.block_bytes;
-            writeback.kind = mem::access_kind::writeback;
-            writeback.needs_response = false;
-            writeback.dirty = re->dirty;
-            if (re->dirty)
-                memory_queue_.push_back(writeback);
-            counters_.inc(h_promotion_spills_);
-        }
+    // Generational promotion: the arrays swap immediately; two migrate
+    // packets model the traffic and contention of the exchange.
+    if (const auto re = swap_up(column, row, bank_local)) {
+        // Both sets full and distinct victims: the doubly-displaced block
+        // leaves the cache (zero-copy replacement).
+        if (re->dirty)
+            memory_queue_.push_back(writeback_of(*re, column));
+        counters_.inc(h_promotion_spills_);
     }
     counters_.inc(h_promotions_);
 
-    send_packet(lower.outbox, noc::packet_kind::migrate,
-                bank_coord(column, row), bank_coord(column, row - 1), block,
-                0, flits_for_block(), now);
-    send_packet(upper.outbox, noc::packet_kind::migrate,
-                bank_coord(column, row - 1), bank_coord(column, row), block,
-                0, flits_for_block(), now);
+    send_packet(bank_at(column, row).outbox, noc::packet_kind::migrate,
+                bank_coord(column, row), bank_coord(column, row - 1),
+                bank_local, 0, flits_for_block(), now);
+    send_packet(bank_at(column, row - 1).outbox, noc::packet_kind::migrate,
+                bank_coord(column, row - 1), bank_coord(column, row),
+                bank_local, 0, flits_for_block(), now);
     active_banks_.set(bank_index(column, row - 1)); // the hit bank is active
+}
+
+std::optional<mem::evicted_line> dnuca_cache::swap_up(unsigned column,
+                                                      unsigned row,
+                                                      addr_t local)
+{
+    // Swap the hit block one row closer to the controller; the closer
+    // bank's victim drops into the way it vacated.
+    mem::tag_array& lower = *bank_at(column, row).tags; // hit bank (farther)
+    mem::tag_array& upper = *bank_at(column, row - 1).tags;
+    const auto moving = lower.extract(local);
+    if (!moving)
+        return std::nullopt;
+    if (const auto displaced = upper.install(local, moving->dirty))
+        return lower.install(displaced->block_addr, displaced->dirty);
+    return std::nullopt;
 }
 
 void dnuca_cache::controller_flit(cycle_t now, const noc::flit& f)
@@ -545,30 +541,39 @@ void dnuca_cache::controller_flit(cycle_t now, const noc::flit& f)
     } else {
         // Word write or writeback that found no copy: install at the tail.
         counters_.inc(h_write_installs_);
-        install_at_tail(now, state.block, state.dirty);
+        install_at_tail(state.block, state.dirty);
         close_request(slot);
     }
 }
 
-void dnuca_cache::install_at_tail(cycle_t now, addr_t block, bool dirty)
+void dnuca_cache::install_at_tail(addr_t block, bool dirty)
 {
-    (void)now;
-    const unsigned column = column_of(block);
-    bank& tail = bank_at(column, config_.rows);
     counters_.inc(h_bank_writes_);
-    if (auto victim = tail.tags->install(to_bank_addr(block), dirty)) {
+    if (const auto victim = tail_insert(block, dirty)) {
         counters_.inc(h_tail_evictions_);
-        if (victim->dirty) {
-            mem::mem_request writeback;
-            writeback.id = ids_.next();
-            writeback.addr = from_bank_addr(victim->block_addr, column);
-            writeback.size = config_.block_bytes;
-            writeback.kind = mem::access_kind::writeback;
-            writeback.needs_response = false;
-            writeback.dirty = true;
-            memory_queue_.push_back(writeback);
-        }
+        if (victim->dirty)
+            memory_queue_.push_back(writeback_of(*victim, column_of(block)));
     }
+}
+
+std::optional<mem::evicted_line> dnuca_cache::tail_insert(addr_t block,
+                                                          bool dirty)
+{
+    return bank_at(column_of(block), config_.rows)
+        .tags->install(to_bank_addr(block), dirty);
+}
+
+mem::mem_request dnuca_cache::writeback_of(const mem::evicted_line& victim,
+                                           unsigned column)
+{
+    mem::mem_request writeback;
+    writeback.id = ids_.next();
+    writeback.addr = from_bank_addr(victim.block_addr, column);
+    writeback.size = config_.block_bytes;
+    writeback.kind = mem::access_kind::writeback;
+    writeback.needs_response = false;
+    writeback.dirty = victim.dirty;
+    return writeback;
 }
 
 void dnuca_cache::drain_memory_queue(cycle_t now)
@@ -585,67 +590,33 @@ void dnuca_cache::drain_memory_queue(cycle_t now)
 
 mem::warm_result dnuca_cache::warm_access(const mem::warm_request& request)
 {
-    // Functional twin of the probe/promotion/insertion policies (see the
-    // warm_access() contract in src/mem/request.h): simple column mapping,
-    // LRU within a bank, one-row generational promotion on read hits,
-    // tail insertion with zero-copy replacement.
+    // The bank-side content transitions of run_banks() and
+    // controller_flit() applied at once (see the warm_access() contract in
+    // src/mem/request.h): a read hit promotes one row, a write or
+    // writeback hit dirties the line, and every miss inserts at the tail.
+    // Victims leave the cache; main memory holds no warmable state. The
+    // timing reply never carries dirtiness (the bank keeps its dirty copy;
+    // the upper level installs clean), so the result is always {}.
     const addr_t block = request.addr & ~addr_t(config_.block_bytes - 1);
     const unsigned column = column_of(block);
     const addr_t local = to_bank_addr(block);
-
-    switch (request.kind) {
-    case mem::access_kind::read:
-        for (unsigned row = 1; row <= config_.rows; ++row) {
-            bank& b = bank_at(column, row);
-            if (b.tags->lookup(local)) {
-                if (row > 1) {
-                    // The promotion swap of promote(), arrays only.
-                    const auto moving = b.tags->extract(local);
-                    bank& upper = bank_at(column, row - 1);
-                    if (const auto displaced =
-                            upper.tags->install(local, moving && moving->dirty))
-                        b.tags->install(displaced->block_addr,
-                                        displaced->dirty);
-                }
-                // The timing reply never carries dirtiness (the bank keeps
-                // its dirty copy; the upper level installs clean).
-                return {};
-            }
-        }
-        // Miss: the memory fill installs at the tail row.
-        warm_install_at_tail(block, false);
-        return {};
-    case mem::access_kind::write:
-        for (unsigned row = 1; row <= config_.rows; ++row) {
-            bank& b = bank_at(column, row);
-            if (b.tags->lookup(local)) {
-                b.tags->set_dirty(local, true);
-                return {};
-            }
-        }
-        warm_install_at_tail(block, true); // write miss installs at the tail
-        return {};
-    case mem::access_kind::writeback:
-        for (unsigned row = 1; row <= config_.rows; ++row) {
-            bank& b = bank_at(column, row);
-            if (b.tags->lookup(local)) {
-                if (request.dirty)
-                    b.tags->set_dirty(local, true);
-                return {};
-            }
-        }
-        warm_install_at_tail(block, request.dirty);
-        return {};
-    }
+    const bool read = request.kind == mem::access_kind::read;
+    const unsigned row = hit_row(column, local);
+    if (row == 0)
+        tail_insert(block, !read);
+    else if (!read)
+        bank_at(column, row).tags->set_dirty(local, true);
+    else if (row > 1)
+        swap_up(column, row, local);
     return {};
 }
 
-void dnuca_cache::warm_install_at_tail(addr_t block, bool dirty)
+unsigned dnuca_cache::hit_row(unsigned column, addr_t local)
 {
-    // Tail victims leave the cache (zero-copy replacement); main memory
-    // holds no warmable state, so the victim writeback simply vanishes.
-    bank_at(column_of(block), config_.rows)
-        .tags->install(to_bank_addr(block), dirty);
+    for (unsigned row = 1; row <= config_.rows; ++row)
+        if (bank_at(column, row).tags->lookup(local))
+            return row;
+    return 0;
 }
 
 void dnuca_cache::prewarm(addr_t addr)

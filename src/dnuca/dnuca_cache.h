@@ -28,6 +28,7 @@
 #include "src/sim/timed_queue.h"
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace lnuca::dnuca {
@@ -80,6 +81,11 @@ public:
     /// rows outside 1..rows.
     std::uint64_t hits_in_row(unsigned row) const;
     bool quiescent() const;
+    /// Bank array at (column, row), rows 1..rows (tests, introspection).
+    const mem::tag_array& bank_tags(unsigned column, unsigned row) const
+    {
+        return *banks_[bank_index(column, row)].tags;
+    }
 
     /// Functionally install a block (no timing, no traffic): used to warm
     /// the arrays before measurement. Spreads lines round-robin over rows.
@@ -185,9 +191,20 @@ private:
     void eject_and_handle(cycle_t now);
     void run_banks(cycle_t now);
     void controller_flit(cycle_t now, const noc::flit& f);
-    void install_at_tail(cycle_t now, addr_t block, bool dirty);
+    void install_at_tail(addr_t block, bool dirty);
     void promote(cycle_t now, unsigned column, unsigned row, addr_t block);
-    void warm_install_at_tail(addr_t block, bool dirty);
+    // Content transitions shared by the timed path and warm_access().
+    /// The promotion swap of a block just hit in bank (column, row);
+    /// returns a block pushed out of the column.
+    std::optional<mem::evicted_line> swap_up(unsigned column, unsigned row,
+                                             addr_t local);
+    /// Insertion at the farthest row; returns the tail victim.
+    std::optional<mem::evicted_line> tail_insert(addr_t block, bool dirty);
+    /// Row (1..rows) whose bank holds `local`, with a recency touch; 0 on
+    /// a miss in every row.
+    unsigned hit_row(unsigned column, addr_t local);
+    mem::mem_request writeback_of(const mem::evicted_line& victim,
+                                  unsigned column);
     void inject_from(injector& from, noc::coord at);
     void drain_memory_queue(cycle_t now);
     void send_packet(injector& from, noc::packet_kind kind, noc::coord src,

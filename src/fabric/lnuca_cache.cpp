@@ -855,7 +855,7 @@ std::uint64_t lnuca_cache::tile_capacity_bytes() const
 
 mem::warm_result lnuca_cache::warm_access(const mem::warm_request& request)
 {
-    // Functional twin of the search/replacement/store paths (see the
+    // Stand-in for the search/replacement/store paths (see the
     // warm_access() contract in src/mem/request.h). Content exclusion is
     // preserved: a read hit extracts the block (it moves into the r-tile,
     // whose warm path installs it), evictions enter via the replacement

@@ -2,7 +2,9 @@
 
 #include "src/common/types.h"
 
+#include <algorithm>
 #include <cctype>
+#include <vector>
 
 namespace lnuca::hier {
 
@@ -316,6 +318,26 @@ bool override_bus(mem::bus_config& c, const std::string& field,
     return true;
 }
 
+/// Fields whose zero crashes the simulator, throws inside the job or
+/// stalls it until the cycle ceiling. Zero stays legal wherever it means
+/// something: latencies, cache banks, mshr_secondary, fabric exit queue,
+/// bus arbitration and response size. Cache fields hold for l1, l2 and l3.
+bool zero_is_invalid(const std::string& group, const std::string& field)
+{
+    static const std::vector<std::string> keys = {
+        "cache.size_kb", "cache.ways", "cache.block_bytes", "cache.ports",
+        "cache.mshr_entries", "cache.write_buffer_entries",
+        "core.fetch_width", "core.dispatch_width", "core.commit_width",
+        "core.rob_size", "core.lsq_size", "core.store_buffer_size",
+        "core.tlb_entries", "fabric.levels", "fabric.mshr_entries",
+        "fabric.inject_queue_depth", "fabric.evict_queue_depth",
+        "dnuca.bank_sets", "dnuca.rows", "dnuca.bank_kb", "dnuca.bank_ways",
+        "memory.queue_depth", "bus.width_bytes"};
+    const bool cache = group == "l1" || group == "l2" || group == "l3";
+    const std::string family = (cache ? "cache" : group) + "." + field;
+    return std::find(keys.begin(), keys.end(), family) != keys.end();
+}
+
 } // namespace
 
 bool apply_config_override(system_config& config, const std::string& key,
@@ -342,6 +364,12 @@ bool apply_config_override(system_config& config, const std::string& key,
             ok = override_memory(config.memory, field, value);
         else if (group == "bus")
             ok = override_bus(config.l1_l2_bus, field, value);
+        if (ok && value == 0 && zero_is_invalid(group, field)) {
+            if (error != nullptr)
+                *error = "system_config override '" + key +
+                         "' must be positive";
+            return false;
+        }
     }
     if (!ok && error != nullptr)
         *error = "unknown system_config override key '" + key + "'";

@@ -166,7 +166,10 @@ system_config cmp(const system_config& base, unsigned cores);
 ///   bus.*                width_bytes, arbitration, response_bytes
 ///
 /// Returns false (with *error naming the key) on an unknown key — a
-/// manifest must not silently ignore a mistyped override. The config's
+/// manifest must not silently ignore a mistyped override — and on a zero
+/// for a field whose zero would crash, throw or stall the run (sizes,
+/// ways, widths, queue and buffer depths; latencies, `banks` and
+/// `mshr_secondary` accept zero). The config's
 /// name is NOT touched; callers append their own provenance suffix.
 bool apply_config_override(system_config& config, const std::string& key,
                            std::uint64_t value, std::string* error);

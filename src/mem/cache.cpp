@@ -310,8 +310,8 @@ void conventional_cache::handle_incoming_writeback(cycle_t now,
         lookups_.push(now + 1, access);
         return;
     }
-    if (auto victim = tags_.install(req.addr, req.dirty))
-        queue_victim(now, *victim);
+    if (auto victim = install_line(req.addr, req.dirty, false))
+        queue_victim(*victim);
 }
 
 void conventional_cache::issue_misses(cycle_t now)
@@ -396,10 +396,8 @@ void conventional_cache::process_refills(cycle_t now)
             for (std::uint32_t t = 0; t < entry.target_count; ++t)
                 fill_dirty |= entry.targets[t].kind == access_kind::write;
 
-        if (auto victim = tags_.install(block, fill_dirty))
-            queue_victim(now, *victim);
-        if (config_.coherent)
-            tags_.set_exclusive(block, response->exclusive || fill_dirty);
+        if (auto victim = install_line(block, fill_dirty, response->exclusive))
+            queue_victim(*victim);
         counters_.inc(h_fills_);
 
         for (std::uint32_t t = 0; t < entry.target_count; ++t)
@@ -422,25 +420,35 @@ void conventional_cache::respond_up(cycle_t now, const mshr_target& target,
     upstream_->respond(response);
 }
 
-void conventional_cache::queue_victim(cycle_t now, const evicted_line& victim)
+void conventional_cache::queue_victim(const evicted_line& victim)
 {
-    (void)now;
     counters_.inc(h_evictions_);
-    if (!victim.dirty && !config_.writeback_clean)
+    if (!writes_back(victim))
         return;
     counters_.inc(h_writeback_out_);
     // Capacity was checked before install; push cannot fail here.
     wb_.push(victim.block_addr, /*writeback=*/true, victim.dirty);
 }
 
+std::optional<evicted_line> conventional_cache::install_line(addr_t addr,
+                                                             bool dirty,
+                                                             bool exclusive)
+{
+    auto victim = tags_.install(addr, dirty);
+    // MESI: E on a sole-copy grant, M whenever the line carries modified
+    // data (a dirty line is always exclusive).
+    if (config_.coherent)
+        tags_.set_exclusive(addr, exclusive || dirty);
+    return victim;
+}
+
 warm_result conventional_cache::warm_access(const warm_request& request)
 {
-    // Functional twin of process_lookup(): identical allocation, recency,
-    // dirtiness and propagation decisions, zero timing state (see the
-    // warm_access() contract in src/mem/request.h). Coherent caches
-    // additionally mirror the MESI decisions of handle_read_like() and
-    // process_refills(): upgrades on store hits to Shared lines, RFO
-    // fetches on store misses, and the exclusive bit of every install.
+    // The content transitions of process_lookup() and process_refills()
+    // applied at once (see the warm_access() contract in src/mem/request.h):
+    // the same hit, upgrade, fill and victim decisions, with the fetch and
+    // the victim writeback passed down synchronously. No timing state, no
+    // counters.
     if (warm_state_stale_) {
         // Detailed execution ran since the last warm access: the elision
         // block may have been evicted and the real write buffer drained.
@@ -449,45 +457,30 @@ warm_result conventional_cache::warm_access(const warm_request& request)
         warm_wb_pos_ = 0;
         warm_state_stale_ = false;
     }
+    const addr_t block = tags_.block_of(request.addr);
     if (request.kind != access_kind::writeback) {
-        const addr_t block = tags_.block_of(request.addr);
         if (block == warm_last_block_ && request.kind == warm_last_kind_)
             return {}; // consecutive repeat: hit on the MRU block, no-op
         warm_last_block_ = block;
         warm_last_kind_ = request.kind;
     }
     switch (request.kind) {
-    case access_kind::read: {
+    case access_kind::read:
         // Snoop order matches handle_read_like(): a write-buffer hit is
         // served without touching tag recency at all.
-        if (warm_wb_contains(tags_.block_of(request.addr)))
-            return {}; // write-buffer snoop hit: served, no install
-        if (tags_.lookup(request.addr))
-            return {}; // hit: recency refreshed, block stays put
-        warm_result below;
-        if (downstream_ != nullptr)
-            below = downstream_->warm_access({request.addr, access_kind::read,
-                                              false, false, config_.core_id});
-        warm_install(request.addr, below.dirty);
-        if (config_.coherent)
-            // Mirror process_refills(): install E when the hub granted
-            // sole ownership, M when the block migrated dirty.
-            tags_.set_exclusive(request.addr, below.exclusive || below.dirty);
-        return {below.dirty, false};
-    }
+        if (warm_wb_contains(block) || tags_.lookup(block))
+            return {};
+        return {warm_fill(request.addr, false), false};
     case access_kind::write:
         if (config_.write_through || !config_.write_allocate) {
-            if (!config_.write_through && tags_.lookup(request.addr)) {
+            if (tags_.lookup(block) && !config_.write_through) {
                 // Copy-back no-write-allocate (the r-tile): a store hit
                 // dirties in place and produces no downstream traffic.
-                tags_.set_dirty(request.addr, true);
+                tags_.set_dirty(block, true);
                 return {};
             }
-            if (config_.write_through)
-                tags_.lookup(request.addr); // hit refreshes recency, stays clean
             // Write-through traffic and r-tile store misses forward below,
             // coalescing per block like the outgoing write buffer.
-            const addr_t block = tags_.block_of(request.addr);
             if (downstream_ != nullptr && !warm_wb_contains(block)) {
                 warm_wb_remember(block);
                 downstream_->warm_access({request.addr, access_kind::write,
@@ -495,34 +488,46 @@ warm_result conventional_cache::warm_access(const warm_request& request)
             }
             return {};
         }
-        // Copy-back write-allocate: a store miss fetches and dirties.
-        if (tags_.lookup(request.addr)) {
-            if (config_.coherent && !tags_.is_exclusive(request.addr)) {
-                // Store hit on a Shared line: warm upgrade. The hub
-                // functionally invalidates every other copy; no data moves
-                // (mirrors handle_read_like()'s h_upgrade_miss_ path).
-                if (downstream_ != nullptr)
-                    downstream_->warm_access({request.addr, access_kind::read,
-                                              false, true, config_.core_id});
-                tags_.set_exclusive(request.addr, true);
-            }
-            tags_.set_dirty(request.addr, true);
+        if (!tags_.lookup(block)) {
+            warm_fill(request.addr, true); // write-allocate: fetch, dirty
             return {};
         }
-        if (downstream_ != nullptr)
-            // Coherent store miss is a read-for-ownership (mirrors
-            // issue_misses(): miss.exclusive = coherent && for_write).
-            downstream_->warm_access({request.addr, access_kind::read, false,
-                                      config_.coherent, config_.core_id});
-        warm_install(request.addr, true);
-        if (config_.coherent)
-            tags_.set_exclusive(request.addr, true); // RFO installs M
+        if (config_.coherent && !tags_.is_exclusive(block)) {
+            // Store hit on a Shared line: the upgrade of handle_read_like().
+            // The hub invalidates every other copy; no data moves.
+            if (downstream_ != nullptr)
+                downstream_->warm_access({request.addr, access_kind::read,
+                                          false, true, config_.core_id});
+            tags_.set_exclusive(block, true);
+        }
+        tags_.set_dirty(block, true);
         return {};
     case access_kind::writeback:
-        warm_install(request.addr, request.dirty);
+        warm_write_back(install_line(request.addr, request.dirty, false));
         return {};
     }
     return {};
+}
+
+bool conventional_cache::warm_fill(addr_t addr, bool write)
+{
+    // The miss of issue_misses() (a coherent store miss asks for ownership)
+    // and the install of process_refills().
+    warm_result below;
+    if (downstream_ != nullptr)
+        below = downstream_->warm_access({addr, access_kind::read, false,
+                                          config_.coherent && write,
+                                          config_.core_id});
+    warm_write_back(install_line(addr, below.dirty || write, below.exclusive));
+    return below.dirty;
+}
+
+void conventional_cache::warm_write_back(
+    const std::optional<evicted_line>& victim)
+{
+    if (victim && writes_back(*victim) && downstream_ != nullptr)
+        downstream_->warm_access({victim->block_addr, access_kind::writeback,
+                                  victim->dirty, false, config_.core_id});
 }
 
 bool conventional_cache::warm_wb_contains(addr_t block) const
@@ -543,17 +548,6 @@ void conventional_cache::warm_wb_remember(addr_t block)
     warm_wb_pos_ = (warm_wb_pos_ + 1) % warm_wb_.size();
 }
 
-void conventional_cache::warm_install(addr_t addr, bool dirty)
-{
-    if (auto victim = tags_.install(addr, dirty)) {
-        if (downstream_ != nullptr &&
-            (victim->dirty || config_.writeback_clean))
-            downstream_->warm_access({victim->block_addr,
-                                      access_kind::writeback, victim->dirty,
-                                      false, config_.core_id});
-    }
-}
-
 bool conventional_cache::quiescent() const
 {
     return lookups_.empty() && refills_.empty() && mshrs_.empty() &&
@@ -563,85 +557,65 @@ bool conventional_cache::quiescent() const
 snoop_result conventional_cache::snoop_invalidate(addr_t addr)
 {
     const addr_t block = tags_.block_of(addr);
-    // A granted fill is on its way in: the directory already promised this
-    // cache the line (possibly exclusively), so the snoop must land on the
-    // installed copy, not on a stale tags entry the fill would silently
-    // resurrect with E/M permission.
-    if (pending_fill(block)) {
-        counters_.inc(h_snoop_retry_);
+    if (snoop_must_wait(block))
         return snoop_result::retry;
-    }
-    if (tags_.probe(block)) {
-        // Present: drop the copy. A store already queued for this block
-        // simply misses afterwards and re-requests ownership.
-        const auto line = tags_.extract(block);
-        warm_state_stale_ = true;
+    // Present: drop the copy. A store already queued for this block simply
+    // misses afterwards and re-requests ownership.
+    const snoop_result result = invalidate_line(block);
+    if (result != snoop_result::not_present)
         counters_.inc(h_snoop_inv_);
-        if (line->dirty) {
-            counters_.inc(h_snoop_inv_dirty_);
-            return snoop_result::applied_dirty;
-        }
-        return snoop_result::applied_clean;
-    }
-    // A fill on its way in, or an eviction writeback on its way out: let it
-    // land first (the hub re-delivers the snoop next cycle).
-    if (mshrs_.find(block) != nullptr || wb_.contains(block)) {
-        counters_.inc(h_snoop_retry_);
-        return snoop_result::retry;
-    }
-    return snoop_result::not_present;
+    if (result == snoop_result::applied_dirty)
+        counters_.inc(h_snoop_inv_dirty_);
+    return result;
 }
 
 snoop_result conventional_cache::snoop_downgrade(addr_t addr)
 {
     const addr_t block = tags_.block_of(addr);
-    if (pending_fill(block)) {
-        counters_.inc(h_snoop_retry_);
+    if (snoop_must_wait(block))
         return snoop_result::retry;
-    }
-    if (const auto hit = tags_.probe(block)) {
-        const bool was_dirty = hit->was_dirty;
-        tags_.set_dirty(block, false);
-        tags_.set_exclusive(block, false);
+    const snoop_result result = downgrade_line(block);
+    if (result != snoop_result::not_present)
         counters_.inc(h_snoop_downgrade_);
-        return was_dirty ? snoop_result::applied_dirty
-                         : snoop_result::applied_clean;
-    }
-    if (mshrs_.find(block) != nullptr || wb_.contains(block)) {
-        counters_.inc(h_snoop_retry_);
-        return snoop_result::retry;
-    }
-    return snoop_result::not_present;
+    return result;
 }
 
-snoop_result conventional_cache::warm_snoop_invalidate(addr_t addr)
+bool conventional_cache::snoop_must_wait(addr_t block)
 {
-    // Tags-only twin of snoop_invalidate(): the machine is quiescent, so
-    // nothing is in flight and `retry` cannot occur. No counters - the warm
-    // path is statistics-free by contract.
+    // A granted fill is on its way in: the directory already promised this
+    // cache the line (possibly exclusively), so the snoop must land on the
+    // installed copy, not on a stale tags entry the fill would silently
+    // resurrect with E/M permission. Absent lines wait for a fill still in
+    // the MSHRs or an eviction writeback on its way out.
+    const bool wait = pending_fill(block) ||
+                      (!tags_.probe(block) &&
+                       (mshrs_.find(block) != nullptr || wb_.contains(block)));
+    if (wait)
+        counters_.inc(h_snoop_retry_);
+    return wait;
+}
+
+snoop_result conventional_cache::invalidate_line(addr_t addr)
+{
     const addr_t block = tags_.block_of(addr);
-    if (block == warm_last_block_)
-        warm_last_block_ = no_addr;
+    forget_warm_block(block);
     if (const auto line = tags_.extract(block))
         return line->dirty ? snoop_result::applied_dirty
                            : snoop_result::applied_clean;
     return snoop_result::not_present;
 }
 
-snoop_result conventional_cache::warm_snoop_downgrade(addr_t addr)
+snoop_result conventional_cache::downgrade_line(addr_t addr)
 {
     const addr_t block = tags_.block_of(addr);
-    // Drop the elision cache even though the line stays resident: a later
-    // warm store to this block must not be elided, or it would skip
-    // re-acquiring write permission through the hub.
-    if (block == warm_last_block_)
-        warm_last_block_ = no_addr;
+    // The line stays resident, but a later warm store to it must not be
+    // elided, or it would skip re-acquiring write permission.
+    forget_warm_block(block);
     if (const auto hit = tags_.probe(block)) {
-        const bool was_dirty = hit->was_dirty;
         tags_.set_dirty(block, false);
         tags_.set_exclusive(block, false);
-        return was_dirty ? snoop_result::applied_dirty
-                         : snoop_result::applied_clean;
+        return hit->was_dirty ? snoop_result::applied_dirty
+                              : snoop_result::applied_clean;
     }
     return snoop_result::not_present;
 }

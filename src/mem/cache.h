@@ -19,6 +19,7 @@
 #include "src/sim/ticked.h"
 #include "src/sim/timed_queue.h"
 
+#include <optional>
 #include <string>
 
 namespace lnuca::mem {
@@ -93,22 +94,20 @@ public:
     tag_array& tags() { return tags_; }
     bool quiescent() const; ///< no in-flight work (drain detection)
 
-    /// Coherence snoops (hub-initiated, coherent caches only). Invalidate
-    /// drops the line; downgrade strips write permission and cleans it
-    /// (MESI M/E -> S), reporting whether modified data was flushed. Both
-    /// ask for a retry while a fill or an eviction writeback for the block
-    /// is in flight - the hub re-delivers next cycle.
+    /// Coherence snoops (hub-initiated, coherent caches only): the retry
+    /// guards and counters around invalidate_line() / downgrade_line().
+    /// Both ask for a retry while a fill or an eviction writeback for the
+    /// block is in flight - the hub re-delivers next cycle.
     snoop_result snoop_invalidate(addr_t addr);
     snoop_result snoop_downgrade(addr_t addr);
 
-    /// Functional twins of the snoops for the coherence hub's warm path:
-    /// tags-only mutation (extract / clean + strip write permission), no
-    /// counters, never `retry` - the warm path runs only while the whole
-    /// machine is quiescent, so nothing can be in flight. Both also drop
-    /// the warm-path elision caches when they cover the block, or a later
-    /// warm access would wrongly skip re-acquiring permission.
-    snoop_result warm_snoop_invalidate(addr_t addr);
-    snoop_result warm_snoop_downgrade(addr_t addr);
+    /// The line transitions of the snoops, shared by the timed snoops above
+    /// and the coherence hub's warm path: invalidate drops the line,
+    /// downgrade strips write permission and cleans it (MESI M/E -> S).
+    /// Both report whether modified data left, never `retry`, count
+    /// nothing, and drop the warm elision memo when it covers the block.
+    snoop_result invalidate_line(addr_t addr);
+    snoop_result downgrade_line(addr_t addr);
 
     /// Coherence invariant probe: the directory may list this cache as a
     /// sharer iff the block is resident or still moving through the fill /
@@ -151,8 +150,25 @@ private:
     void process_refills(cycle_t now);
     void respond_up(cycle_t now, const mshr_target& target, service_level origin,
                     std::uint8_t fabric_level);
-    void queue_victim(cycle_t now, const evicted_line& victim);
-    void warm_install(addr_t addr, bool dirty);
+    bool snoop_must_wait(addr_t block);
+    /// Install a fill or an incoming writeback; coherent caches also set
+    /// the line's MESI permission. Returns the displaced victim.
+    std::optional<evicted_line> install_line(addr_t addr, bool dirty,
+                                             bool exclusive);
+    /// Victims that leave for the next level: dirty ones, and clean ones
+    /// too in victim/exclusive hierarchies.
+    bool writes_back(const evicted_line& victim) const
+    {
+        return victim.dirty || config_.writeback_clean;
+    }
+    void queue_victim(const evicted_line& victim);
+    bool warm_fill(addr_t addr, bool write);
+    void warm_write_back(const std::optional<evicted_line>& victim);
+    void forget_warm_block(addr_t block)
+    {
+        if (block == warm_last_block_)
+            warm_last_block_ = no_addr;
+    }
 
     cache_config config_;
     txn_id_source& ids_;

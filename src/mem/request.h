@@ -95,8 +95,8 @@ struct warm_request {
     core_id_t core = 0;
 };
 
-/// What a warm read pulled up - the functional twin of the mem_response
-/// fields an install decision depends on.
+/// What a warm read pulled up: the mem_response fields an install
+/// decision depends on, so a warm fill and a timed refill install alike.
 struct warm_result {
     /// The block carries modified data (the caller's install must preserve
     /// dirtiness, exactly like mem_response::dirty).
@@ -116,8 +116,10 @@ public:
     virtual bool can_accept(const mem_request& request) const = 0;
     virtual void accept(const mem_request& request) = 0;
 
-    /// Functional warming contract (see DESIGN.md, "Sampling"): update every
-    /// stateful structure the access would touch under detailed timing -
+    /// Functional warming contract (see DESIGN.md, "The warm_access()
+    /// contract"): apply the content transitions the access would make
+    /// under detailed timing - ideally the very functions the timed path
+    /// schedules - to every stateful structure it would touch:
     /// tags, recency, dirtiness, allocation/migration decisions, MESI
     /// permission and directory sharer/owner state, and the same
     /// propagation down the hierarchy (miss fetches, victim writebacks,

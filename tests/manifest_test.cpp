@@ -101,6 +101,37 @@ TEST(manifest, rejects_bad_axis_values)
               std::string::npos);
 }
 
+TEST(manifest, rejects_zero_where_zero_breaks_the_run)
+{
+    // Measured with fig4a --manifest (3000 + 500 instructions): a zero for
+    // each `breaks` key crashes the process, throws inside the job, or
+    // stalls it to the cycle ceiling. The `keeps` keys run normally at 0.
+    const std::vector<std::string> breaks = {
+        "l1.ways", "l1.write_buffer_entries", "l1.ports", "l1.block_bytes",
+        "l1.mshr_entries", "l2.size_kb", "l3.ways", "core.rob_size",
+        "core.fetch_width", "core.tlb_entries", "fabric.levels",
+        "fabric.inject_queue_depth", "fabric.evict_queue_depth",
+        "dnuca.rows", "dnuca.bank_ways", "dnuca.bank_sets",
+        "memory.queue_depth", "bus.width_bytes"};
+    const std::vector<std::string> keeps = {
+        "l1.mshr_secondary", "l2.banks", "l1.completion_latency",
+        "l3.initiation_interval", "core.mispredict_penalty",
+        "fabric.exit_queue_depth", "dnuca.bank_latency",
+        "memory.first_chunk_latency", "bus.arbitration"};
+    const auto with_zero = [](const std::string& key) {
+        return R"({"schema": "lnuca_sweep/1", "presets": ["l2"],
+                   "workloads": ["429.mcf"], "overrides": [{")" +
+               key + R"(": 0}]})";
+    };
+    for (const std::string& key : breaks)
+        EXPECT_NE(parse_error(with_zero(key))
+                      .find("override '" + key + "' must be positive"),
+                  std::string::npos)
+            << key;
+    for (const std::string& key : keeps)
+        EXPECT_EQ(parse_or_die(with_zero(key)).configs.size(), 1u) << key;
+}
+
 // --------------------------------------------------------------------------
 // Axis expansion.
 // --------------------------------------------------------------------------

@@ -61,7 +61,7 @@ TEST(sampling_spec, rejects_malformed_input)
 }
 
 // ---------------------------------------------------------------------------
-// warm_access(): the functional twin of the timing paths.
+// warm_access(): the content transitions of the timing paths, applied at once.
 // ---------------------------------------------------------------------------
 
 TEST(warm_access, conventional_cache_installs_and_refreshes)
