@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace lnuca::cpu {
 namespace {
 
@@ -116,6 +118,10 @@ struct instant_cache final : sim::ticked, mem::mem_port {
             if (client)
                 client->respond(resp);
         }
+    }
+    cycle_t next_event(cycle_t now) const override
+    {
+        return std::max(now, pending_.next_ready());
     }
     cycle_t latency_;
     int accepted = 0;
@@ -332,6 +338,66 @@ TEST_F(core_fixture, loads_served_accounting)
     s.pattern = {ld, alu(), alu(), alu()};
     run_ipc(s, 8000);
     EXPECT_GT(core->loads_served_by(mem::service_level::l1), 0u);
+}
+
+TEST_F(core_fixture, odd_sized_rob_run_is_pinned_under_the_paranoid_engine)
+{
+    // A 70-entry ROB wraps across a partial 64-bit word of the scheduler's
+    // ready-slot mask. The commit cycle and counters are pinned on the
+    // whole-ROB issue scan; state_digest() after every cycle runs the
+    // core's own consistency checks.
+    config.rob_size = 70;
+    rng random(11);
+    pattern_stream s;
+    for (int i = 0; i < 97; ++i) {
+        instruction inst;
+        switch (random.below(8)) {
+        case 0: inst.op = op_class::int_mul; break;
+        case 1: inst.op = op_class::fp_add; break;
+        case 2: inst.op = op_class::fp_div; break;
+        case 3:
+        case 4:
+            inst.op = op_class::load;
+            inst.addr = 0x10000 + random.below(4096) * 8;
+            break;
+        case 5:
+            inst.op = op_class::store;
+            inst.addr = 0x10000 + random.below(4096) * 8;
+            break;
+        case 6:
+            inst.op = op_class::branch;
+            inst.pc = 0x400000 + addr_t(i) * 4;
+            inst.taken = random.chance(0.7);
+            break;
+        default: break; // int_alu
+        }
+        inst.dep[0] = std::uint32_t(random.below(12));
+        inst.dep[1] = std::uint32_t(random.below(40));
+        s.pattern.push_back(inst);
+    }
+    core = std::make_unique<ooo_core>(config, s, ids);
+    dcache = std::make_unique<instant_cache>(14);
+    core->set_dcache(dcache.get());
+    dcache->client = core.get();
+    engine.add(*core);
+    engine.add(*dcache);
+    engine.set_mode(sim::schedule_mode::paranoid);
+    core->set_instruction_limit(30000);
+    while (!core->done() && engine.now() < 2'000'000) {
+        engine.run(1);
+        core->state_digest();
+    }
+    ASSERT_TRUE(core->done());
+    EXPECT_GT(engine.cycles_skipped(), 0u);
+    std::uint64_t h = 0xcbf29ce484222325ULL; // FNV-1a over (name, value)
+    for (const auto& [name, value] : core->counters().items()) {
+        for (const char c : name)
+            h = (h ^ std::uint8_t(c)) * 0x100000001b3ULL;
+        for (int b = 0; b < 8; ++b)
+            h = (h ^ ((value >> (8 * b)) & 0xff)) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(core->finished_at(), 30952u);
+    EXPECT_EQ(h, 0xb422febdc6ba2ef3ULL) << std::hex << h;
 }
 
 } // namespace

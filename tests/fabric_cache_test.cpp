@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -41,6 +42,10 @@ struct stub_next_level final : sim::ticked, mem::mem_port {
             if (client)
                 client->respond(resp);
         }
+    }
+    cycle_t next_event(cycle_t now) const override
+    {
+        return std::max(now, pending_.next_ready());
     }
 
     cycle_t latency_;
@@ -282,13 +287,53 @@ TEST_F(fabric_fixture, capacity_spills_through_corner_exits)
     EXPECT_LE(valid, fab->tile_capacity_bytes() / 32);
 }
 
-TEST_F(fabric_fixture, exclusion_invariant_under_stress)
+/// Portable fold of a counter set's (name, value) pairs. counter_set's own
+/// digest() hashes names with std::hash, which is only stable within one
+/// process, so a pinned value uses this FNV-1a fold instead.
+std::uint64_t counters_fingerprint(const counter_set& counters)
 {
-    // Protocol-respecting random driver: like a real r-tile, it only evicts
-    // blocks it owns (obtained through a completed read) and never holds a
-    // block it has evicted. The fabric must keep at most one copy of every
-    // block at all times.
-    build(3, 8);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const auto& [name, value] : counters.items()) {
+        for (const char c : name)
+            mix(std::uint8_t(c));
+        mix(value);
+    }
+    return h;
+}
+
+/// Every tile of `fab` idle: no MA, nothing staged or buffered, no pending
+/// install - the full walk the fabric's busy-tile mask stands in for.
+bool all_tiles_idle(const lnuca_cache& fab)
+{
+    for (tile_index i = 0; i < fab.geo().tile_count(); ++i) {
+        const tile& t = fab.tile_at(i);
+        if (t.ma.has_value() || t.ma_next.has_value() ||
+            t.phase != tile::repl_phase::idle)
+            return false;
+        for (const auto& fifo : t.d_in)
+            if (!fifo.idle())
+                return false;
+        for (const auto& fifo : t.u_in)
+            if (!fifo.idle())
+                return false;
+    }
+    return true;
+}
+
+/// Protocol-respecting random driver: like a real r-tile, it only evicts
+/// blocks it owns (obtained through a completed read) and never holds a
+/// block it has evicted. The fabric must keep at most one copy of every
+/// block at all times. `after_step` runs after every engine cycle.
+template <class AfterStep>
+void run_exclusion_stress(fabric_fixture& f, AfterStep after_step)
+{
+    f.build(3, 8);
     rng rng(7);
     std::vector<addr_t> blocks;
     for (int i = 0; i < 64; ++i)
@@ -300,7 +345,7 @@ TEST_F(fabric_fixture, exclusion_invariant_under_stress)
 
     for (int step = 0; step < 4000; ++step) {
         // Collect completed reads: those blocks are now owned.
-        for (const auto& [id, response] : client.responses) {
+        for (const auto& [id, response] : f.client.responses) {
             const auto it = inflight.find(id);
             if (it != inflight.end()) {
                 owned.insert(it->second);
@@ -312,42 +357,71 @@ TEST_F(fabric_fixture, exclusion_invariant_under_stress)
 
         const addr_t block = blocks[rng.below(blocks.size())];
         mem::mem_request r;
-        r.id = ids.next();
+        r.id = f.ids.next();
         r.addr = block;
-        r.created_at = engine.now();
+        r.created_at = f.engine.now();
         const auto pick = rng.below(3);
         if (pick == 0 && !owned.count(block) && !fetching.count(block)) {
             r.kind = mem::access_kind::read;
-            if (fab->can_accept(r)) {
-                fab->accept(r);
+            if (f.fab->can_accept(r)) {
+                f.fab->accept(r);
                 fetching.insert(block);
                 inflight[r.id] = block;
             }
         } else if (pick == 1 && !owned.count(block) && !fetching.count(block)) {
             r.kind = mem::access_kind::write;
             r.needs_response = false;
-            if (fab->can_accept(r))
-                fab->accept(r);
+            if (f.fab->can_accept(r))
+                f.fab->accept(r);
         } else if (pick == 2 && owned.count(block)) {
             r.kind = mem::access_kind::writeback;
             r.needs_response = false;
             r.dirty = rng.chance(0.5);
-            if (fab->can_accept(r)) {
-                fab->accept(r);
+            if (f.fab->can_accept(r)) {
+                f.fab->accept(r);
                 owned.erase(block);
             }
         }
-        engine.run(1);
+        f.engine.run(1);
+        after_step();
         if (step % 64 == 0) {
             for (const addr_t b : blocks)
-                ASSERT_LE(fab->copies_of(b) + (owned.count(b) ? 1u : 0u), 1u)
+                ASSERT_LE(f.fab->copies_of(b) + (owned.count(b) ? 1u : 0u), 1u)
                     << "duplicate copy of a block";
         }
     }
-    engine.run(2000);
-    EXPECT_TRUE(fab->quiescent());
-    EXPECT_EQ(fab->counters().get("false_global_misses"), 0u);
-    EXPECT_EQ(fab->counters().get("install_conflicts"), 0u);
+    for (int n = 0; n < 2000; ++n) {
+        f.engine.run(1);
+        after_step();
+    }
+    EXPECT_TRUE(f.fab->quiescent());
+    EXPECT_EQ(f.fab->counters().get("false_global_misses"), 0u);
+    EXPECT_EQ(f.fab->counters().get("install_conflicts"), 0u);
+}
+
+TEST_F(fabric_fixture, exclusion_invariant_under_stress)
+{
+    run_exclusion_stress(*this, [] {});
+}
+
+TEST_F(fabric_fixture, stress_counters_are_pinned_under_the_paranoid_engine)
+{
+    // Pinned on the full-tile-walk fabric: a fabric that visits only busy
+    // tiles must reproduce every counter. The paranoid engine checks each
+    // skipped cycle is a no-op; state_digest() after every cycle runs the
+    // fabric's own consistency checks, and a tile holding work must keep
+    // the fabric from reporting quiescence.
+    engine.set_mode(sim::schedule_mode::paranoid);
+    run_exclusion_stress(*this, [&] {
+        fab->state_digest();
+        if (!all_tiles_idle(*fab)) {
+            ASSERT_FALSE(fab->quiescent()) << "cycle " << engine.now();
+        }
+    });
+    EXPECT_TRUE(all_tiles_idle(*fab));
+    EXPECT_GT(engine.cycles_skipped(), 0u);
+    EXPECT_EQ(counters_fingerprint(fab->counters()), 0x6693ee01af32965ULL)
+        << std::hex << counters_fingerprint(fab->counters());
 }
 
 TEST_F(fabric_fixture, prewarm_places_closest_first)
