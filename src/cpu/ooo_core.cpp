@@ -3,6 +3,7 @@
 #include "src/common/log.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace lnuca::cpu {
 
@@ -13,7 +14,8 @@ ooo_core::ooo_core(const core_config& config, instruction_stream& stream,
       ids_(ids),
       predictor_(4096, 16, 4096),
       dtlb_(config.tlb_entries, config.page_bytes),
-      rob_(config.rob_size)
+      rob_(config.rob_size),
+      ready_slots_(config.rob_size)
 {
     // Pre-size every hot-path container for its structural bound so
     // steady-state ticks never allocate.
@@ -67,7 +69,7 @@ cycle_t ooo_core::next_event(cycle_t now) const
         return now; // commit retires the head
     if (sb_unissued_ > 0 || sb_acked_ > 0)
         return now; // store issues to the L1 / retires from the buffer
-    if (ready_count_ > 0)
+    if (ready_slots_.any())
         return now; // scheduler has an instruction to issue
     cycle_t next = std::min({responses_.next_ready(), completions_.next_ready(),
                              delayed_mem_.next_ready()});
@@ -88,6 +90,10 @@ cycle_t ooo_core::next_event(cycle_t now) const
 
 std::uint64_t ooo_core::state_digest() const
 {
+    for (std::uint32_t slot = 0; slot < rob_.size(); ++slot)
+        if (ready_slots_.test(slot) != (rob_[slot].state == entry_state::ready))
+            throw std::logic_error(
+                "ready-slot mask disagrees with the ROB entry states");
     sim::state_hash h;
     h.mix(counters_.digest());
     h.mix(committed_);
@@ -245,7 +251,7 @@ void ooo_core::wake_dependents(std::uint32_t slot, cycle_t now)
             continue;
         if (--dep.deps == 0) {
             dep.state = entry_state::ready;
-            ++ready_count_;
+            ready_slots_.set(d);
         }
     }
     producer.dependents.clear();
@@ -339,34 +345,30 @@ bool ooo_core::store_forwards(const instruction& load) const
 
 void ooo_core::issue(cycle_t now)
 {
-    if (ready_count_ == 0)
-        return; // nothing to scan: the ROB walk below is the core's hottest loop
+    if (rob_count_ == 0)
+        return; // also keeps a zero-entry ROB's empty mask out of the walk
     unsigned int_mem_issued = 0;
     unsigned fp_issued = 0;
-    // Visit ready entries oldest-first and stop as soon as every entry that
-    // was ready at scan start has been seen - the tail of a mostly-stalled
-    // ROB never gets walked.
-    unsigned remaining = ready_count_;
-    for (std::uint32_t n = 0; remaining > 0 && n < rob_count_; ++n) {
+    // Visit ready entries oldest-first: every ready slot lies in the live
+    // ROB, so circular slot order from the head is age order. The walk
+    // stops once both issue widths are spent.
+    ready_slots_.for_each_from(rob_head_, [&](std::size_t i) {
         if (int_mem_issued >= config_.int_mem_issue_width &&
             fp_issued >= config_.fp_issue_width)
-            break;
-        const std::uint32_t slot = std::uint32_t((rob_head_ + n) % rob_.size());
+            return false;
+        const std::uint32_t slot = std::uint32_t(i);
         rob_entry& entry = rob_[slot];
-        if (entry.state != entry_state::ready)
-            continue;
-        --remaining;
 
         const bool fp = is_fp(entry.inst.op);
         if (fp) {
             if (fp_issued >= config_.fp_issue_width)
-                continue;
+                return true;
         } else if (int_mem_issued >= config_.int_mem_issue_width) {
-            continue;
+            return true;
         }
 
         entry.state = entry_state::issued;
-        --ready_count_;
+        ready_slots_.clear(slot);
         entry.issued_at = now;
 
         switch (entry.inst.op) {
@@ -407,7 +409,8 @@ void ooo_core::issue(cycle_t now)
             ++fp_issued;
         else
             ++int_mem_issued;
-    }
+        return true;
+    });
 }
 
 void ooo_core::dispatch(cycle_t now)
@@ -472,7 +475,7 @@ void ooo_core::dispatch(cycle_t now)
         }
         entry.state = entry.deps == 0 ? entry_state::ready : entry_state::waiting;
         if (entry.state == entry_state::ready)
-            ++ready_count_;
+            ready_slots_.set(slot);
 
         if (item.mispredicted)
             fetch_block_seq_ = entry.seq;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include "src/common/histogram.h"
+#include "src/common/index_mask.h"
 #include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/cpu/branch_predictor.h"
@@ -217,9 +218,12 @@ private:
     unsigned mem_used_ = 0;
     unsigned lsq_used_ = 0;
 
-    // O(1) next_event() probes, maintained at state transitions: entries in
-    // entry_state::ready, and store-buffer entries awaiting issue / retire.
-    unsigned ready_count_ = 0;
+    /// ROB slots in entry_state::ready: set at dispatch and wake-up,
+    /// cleared at issue. issue() walks only these; state_digest() checks
+    /// them against the entries.
+    index_mask ready_slots_;
+    // O(1) next_event() probes, maintained at state transitions: store-
+    // buffer entries awaiting issue / retire.
     unsigned sb_unissued_ = 0;
     unsigned sb_acked_ = 0;
 

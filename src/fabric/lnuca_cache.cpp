@@ -25,6 +25,7 @@ lnuca_cache::lnuca_cache(const fabric_config& config, mem::txn_id_source& ids)
     : config_(config),
       ids_(ids),
       geo_(config.levels),
+      busy_tiles_(geo_.tile_count()),
       mshrs_(config.mshr_entries, config.mshr_secondary),
       search_by_slot_(config.mshr_entries),
       rng_(config.seed),
@@ -211,8 +212,12 @@ void lnuca_cache::tick(cycle_t now)
     process_root_arrivals(now);
     inject_evictions(now);
     inject_searches(now);
-    for (tile_index i = 0; i < tiles_.size(); ++i)
-        evaluate_tile(now, i);
+    // Ascending index order, as a full walk would visit them: an idle tile
+    // draws no random number and bumps no counter, and a tile first staged
+    // this cycle stays a no-op until commit, so the skipped tiles change
+    // nothing.
+    busy_tiles_.for_each(
+        [&](std::size_t i) { evaluate_tile(now, tile_index(i)); });
     evaluate_global_misses(now);
     drain_downstream_queues(now);
     commit_cycle();
@@ -226,20 +231,11 @@ cycle_t lnuca_cache::next_event(cycle_t now) const
     if (!inject_queue_.empty() || !evict_queue_.empty() ||
         !exit_queue_.empty() || !downstream_queue_.empty())
         return now;
+    if (busy_tiles_.any())
+        return now;
     for (const auto& fifo : root_arrivals_)
         if (!fifo.idle())
             return now;
-    for (const tile& t : tiles_) {
-        if (t.ma.has_value() || t.ma_next.has_value() ||
-            t.phase != tile::repl_phase::idle)
-            return now;
-        for (const auto& fifo : t.d_in)
-            if (!fifo.idle())
-                return now;
-        for (const auto& fifo : t.u_in)
-            if (!fifo.idle())
-                return now;
-    }
     // Quiet fabric: the only future work is time-stamped - next-level
     // refills and the miss-line gather of any still-active search (the
     // gather fires on exact cycle equality, so its bound must be included
@@ -267,7 +263,11 @@ std::uint64_t lnuca_cache::state_digest() const
     h.mix(mshrs_.in_use());
     for (const auto& fifo : root_arrivals_)
         h.mix(fifo.total_size());
-    for (const tile& t : tiles_) {
+    for (tile_index i = 0; i < tiles_.size(); ++i) {
+        const tile& t = tiles_[i];
+        if (busy_tiles_.test(i) == t.idle())
+            throw std::logic_error(
+                "busy-tile mask disagrees with tile " + std::to_string(i));
         h.mix(t.ma.has_value() ? t.ma->block : no_addr);
         h.mix(t.ma_next.has_value() ? t.ma_next->block : no_addr);
         h.mix(std::uint64_t(t.phase));
@@ -353,10 +353,7 @@ void lnuca_cache::inject_searches(cycle_t now)
     state.marked = false;
     state.gather_at = now + geo_.rings() + 1;
 
-    for (const tile_index child : geo_.root_search_children()) {
-        tiles_[child].ma_next = msg;
-        counters_.inc(h_search_broadcast_hops_);
-    }
+    broadcast(geo_.root_search_children(), msg);
     counters_.inc(h_searches_injected_);
 }
 
@@ -402,10 +399,12 @@ bool lnuca_cache::push_transport(cycle_t, tile_index i, const transport_msg& msg
         return false;
     const std::size_t k = candidates[pick_output(n)];
     const link& l = d_out_[i][k];
-    if (l.target == root_index)
+    if (l.target == root_index) {
         root_arrivals_[l.slot].push(msg);
-    else
+    } else {
         tiles_[l.target].d_in[l.slot].push(msg);
+        busy_tiles_.set(l.target);
+    }
     used_outputs |= link_mask(1) << k;
     counters_.inc(h_transport_hops_);
     return true;
@@ -431,8 +430,15 @@ void lnuca_cache::mark_search(tile_index i, const search_msg& msg,
     // Re-emit marked so the miss line sees the restart.
     search_msg marked = msg;
     marked.marked = true;
-    for (const tile_index child : geo_.search_children(i)) {
-        tiles_[child].ma_next = marked;
+    broadcast(geo_.search_children(i), marked);
+}
+
+void lnuca_cache::broadcast(const std::vector<tile_index>& children,
+                            const search_msg& msg)
+{
+    for (const tile_index child : children) {
+        tiles_[child].ma_next = msg;
+        busy_tiles_.set(child);
         counters_.inc(h_search_broadcast_hops_);
     }
 }
@@ -519,12 +525,8 @@ void lnuca_cache::evaluate_tile(cycle_t now, tile_index i)
             }
         }
 
-        if (!stop_propagation) {
-            for (const tile_index child : geo_.search_children(i)) {
-                tiles_[child].ma_next = msg;
-                counters_.inc(h_search_broadcast_hops_);
-            }
-        }
+        if (!stop_propagation)
+            broadcast(geo_.search_children(i), msg);
     }
 
     // --- Transport operation: forward buffered blocks towards the root --
@@ -615,6 +617,7 @@ void lnuca_cache::run_replacement(cycle_t now, tile_index i)
             const link& l = u_out_[i][k];
             tiles_[l.target].u_in[l.slot].push(
                 replace_msg{victim.block_addr, victim.dirty});
+            busy_tiles_.set(l.target);
         } else {
             exit_queue_.push_back(replace_msg{victim.block_addr, victim.dirty});
         }
@@ -645,6 +648,7 @@ void lnuca_cache::inject_evictions(cycle_t)
     const std::size_t k = candidates[pick_output(n_candidates)];
     const link& l = root_u_out_[k];
     tiles_[l.target].u_in[l.slot].push(msg);
+    busy_tiles_.set(l.target);
     counters_.inc(h_replacement_hops_);
     counters_.inc(h_evictions_injected_);
 }
@@ -814,8 +818,13 @@ void lnuca_cache::drain_downstream_queues(cycle_t now)
 
 void lnuca_cache::commit_cycle()
 {
-    for (auto& t : tiles_)
-        t.commit();
+    // Committing an idle tile is a no-op, so only busy tiles commit; a tile
+    // left with nothing latched or buffered leaves the mask.
+    busy_tiles_.for_each([&](std::size_t i) {
+        tiles_[i].commit();
+        if (tiles_[i].idle())
+            busy_tiles_.clear(i);
+    });
     for (auto& fifo : root_arrivals_)
         fifo.commit();
 }
@@ -947,7 +956,7 @@ bool lnuca_cache::prewarm(addr_t addr)
 {
     const addr_t block = addr & ~addr_t(config_.tile.block_bytes - 1);
     for (unsigned level = 2; level <= config_.levels; ++level) {
-        for (const tile_index i : geo_.tiles_in_level(level)) {
+        for (const tile_index i : tiles_by_level_[level]) {
             tile& t = tiles_[i];
             if (t.cache.probe(block))
                 return true; // already present; exclusion holds
@@ -992,18 +1001,7 @@ bool lnuca_cache::quiescent() const
     for (const auto& fifo : root_arrivals_)
         if (!fifo.empty())
             return false;
-    for (const auto& t : tiles_) {
-        if (t.ma.has_value() || t.ma_next.has_value() ||
-            t.phase != tile::repl_phase::idle)
-            return false;
-        for (const auto& fifo : t.d_in)
-            if (!fifo.empty())
-                return false;
-        for (const auto& fifo : t.u_in)
-            if (!fifo.empty())
-                return false;
-    }
-    return true;
+    return !busy_tiles_.any();
 }
 
 } // namespace lnuca::fabric

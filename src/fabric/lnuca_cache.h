@@ -22,9 +22,12 @@
 // Hot-path storage contract: per-search state lives in a slab slot shared
 // with the MSHR entry (no hash-map node churn), link-arbitration scratch is
 // a bitmask plus a stack array, and every queue is a pre-sized ring — an
-// executed cycle performs no heap allocation in steady state.
+// executed cycle performs no heap allocation in steady state. A cycle visits
+// only the tiles that hold work (the busy-tile mask); the rest would be
+// no-ops.
 #pragma once
 
+#include "src/common/index_mask.h"
 #include "src/common/ring_queue.h"
 #include "src/common/rng.h"
 #include "src/common/slot_index.h"
@@ -104,7 +107,6 @@ public:
 
     /// Tile introspection for tests/examples.
     const tile& tile_at(tile_index i) const { return tiles_[i]; }
-    tile& tile_at(tile_index i) { return tiles_[i]; }
 
     /// True iff `block` currently lives in exactly `copies` places across
     /// all tiles and in-flight buffers (exclusion checker for tests).
@@ -191,6 +193,10 @@ private:
     /// No transport output is free: mark the search and re-emit it marked
     /// to the children so the miss line sees the restart.
     void mark_search(tile_index i, const search_msg& msg, search_state& state);
+    /// Stage `msg` in the MA register of every tile in `children`, one
+    /// broadcast hop each.
+    void broadcast(const std::vector<tile_index>& children,
+                   const search_msg& msg);
 
     search_state& state_of(const mem::mshr_entry& entry)
     {
@@ -212,6 +218,10 @@ private:
     mem::txn_id_source& ids_;
     geometry geo_;
     std::vector<tile> tiles_;
+    /// Tiles holding work (not tile::idle()): set wherever the fabric
+    /// stages a search or a block into a tile, cleared at commit once the
+    /// tile is idle. tick() evaluates and commits only these tiles.
+    index_mask busy_tiles_;
     mem::mshr_file mshrs_;
     std::vector<search_state> search_by_slot_; ///< parallel to the MSHR slab
     counter_set counters_;

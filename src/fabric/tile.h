@@ -49,6 +49,23 @@ public:
             fifo.commit();
     }
 
+    /// No search latched or staged, no buffered block (committed or
+    /// staged) and no pending install: evaluating this tile is a no-op and
+    /// so is committing it. Between cycles, the fabric's busy-tile mask
+    /// holds exactly the tiles for which this is false.
+    bool idle() const
+    {
+        if (ma.has_value() || ma_next.has_value() || phase != repl_phase::idle)
+            return false;
+        for (const auto& fifo : d_in)
+            if (!fifo.idle())
+                return false;
+        for (const auto& fifo : u_in)
+            if (!fifo.idle())
+                return false;
+        return true;
+    }
+
     /// Search for `block` among in-transit replacement blocks (the U-buffer
     /// address comparators of Fig. 3(a)).
     const replace_msg* u_buffer_find(addr_t block) const

@@ -1,7 +1,8 @@
-// Unit tests for the common foundation: rng, the slot index, statistics,
-// histogram, tables, CLI parsing, and the type helpers.
+// Unit tests for the common foundation: rng, the slot index, the index
+// mask, statistics, histogram, tables, CLI parsing, and the type helpers.
 #include "src/common/cli.h"
 #include "src/common/histogram.h"
+#include "src/common/index_mask.h"
 #include "src/common/rng.h"
 #include "src/common/slot_index.h"
 #include "src/common/stats.h"
@@ -10,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -175,6 +178,110 @@ TEST(slot_index, erase_inside_a_wrapped_cluster_shifts_the_tail_back)
     index.clear();
     EXPECT_TRUE(index.empty());
     EXPECT_EQ(index.find(a), slot_index::npos);
+}
+
+/// Seeded index_mask contents with both ends and every word boundary set,
+/// plus the model set as a sorted vector.
+std::pair<index_mask, std::vector<std::size_t>> seeded_mask(std::size_t size)
+{
+    index_mask mask(size);
+    std::vector<std::size_t> set;
+    rng r(size);
+    for (std::size_t i = 0; i < size; ++i) {
+        const bool edge = i == 0 || i + 1 == size || i % 64 == 0 || i % 64 == 63;
+        if (edge || r.chance(0.4)) {
+            mask.set(i);
+            set.push_back(i);
+        }
+    }
+    return {mask, set};
+}
+
+/// The model's indices in circular order from `start`.
+std::vector<std::size_t> circular_from(const std::vector<std::size_t>& set,
+                                       std::size_t start)
+{
+    std::vector<std::size_t> order;
+    for (const std::size_t i : set)
+        if (i >= start)
+            order.push_back(i);
+    for (const std::size_t i : set)
+        if (i < start)
+            order.push_back(i);
+    return order;
+}
+
+constexpr std::array<std::size_t, 6> mask_sizes = {1, 63, 64, 65, 128, 130};
+
+TEST(index_mask, for_each_visits_set_indices_ascending)
+{
+    for (const std::size_t size : mask_sizes) {
+        auto [mask, set] = seeded_mask(size);
+        std::vector<std::size_t> seen;
+        mask.for_each([&](std::size_t i) { seen.push_back(i); });
+        EXPECT_EQ(seen, set) << "size " << size;
+        EXPECT_TRUE(mask.any());
+
+        // Clearing the visited index inside fn leaves the walk unchanged
+        // and the mask empty.
+        seen.clear();
+        mask.for_each([&](std::size_t i) {
+            seen.push_back(i);
+            mask.clear(i);
+        });
+        EXPECT_EQ(seen, set) << "size " << size;
+        EXPECT_FALSE(mask.any()) << "size " << size;
+        for (std::size_t i = 0; i < size; ++i)
+            EXPECT_FALSE(mask.test(i));
+    }
+}
+
+TEST(index_mask, for_each_from_wraps_stops_and_tolerates_clears)
+{
+    for (const std::size_t size : mask_sizes) {
+        // Start at 0, mid-word, and at the last index.
+        const std::array<std::size_t, 3> starts = {
+            0, std::min(size - 1, size / 2 + 5), size - 1};
+        for (const std::size_t start : starts) {
+            auto [mask, set] = seeded_mask(size);
+            const std::vector<std::size_t> expected = circular_from(set, start);
+            const auto where = [&] {
+                return "size " + std::to_string(size) + " start " +
+                       std::to_string(start);
+            };
+
+            std::vector<std::size_t> seen;
+            mask.for_each_from(start, [&](std::size_t i) {
+                seen.push_back(i);
+                return true;
+            });
+            EXPECT_EQ(seen, expected) << where();
+
+            // Early stop: fn returning false ends the walk at once.
+            for (std::size_t stop = 1; stop <= expected.size(); ++stop) {
+                seen.clear();
+                mask.for_each_from(start, [&](std::size_t i) {
+                    seen.push_back(i);
+                    return seen.size() < stop;
+                });
+                EXPECT_EQ(seen, std::vector<std::size_t>(
+                                    expected.begin(),
+                                    expected.begin() + std::ptrdiff_t(stop)))
+                    << where() << " stop " << stop;
+            }
+
+            // Clearing already-visited indices (the start word included)
+            // never revisits or skips one.
+            seen.clear();
+            mask.for_each_from(start, [&](std::size_t i) {
+                seen.push_back(i);
+                mask.clear(i);
+                return true;
+            });
+            EXPECT_EQ(seen, expected) << where();
+            EXPECT_FALSE(mask.any()) << where();
+        }
+    }
 }
 
 TEST(stats, harmonic_mean_known_values)
