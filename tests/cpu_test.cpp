@@ -5,6 +5,7 @@
 #include "src/cpu/ooo_core.h"
 #include "src/cpu/tlb.h"
 #include "src/sim/engine.h"
+#include "tests/counters_fingerprint.h"
 
 #include <gtest/gtest.h>
 
@@ -389,15 +390,9 @@ TEST_F(core_fixture, odd_sized_rob_run_is_pinned_under_the_paranoid_engine)
     }
     ASSERT_TRUE(core->done());
     EXPECT_GT(engine.cycles_skipped(), 0u);
-    std::uint64_t h = 0xcbf29ce484222325ULL; // FNV-1a over (name, value)
-    for (const auto& [name, value] : core->counters().items()) {
-        for (const char c : name)
-            h = (h ^ std::uint8_t(c)) * 0x100000001b3ULL;
-        for (int b = 0; b < 8; ++b)
-            h = (h ^ ((value >> (8 * b)) & 0xff)) * 0x100000001b3ULL;
-    }
     EXPECT_EQ(core->finished_at(), 30952u);
-    EXPECT_EQ(h, 0xb422febdc6ba2ef3ULL) << std::hex << h;
+    EXPECT_EQ(counters_fingerprint(core->counters()), 0xb422febdc6ba2ef3ULL)
+        << std::hex << counters_fingerprint(core->counters());
 }
 
 } // namespace
