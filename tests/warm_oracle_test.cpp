@@ -6,8 +6,10 @@
 // counters must all read 0 (the warm path is statistics-free).
 //
 // Rigs: (a) two coherent private L1s -> coherence hub -> L2 -> memory;
-// (b) a standalone D-NUCA in front of memory. Footprints are small so
-// evictions, sharing, downgrades and promotions happen constantly.
+// (b) a standalone D-NUCA in front of memory; (c) an L-NUCA fabric in
+// front of memory, driven as its r-tile would drive it. Footprints are
+// small so evictions, sharing, downgrades, promotions and replacement
+// dominoes happen constantly.
 //
 // Known divergences are named allowances (the "Allowance:" notes below),
 // each applied to the sequence or the warm rig, never by loosening the
@@ -15,6 +17,7 @@
 #include "src/coh/coherence_hub.h"
 #include "src/common/rng.h"
 #include "src/dnuca/dnuca_cache.h"
+#include "src/fabric/lnuca_cache.h"
 #include "src/mem/cache.h"
 #include "src/mem/main_memory.h"
 #include "src/sim/engine.h"
@@ -409,6 +412,151 @@ TEST(WarmOracle, DnucaMatchesTheTimedPathAccessByAccess)
     }
     expect_all_zero(warm.cache->counters(), "D-NUCA");
     expect_all_zero(warm.memory->counters(), "memory");
+}
+
+// ---------------------------------------------------------------------------
+// Rig (c): an L-NUCA fabric -> memory.
+// ---------------------------------------------------------------------------
+
+struct fabric_rig {
+    explicit fabric_rig(bool random_routing)
+    {
+        fabric::fabric_config c;
+        c.levels = 3;
+        c.tile.size_bytes = 128; // 4 lines of 32B, 2 sets x 2 ways
+        c.tile.ways = 2;
+        c.tile.block_bytes = 32;
+        c.random_routing = random_routing;
+        cache = std::make_unique<fabric::lnuca_cache>(c, ids);
+        memory = std::make_unique<mem::main_memory>(small_memory());
+        cache->set_upstream(&up);
+        cache->set_downstream(memory.get());
+        memory->set_upstream(cache.get());
+        engine.add(*cache);
+        engine.add(*memory);
+        engine.set_mode(sim::schedule_mode::paranoid);
+    }
+
+    void timed(addr_t addr, access_kind kind, bool dirty)
+    {
+        mem::mem_request r;
+        r.id = ids.next();
+        r.addr = addr;
+        r.size = kind == access_kind::writeback ? 32 : 8;
+        r.kind = kind;
+        r.created_at = engine.now();
+        r.needs_response = kind == access_kind::read;
+        r.dirty = dirty;
+        ASSERT_TRUE(cache->can_accept(r));
+        cache->accept(r);
+        ASSERT_TRUE(engine.run_until(
+            [&] { return cache->quiescent() && memory->quiescent(); },
+            100000));
+    }
+
+    void warm(addr_t addr, access_kind kind, bool dirty)
+    {
+        cache->warm_access({addr, kind, dirty});
+    }
+
+    std::string content() const
+    {
+        std::string all;
+        for (fabric::tile_index i = 0; i < cache->geo().tile_count(); ++i)
+            all += "tile " + std::to_string(i) + '\n' +
+                   content_of(cache->tile_at(i).cache);
+        return all;
+    }
+
+    mem::txn_id_source ids;
+    sim::engine engine;
+    sink up;
+    std::unique_ptr<fabric::lnuca_cache> cache;
+    std::unique_ptr<mem::main_memory> memory;
+};
+
+/// Drives `step(addr, kind, dirty)` with one seeded access sequence shaped
+/// by the r-tile's content: a read or a store names a block the r-tile
+/// does not hold (a read then moves it into the r-tile), a writeback one
+/// it holds (an r-tile victim, which leaves it). A block the r-tile holds
+/// is written back on half of its draws; the other half hit in the r-tile
+/// and never reach the fabric, so they are skipped.
+template <class Step> void drive_r_tile(std::uint64_t seed, Step step)
+{
+    rng draw(seed);
+    std::vector<bool> in_r_tile(160, false);
+    // 160 blocks of 32B over 56 fabric lines (14 tiles x 4).
+    for (int i = 0; i < 6000; ++i) {
+        const std::uint64_t block = draw.below(160);
+        const addr_t addr = 0x20000 + block * 32;
+        if (in_r_tile[block]) {
+            if (draw.below(2) != 0)
+                continue;
+            in_r_tile[block] = false;
+            if (!step(addr, access_kind::writeback, draw.below(2) == 0))
+                return;
+        } else {
+            const bool store = draw.below(3) == 0;
+            in_r_tile[block] = !store;
+            if (!step(addr + draw.below(4) * 8,
+                      store ? access_kind::write : access_kind::read, false))
+                return;
+        }
+    }
+}
+
+const char* kind_name(access_kind kind)
+{
+    return kind == access_kind::read    ? "read"
+           : kind == access_kind::write ? "store"
+                                        : "writeback";
+}
+
+TEST(WarmOracle, FabricMatchesTheTimedPathAccessByAccess)
+{
+    // Fixed routing: both rigs always take the first On link, so the
+    // timed domino and the warm one walk the same tiles.
+    fabric_rig timed(false);
+    fabric_rig warm(false);
+    int compared = 0;
+    drive_r_tile(0xfab1c, [&](addr_t addr, access_kind kind, bool dirty) {
+        timed.timed(addr, kind, dirty);
+        warm.warm(addr, kind, dirty);
+        ++compared;
+        EXPECT_EQ(timed.content(), warm.content())
+            << "compared access " << compared << ": " << kind_name(kind)
+            << (dirty ? " dirty" : "") << " 0x" << std::hex << addr;
+        return !::testing::Test::HasFailure();
+    });
+    ASSERT_FALSE(::testing::Test::HasFailure());
+    EXPECT_GT(compared, 4000);
+    expect_all_zero(warm.cache->counters(), "fabric");
+    expect_all_zero(warm.memory->counters(), "memory");
+}
+
+TEST(WarmOracle, FabricKeepsContentExclusionUnderRandomRouting)
+{
+    // Random routing: the timed path also draws for transport hops, so the
+    // two rigs' routing streams part and only exclusion is comparable.
+    fabric_rig timed(true);
+    fabric_rig warm(true);
+    int compared = 0;
+    drive_r_tile(0xfab1c, [&](addr_t addr, access_kind kind, bool dirty) {
+        timed.timed(addr, kind, dirty);
+        warm.warm(addr, kind, dirty);
+        ++compared;
+        for (std::uint64_t b = 0; b < 160; ++b) {
+            const addr_t block = 0x20000 + b * 32;
+            EXPECT_LE(timed.cache->copies_of(block), 1u)
+                << "timed, compared access " << compared;
+            EXPECT_LE(warm.cache->copies_of(block), 1u)
+                << "warm, compared access " << compared;
+        }
+        return !::testing::Test::HasFailure();
+    });
+    ASSERT_FALSE(::testing::Test::HasFailure());
+    EXPECT_GT(compared, 4000);
+    expect_all_zero(warm.cache->counters(), "fabric");
 }
 
 } // namespace
