@@ -7,7 +7,8 @@
 //                         [--json out.jsonl]
 //
 // Pass --workload all to sweep the whole SPEC proxy suite (one job per
-// workload, spread across worker threads).
+// workload, spread across worker threads). Every option but --config is
+// the shared experiment-runner command line (src/exp/run_app.h).
 #include "src/lnuca.h"
 
 #include <cstdio>
@@ -18,21 +19,7 @@ using namespace lnuca;
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
-    const std::string workload_name = args.get_string("workload", "429.mcf");
     const std::string config_name = args.get_string("config", "LN3");
-
-    std::vector<wl::workload_profile> workloads;
-    if (workload_name == "all") {
-        workloads = wl::spec2006_suite();
-    } else {
-        const auto workload = wl::find_spec2006(workload_name);
-        if (!workload) {
-            std::fprintf(stderr, "unknown workload '%s' (or 'all')\n",
-                         workload_name.c_str());
-            return 1;
-        }
-        workloads.push_back(*workload);
-    }
 
     hier::system_config config;
     if (config_name == "L2")
@@ -50,11 +37,11 @@ int main(int argc, char** argv)
     else {
         std::fprintf(stderr, "unknown config '%s' (L2|LN2|LN3|LN4|DN|LN2+DN)\n",
                      config_name.c_str());
-        return 1;
+        return exp::exit_cli_error;
     }
 
     return exp::run_app(
-        argc, argv, {config}, std::move(workloads),
+        argc, argv, {config}, {*wl::find_spec2006("429.mcf")},
         [](const exp::report& rep, const exp::app_options& opt) {
             std::printf("L-NUCA quickstart: %zu run(s) on %s, %llu "
                         "instructions (+%llu warmup)\n\n",
@@ -107,5 +94,6 @@ int main(int argc, char** argv)
                                text_table::num(r.energy.total() * 1e3, 3)});
                 t.print();
             }
-        });
+        },
+        {}, {"config"});
 }

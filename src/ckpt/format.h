@@ -31,9 +31,11 @@
 namespace lnuca::ckpt {
 
 inline constexpr char k_magic[8] = {'L', 'N', 'C', 'K', 'P', 'T', '1', '\0'};
+/// Version 5: the L-NUCA fabric no longer carries its warm-path rotation
+/// pointers (its warm path follows the replacement links instead).
 /// Version 4: the CMP directory and the data TLB no longer carry their
 /// hash index (it is rebuilt from the slab / entry array on load).
-inline constexpr std::uint32_t k_version = 4;
+inline constexpr std::uint32_t k_version = 5;
 /// Written as a native u32; a reader on a differently-ordered host sees a
 /// byte-swapped value and rejects the file instead of mis-decoding it.
 inline constexpr std::uint32_t k_endian_tag = 0x01020304;

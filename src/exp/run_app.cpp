@@ -145,7 +145,8 @@ int finish_sweep(const report& rep)
 
 } // namespace
 
-app_options parse_app_options(const cli_args& args)
+app_options parse_app_options(const cli_args& args,
+                              const std::vector<std::string>& caller_flags)
 {
     app_options opt;
     opt.instructions = args.get_u64("instructions", opt.instructions);
@@ -181,7 +182,7 @@ app_options parse_app_options(const cli_args& args)
         opt.workload_override = trace::parse_workload_list(*workloads, &bad);
         if (opt.workload_override.empty())
             set_cli_error(opt, "unknown --workload spec '" + bad +
-                                   "' (expected a SPEC proxy name, "
+                                   "' (expected a SPEC proxy name, all, "
                                    "trace:<file>, or scenario:<name>)");
         // Canonical ordering: a sweep's flat indices (and hence seeds and
         // resume/merge provenance) must be a function of the workload
@@ -253,6 +254,21 @@ app_options parse_app_options(const cli_args& args)
                               "stall:<flat>:<seconds>[:<attempts>] | "
                               "exit:<flat>[:<code>])");
     }
+
+    // Every option read above; anything else is a typo or a request (such
+    // as --help) this binary does not serve.
+    static const char* const k_app_flags[] = {
+        "instructions", "warmup", "seed", "replicates", "threads", "json",
+        "csv", "quiet", "engine", "sampling", "shard", "workload", "capture",
+        "manifest", "timeout", "retries", "resume", "durable",
+        "checkpoint-every", "checkpoint-dir", "fault"};
+    for (const std::string& name : args.names()) {
+        const auto is = [&](const auto& known) { return name == known; };
+        if (std::none_of(std::begin(k_app_flags), std::end(k_app_flags), is) &&
+            std::none_of(caller_flags.begin(), caller_flags.end(), is))
+            set_cli_error(opt, "unknown option --" + name +
+                                   " (README.md lists the flags)");
+    }
     return opt;
 }
 
@@ -310,10 +326,11 @@ bool scan_resume_file(const app_options& opt, const sweep& s, resume_scan& out)
 int run_app(int argc, const char* const* argv,
             std::vector<hier::system_config> configs,
             std::vector<wl::workload_profile> workloads,
-            const render_fn& render, baseline_list baselines)
+            const render_fn& render, baseline_list baselines,
+            const std::vector<std::string>& caller_flags)
 {
     const cli_args args(argc, argv);
-    const app_options opt = parse_app_options(args);
+    const app_options opt = parse_app_options(args, caller_flags);
     if (opt.cli_error) {
         std::fprintf(stderr, "%s\n", opt.cli_error_text.c_str());
         return exit_cli_error;

@@ -26,9 +26,10 @@
 //                      periodic detailed windows; results carry a 95% CI
 //                      (run_result::ipc_ci95) and estimated counts
 //   --workload LIST    replace the bench's default workload set with a
-//                      comma-separated spec list: SPEC proxy names,
-//                      trace:<file> (binary trace replay), or
-//                      scenario:<name> (shared-memory scenario library)
+//                      comma-separated spec list: SPEC proxy names (all =
+//                      the whole suite), trace:<file> (binary trace
+//                      replay), or scenario:<name> (shared-memory scenario
+//                      library)
 //   --capture PATH     serialise the run's instruction stream(s) to a
 //                      binary trace file; requires a single-job sweep
 //                      (one config x one workload, replicates=1)
@@ -74,11 +75,16 @@
 // construction) and tell the operator to merge the JSON-lines shards
 // instead. Every bench binary, fig_cmp included, is one run_app call.
 //
+// Any other option is a CLI error unless the calling binary names it as
+// its own (run_app's `caller_flags`): a misspelt --instructions must not
+// silently run the default length, and --help must not run the sweep.
+//
 // Exit codes: 0 on success, exit_job_failure (1) when any job failed or
 // timed out (the failure summary on stderr names each one), and
-// exit_cli_error (2) for command-line/configuration errors (a mistyped
-// --engine, --sampling, --workload or --shard value among them) — so fleet
-// drivers can tell "re-run the failed rows" from "fix the invocation".
+// exit_cli_error (2) for command-line/configuration errors (an unknown
+// option, a mistyped --engine, --sampling, --workload or --shard value
+// among them) — so fleet drivers can tell "re-run the failed rows" from
+// "fix the invocation".
 #pragma once
 
 #include "src/common/cli.h"
@@ -137,8 +143,11 @@ struct app_options {
     std::string cli_error_text;
 };
 
-/// Parse the shared options; unknown options are left for the caller.
-app_options parse_app_options(const cli_args& args);
+/// Parse the shared options. An option that is neither one of them nor
+/// named in `caller_flags` (without the leading "--") sets cli_error.
+app_options
+parse_app_options(const cli_args& args,
+                  const std::vector<std::string>& caller_flags = {});
 
 /// Result of scanning an existing JSON-lines file for --resume.
 struct resume_scan {
@@ -172,11 +181,13 @@ using baseline_list = std::vector<std::optional<std::size_t>>;
 /// Every CMP row (cores > 1) gets run_result::weighted_speedup against its
 /// partner's row on the same workload and replicate; the partners come
 /// from the manifest's baseline_config under --manifest and from
-/// `baselines` otherwise (empty: the bench has no CMP partners). Returns
-/// the process exit code (see exit_* above).
+/// `baselines` otherwise (empty: the bench has no CMP partners).
+/// `caller_flags` names the options the calling binary reads itself.
+/// Returns the process exit code (see exit_* above).
 int run_app(int argc, const char* const* argv,
             std::vector<hier::system_config> configs,
             std::vector<wl::workload_profile> workloads,
-            const render_fn& render, baseline_list baselines = {});
+            const render_fn& render, baseline_list baselines = {},
+            const std::vector<std::string>& caller_flags = {});
 
 } // namespace lnuca::exp

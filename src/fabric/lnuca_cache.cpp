@@ -28,9 +28,7 @@ lnuca_cache::lnuca_cache(const fabric_config& config, mem::txn_id_source& ids)
       busy_tiles_(geo_.tile_count()),
       mshrs_(config.mshr_entries, config.mshr_secondary),
       search_by_slot_(config.mshr_entries),
-      rng_(config.seed),
-      warm_index_(std::size_t(geo_.tile_count()) *
-                  (config.tile.size_bytes / config.tile.block_bytes))
+      rng_(config.seed)
 {
     for (unsigned level = 2; level <= config.levels; ++level)
         h_read_hits_level_.push_back(
@@ -88,22 +86,6 @@ lnuca_cache::lnuca_cache(const fabric_config& config, mem::txn_id_source& ids)
     tiles_by_level_.resize(config.levels + 1);
     for (unsigned level = 2; level <= config.levels; ++level)
         tiles_by_level_[level] = geo_.tiles_in_level(level);
-    warm_rotate_.assign(config.levels + 1, 0);
-}
-
-void lnuca_cache::warm_index_rebuild()
-{
-    warm_index_.clear();
-    for (tile_index i = 0; i < tile_index(tiles_.size()); ++i) {
-        const mem::tag_array& tags = tiles_[i].cache;
-        for (std::uint32_t set = 0; set < tags.sets(); ++set)
-            for (std::uint32_t way = 0; way < tags.ways(); ++way) {
-                const mem::cache_line& line = tags.line(set, way);
-                if (line.valid)
-                    warm_index_.insert(line.tag, i);
-            }
-    }
-    warm_index_stale_ = false;
 }
 
 bool lnuca_cache::can_accept(const mem::mem_request& request) const
@@ -206,8 +188,6 @@ void lnuca_cache::respond(const mem::mem_response& response)
 
 void lnuca_cache::tick(cycle_t now)
 {
-    // The detailed path moves blocks without maintaining the warm index.
-    warm_index_stale_ = true;
     process_downstream_responses(now);
     process_root_arrivals(now);
     inject_evictions(now);
@@ -362,6 +342,19 @@ std::size_t lnuca_cache::pick_output(std::size_t available)
     if (available <= 1)
         return 0;
     return config_.random_routing ? std::size_t(rng_.below(available)) : 0;
+}
+
+const lnuca_cache::link*
+lnuca_cache::pick_replacement_link(const std::vector<link>& outputs)
+{
+    std::array<std::uint32_t, max_links> candidates;
+    std::size_t n = 0;
+    for (std::size_t k = 0; k < outputs.size(); ++k) {
+        const link& l = outputs[k];
+        if (tiles_[l.target].u_in[l.slot].on())
+            candidates[n++] = std::uint32_t(k);
+    }
+    return n == 0 ? nullptr : &outputs[candidates[pick_output(n)]];
 }
 
 bool lnuca_cache::any_transport_output_free(tile_index i,
@@ -597,29 +590,21 @@ void lnuca_cache::run_replacement(cycle_t now, tile_index i)
     if (!room) {
         // Choose an On output U channel (or the exit path on corner tiles)
         // and read the victim out; the incoming block lands next idle cycle.
-        std::array<std::uint32_t, max_links> candidates;
-        std::size_t n_candidates = 0;
-        for (std::size_t k = 0; k < u_out_[i].size(); ++k) {
-            const link& l = u_out_[i][k];
-            if (tiles_[l.target].u_in[l.slot].on())
-                candidates[n_candidates++] = std::uint32_t(k);
-        }
+        const link* out = pick_replacement_link(u_out_[i]);
         const bool exit_ok = geo_.is_exit_tile(i) &&
                              exit_queue_.size() < config_.exit_queue_depth;
-        if (n_candidates == 0 && !exit_ok) {
+        if (out == nullptr && !exit_ok) {
             counters_.inc(h_replacement_blocked_);
             return;
         }
         const auto victim = t.cache.evict_victim(head->block);
         counters_.inc(h_tile_data_reads_);
-        if (n_candidates != 0) {
-            const std::size_t k = candidates[pick_output(n_candidates)];
-            const link& l = u_out_[i][k];
-            tiles_[l.target].u_in[l.slot].push(
-                replace_msg{victim.block_addr, victim.dirty});
-            busy_tiles_.set(l.target);
+        const replace_msg moving{victim.block_addr, victim.dirty};
+        if (out != nullptr) {
+            tiles_[out->target].u_in[out->slot].push(moving);
+            busy_tiles_.set(out->target);
         } else {
-            exit_queue_.push_back(replace_msg{victim.block_addr, victim.dirty});
+            exit_queue_.push_back(moving);
         }
         counters_.inc(h_replacement_hops_);
     }
@@ -633,22 +618,13 @@ void lnuca_cache::inject_evictions(cycle_t)
 {
     if (evict_queue_.empty())
         return;
-    std::array<std::uint32_t, max_links> candidates;
-    std::size_t n_candidates = 0;
-    for (std::size_t k = 0; k < root_u_out_.size(); ++k) {
-        const link& l = root_u_out_[k];
-        if (tiles_[l.target].u_in[l.slot].on())
-            candidates[n_candidates++] = std::uint32_t(k);
-    }
-    if (n_candidates == 0) {
+    const link* l = pick_replacement_link(root_u_out_);
+    if (l == nullptr) {
         counters_.inc(h_eviction_inject_blocked_);
         return;
     }
-    const replace_msg msg = evict_queue_.take_front();
-    const std::size_t k = candidates[pick_output(n_candidates)];
-    const link& l = root_u_out_[k];
-    tiles_[l.target].u_in[l.slot].push(msg);
-    busy_tiles_.set(l.target);
+    tiles_[l->target].u_in[l->slot].push(evict_queue_.take_front());
+    busy_tiles_.set(l->target);
     counters_.inc(h_replacement_hops_);
     counters_.inc(h_evictions_injected_);
 }
@@ -864,92 +840,63 @@ std::uint64_t lnuca_cache::tile_capacity_bytes() const
 
 mem::warm_result lnuca_cache::warm_access(const mem::warm_request& request)
 {
-    // Stand-in for the search/replacement/store paths (see the
-    // warm_access() contract in src/mem/request.h). Content exclusion is
-    // preserved: a read hit extracts the block (it moves into the r-tile,
-    // whose warm path installs it), evictions enter via the replacement
-    // network stand-in warm_install().
+    // The timed path's content transitions, applied at once (see the
+    // warm_access() contract in src/mem/request.h).
     const addr_t block = request.addr & ~addr_t(config_.tile.block_bytes - 1);
-    if (warm_index_stale_)
-        warm_index_rebuild();
     switch (request.kind) {
-    case mem::access_kind::read: {
-        const std::uint32_t holder = warm_index_.find(block);
-        if (holder != slot_index::npos) {
-            const auto line = tiles_[holder].cache.extract(block);
-            warm_index_.erase(block);
-            return {line && line->dirty, false};
-        }
-        // Global miss: fetch from the next level; the fill travels straight
-        // to the r-tile (the fabric only fills through evictions).
+    case mem::access_kind::read:
+        // A search hit extracts the block (content exclusion: it moves into
+        // the r-tile). A global miss fetches from the next level; the fill
+        // travels straight to the r-tile.
+        if (mem::tag_array* tags = holder_of(block))
+            return {tags->extract(block)->dirty, false};
         if (downstream_ != nullptr)
             return {downstream_
                         ->warm_access({block, mem::access_kind::read, false})
                         .dirty,
                     false};
         return {};
-    }
-    case mem::access_kind::write: {
-        const std::uint32_t holder = warm_index_.find(block);
-        if (holder != slot_index::npos) {
-            mem::tag_array& tags = tiles_[holder].cache;
-            tags.lookup(block); // store hit in place: recency + dirty
-            tags.set_dirty(block, true);
-            return {};
-        }
-        // Store miss: fire-and-forget towards the next level.
-        if (downstream_ != nullptr)
+    case mem::access_kind::write:
+        // A store hit updates the tile in place; a store miss is forwarded.
+        if (mem::tag_array* tags = holder_of(block)) {
+            tags->lookup(block);
+            tags->set_dirty(block, true);
+        } else if (downstream_ != nullptr) {
             downstream_->warm_access({block, mem::access_kind::write, false});
+        }
+        return {};
+    case mem::access_kind::writeback: {
+        // The replacement domino: each tile on the victim's path keeps the
+        // block it receives, or passes its own victim on over its link
+        // choice. At quiescence every link is On, so only an exit tile
+        // (no outputs) sends its victim out; a dirty one is written back.
+        addr_t moving = block;
+        bool moving_dirty = request.dirty;
+        for (const link* l = pick_replacement_link(root_u_out_); l != nullptr;
+             l = pick_replacement_link(u_out_[l->target])) {
+            const auto victim = tiles_[l->target].cache.install(moving,
+                                                                moving_dirty);
+            if (!victim)
+                return {};
+            moving = victim->block_addr;
+            moving_dirty = victim->dirty;
+        }
+        if (moving_dirty && downstream_ != nullptr)
+            downstream_->warm_access(
+                {moving, mem::access_kind::writeback, true});
         return {};
     }
-    case mem::access_kind::writeback:
-        warm_install(block, request.dirty);
-        return {};
     }
     return {};
 }
 
-void lnuca_cache::warm_install(addr_t block, bool dirty)
+mem::tag_array* lnuca_cache::holder_of(addr_t block)
 {
-    // An r-tile victim entering the replacement network. Exclusion check
-    // first: a copy already in a tile absorbs the eviction in place.
-    const std::uint32_t holder = warm_index_.find(block);
-    if (holder != slot_index::npos) {
-        mem::tag_array& tags = tiles_[holder].cache;
-        tags.lookup(block);
-        if (dirty)
-            tags.set_dirty(block, true);
-        return;
-    }
-    // Free way closest-first, like the timing-path domino settles.
-    for (unsigned level = 2; level <= config_.levels; ++level) {
-        for (const tile_index i : tiles_by_level_[level]) {
-            if (tiles_[i].cache.set_has_free_way(block)) {
-                tiles_[i].cache.install(block, dirty);
-                warm_index_.insert(block, i);
-                return;
-            }
-        }
-    }
-    // All candidate sets full: domino one victim per level outwards,
-    // rotating the tile choice to mirror distributed routing's spread.
-    addr_t moving = block;
-    bool moving_dirty = dirty;
-    for (unsigned level = 2; level <= config_.levels; ++level) {
-        const auto& tiles = tiles_by_level_[level];
-        const tile_index i = tiles[warm_rotate_[level]++ % tiles.size()];
-        const auto victim = tiles_[i].cache.install(moving, moving_dirty);
-        if (victim) // erase first: a full fabric has no spare index slot
-            warm_index_.erase(victim->block_addr);
-        warm_index_.insert(moving, i);
-        if (!victim)
-            return;
-        moving = victim->block_addr;
-        moving_dirty = victim->dirty;
-    }
-    // Victim leaves through the exit tiles; clean exits are dropped.
-    if (moving_dirty && downstream_ != nullptr)
-        downstream_->warm_access({moving, mem::access_kind::writeback, true});
+    for (unsigned level = 2; level <= config_.levels; ++level)
+        for (const tile_index i : tiles_by_level_[level])
+            if (tiles_[i].cache.probe(block))
+                return &tiles_[i].cache;
+    return nullptr;
 }
 
 bool lnuca_cache::prewarm(addr_t addr)

@@ -30,7 +30,6 @@
 #include "src/common/index_mask.h"
 #include "src/common/ring_queue.h"
 #include "src/common/rng.h"
-#include "src/common/slot_index.h"
 #include "src/common/stats.h"
 #include "src/fabric/geometry.h"
 #include "src/fabric/tile.h"
@@ -118,10 +117,9 @@ public:
     /// Returns false when every candidate set is full.
     bool prewarm(addr_t addr);
 
-    /// Persistent-at-quiescence state: tile tags/recency, stats, the
-    /// routing RNG and the warm-path rotation pointers. Searches, link
-    /// buffers and queues are empty by the quiesce contract; the warm
-    /// block index is derivable and rebuilt lazily after load.
+    /// Persistent-at-quiescence state: tile tags/recency, stats and the
+    /// routing RNG. Searches, link buffers and queues are empty by the
+    /// quiesce contract.
     template <class Ar> void serialize(Ar& ar)
     {
         for (tile& t : tiles_)
@@ -131,21 +129,6 @@ public:
         std::uint64_t high_water = downstream_queue_high_water_;
         ar(high_water);
         downstream_queue_high_water_ = std::size_t(high_water);
-        std::uint64_t rotate_count = warm_rotate_.size();
-        ar(rotate_count);
-        warm_rotate_.resize(std::size_t(rotate_count));
-        for (std::size_t& r : warm_rotate_) {
-            std::uint64_t v = r;
-            ar(v);
-            r = std::size_t(v);
-        }
-        // Stale on BOTH directions: tiles can hold transient duplicate
-        // copies of a block at quiescence (exclusion is best-effort in the
-        // detailed path), so the incrementally-maintained warm index and a
-        // fresh rebuild may disagree about the holder. Rebuilding from the
-        // (serialized, identical) tags on each side keeps a checkpointed
-        // run and its restored twin bit-identical.
-        warm_index_stale_ = true;
     }
 
 private:
@@ -211,7 +194,13 @@ private:
                             std::uint32_t count, mem::service_level origin,
                             std::uint8_t level, bool dirty);
     std::size_t pick_output(std::size_t available);
-    void warm_install(addr_t block, bool dirty);
+    /// The replacement network's link choice: a random On link of
+    /// `outputs` (the r-tile's or a tile's), or nullptr when none is On.
+    /// Exit tiles have no outputs, so their victims leave the fabric.
+    const link* pick_replacement_link(const std::vector<link>& outputs);
+    /// The first tile, in search order, whose tags hold `block` (nullptr:
+    /// none does).
+    mem::tag_array* holder_of(addr_t block);
     void note_downstream_high_water();
 
     fabric_config config_;
@@ -322,22 +311,9 @@ private:
     ring_queue<mem::mem_request> downstream_queue_; ///< global misses / writes
     sim::timed_queue<mem::mem_response> refills_;
 
-    // Warm-path state: per-level tile lists in deterministic closest-first
-    // order and a rotation pointer spreading warm installs across a full
-    // level (the functional stand-in for random distributed routing).
+    /// Per-level tile lists in closest-first order: the search order of
+    /// the warm path and the placement order of prewarm().
     std::vector<std::vector<tile_index>> tiles_by_level_; ///< index: level
-    std::vector<std::size_t> warm_rotate_;
-
-    // Warm-path block index: block -> holding tile (content exclusion
-    // guarantees at most one copy), the shared slot_index sized for every
-    // fabric line; makes a warm search O(1) instead of probing every tile.
-    // The detailed path mutates tiles without maintaining the index, so
-    // any tick (and any checkpoint load) marks it stale and the next warm
-    // access rebuilds it from the tag arrays.
-    void warm_index_rebuild();
-
-    slot_index warm_index_;
-    bool warm_index_stale_ = true;
 };
 
 } // namespace lnuca::fabric

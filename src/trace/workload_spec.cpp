@@ -39,7 +39,10 @@ parse_workload_list(const std::string& list, std::string* bad_spec)
         if (end == std::string::npos)
             end = list.size();
         const std::string spec = list.substr(begin, end - begin);
-        if (!spec.empty()) {
+        if (spec == "all") {
+            const auto& suite = wl::spec2006_suite();
+            out.insert(out.end(), suite.begin(), suite.end());
+        } else if (!spec.empty()) {
             if (const auto profile = parse_workload_spec(spec)) {
                 out.push_back(*profile);
             } else {

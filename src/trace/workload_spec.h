@@ -21,9 +21,10 @@ namespace lnuca::trace {
 std::optional<wl::workload_profile>
 parse_workload_spec(const std::string& spec);
 
-/// Parse a comma-separated spec list ("429.mcf,scenario:ping_pong").
-/// Returns the profiles, or an empty vector with *bad_spec naming the
-/// first offending entry.
+/// Parse a comma-separated spec list ("429.mcf,scenario:ping_pong"); the
+/// entry "all" stands for the whole SPEC proxy suite. Returns the
+/// profiles, or an empty vector with *bad_spec naming the first offending
+/// entry.
 std::vector<wl::workload_profile>
 parse_workload_list(const std::string& list, std::string* bad_spec);
 

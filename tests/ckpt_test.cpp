@@ -186,22 +186,27 @@ TEST(ckpt_identity, cmp_two_core_lnuca_exact)
 
 TEST(ckpt_identity, sampled_single_core)
 {
-    hier::system_config base = hier::presets::l2_256kb();
     const auto sampling = hier::parse_sampling_spec("periodic:2000:8000:800");
     ASSERT_TRUE(sampling.has_value());
-    base.sampling = *sampling;
     const wl::workload_profile workload = *wl::find_spec2006("429.mcf");
-    for (const kill_case c : {kill_case{"w1", 1}, kill_case{"w2", 2}}) {
-        SCOPED_TRACE(c.tag);
-        const hier::system_config config = with_checkpoint(
-            base, temp_path(std::string("sampled_") + c.tag + ".ckpt"),
-            8000);
-        const auto clean = run_clean(config, workload, 32'000, 2'000, 17);
-        const auto resumed =
-            run_killed_and_resumed(config, workload, 32'000, 2'000, 17,
-                                   c.halt_after);
-        ASSERT_TRUE(clean.sampled);
-        expect_sim_fields_identical(clean, resumed);
+    // The LN3 fabric's warm path reads only its tile tags, which the
+    // snapshot carries; a resumed run must fast-forward the same way.
+    for (hier::system_config base :
+         {hier::presets::l2_256kb(), hier::presets::lnuca_l3(3)}) {
+        base.sampling = *sampling;
+        for (const kill_case c : {kill_case{"w1", 1}, kill_case{"w2", 2}}) {
+            SCOPED_TRACE(base.name + " " + c.tag);
+            const hier::system_config config = with_checkpoint(
+                base,
+                temp_path("sampled_" + base.name + "_" + c.tag + ".ckpt"),
+                8000);
+            const auto clean = run_clean(config, workload, 32'000, 2'000, 17);
+            const auto resumed =
+                run_killed_and_resumed(config, workload, 32'000, 2'000, 17,
+                                       c.halt_after);
+            ASSERT_TRUE(clean.sampled);
+            expect_sim_fields_identical(clean, resumed);
+        }
     }
 }
 
@@ -359,8 +364,10 @@ TEST(ckpt_damage, older_version_files_are_rejected_cold)
 {
     // Every format bump changed a payload layout (version 2: the `driver`
     // section; version 3: the component counters and the driver's energy
-    // events; version 4: the directory and TLB index tables). An older snapshot (otherwise intact, header CRC re-signed)
-    // must be refused at open and the resumed run must start cold.
+    // events; version 4: the directory and TLB index tables; version 5:
+    // the fabric's warm rotation pointers). An older snapshot (otherwise
+    // intact, header CRC re-signed) must be refused at open and the
+    // resumed run must start cold.
     const hier::system_config config = with_checkpoint(
         hier::presets::l2_256kb(), temp_path("old_version.ckpt"), 4000);
     const wl::workload_profile workload = *wl::find_spec2006("429.mcf");

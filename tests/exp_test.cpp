@@ -617,11 +617,15 @@ TEST(run_app_options, mistyped_run_flags_are_cli_errors)
     // A typo must not run something else: an unknown engine used to fall
     // back to idle-skip, an unknown sampling spec to exact execution and an
     // unknown workload to the bench's full default set - all with exit 0.
+    // An option nobody reads used to be ignored: a misspelt
+    // --instructions ran the 400k default and --help ran the whole sweep.
     const std::pair<const char*, const char*> bad[] = {
         {"--engine", "parnoid"},
         {"--sampling", "periodc:1:2"},
         {"--workload", "429.mfc"},
         {"--workload", "429.mcf,429.mfc"},
+        {"--instructons", "300"},
+        {"--help", "--quiet"},
     };
     for (const auto& [flag, value] : bad) {
         const char* argv[] = {"bench", flag, value};
@@ -636,6 +640,15 @@ TEST(run_app_options, mistyped_run_flags_are_cli_errors)
     const app_options opt = parse_app_options(cli_args(7, good));
     EXPECT_FALSE(opt.cli_error) << opt.cli_error_text;
     EXPECT_EQ(opt.workload_override.size(), 2u);
+
+    // The calling binary's own options are not errors (quickstart's
+    // --config), and --workload all is the SPEC proxy suite.
+    const char* own[] = {"quickstart", "--config", "LN2", "--workload", "all"};
+    EXPECT_TRUE(parse_app_options(cli_args(5, own)).cli_error);
+    const app_options with_own =
+        parse_app_options(cli_args(5, own), {"config"});
+    EXPECT_FALSE(with_own.cli_error) << with_own.cli_error_text;
+    EXPECT_EQ(with_own.workload_override.size(), wl::spec2006_suite().size());
 }
 
 TEST(run_app_options, parses_fault_tolerance_flags)

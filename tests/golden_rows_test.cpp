@@ -39,7 +39,9 @@ constexpr std::uint64_t sampled_warmup = 2'000;
 constexpr std::uint64_t sampled_every = 6'000;
 constexpr const char* sampling_spec = "periodic:1000:6000:500";
 
-// Recorded before the single-core and CMP run drivers were folded into one.
+// Recorded before the single-core and CMP run drivers were folded into one;
+// the sampled rows of configs with an L-NUCA fabric were re-recorded when
+// the fabric's warm path started following its replacement links.
 const std::map<std::string, std::uint64_t> golden = {
     {"L2-256KB/429.mcf/exact/plain", 0xe535a705e5078e54ULL},
     {"L2-256KB/429.mcf/exact/ckpt", 0x71fd0ad3db025e10ULL},
@@ -53,14 +55,14 @@ const std::map<std::string, std::uint64_t> golden = {
     {"L2-256KB-2c/scenario:producer_consumer/sampled/ckpt", 0x41e1879757ce4cf0ULL},
     {"LN3-144KB/429.mcf/exact/plain", 0xb68d9923ccb92da1ULL},
     {"LN3-144KB/429.mcf/exact/ckpt", 0xacbea34c3480b418ULL},
-    {"LN3-144KB/429.mcf/sampled/plain", 0x1dc049f211ad442cULL},
-    {"LN3-144KB/429.mcf/sampled/ckpt", 0x7c5b63d3c04c13fcULL},
+    {"LN3-144KB/429.mcf/sampled/plain", 0x7918f1d1bf1ecabaULL},
+    {"LN3-144KB/429.mcf/sampled/ckpt", 0x6e41724514d1b4e4ULL},
     {"LN3-144KB-2c/429.mcf/exact/plain", 0x06f668fb93da9eafULL},
-    {"LN3-144KB-2c/429.mcf/sampled/plain", 0x1c40f9b4cad46f72ULL},
-    {"LN3-144KB-2c/429.mcf/sampled/ckpt", 0xe2a9aea5542d6630ULL},
+    {"LN3-144KB-2c/429.mcf/sampled/plain", 0x6c80378797cecb73ULL},
+    {"LN3-144KB-2c/429.mcf/sampled/ckpt", 0xc4ee5b44548ea2e5ULL},
     {"LN3-144KB-2c/scenario:producer_consumer/exact/plain", 0x7768ad323537d668ULL},
-    {"LN3-144KB-2c/scenario:producer_consumer/sampled/plain", 0x5ddf394ea5e16279ULL},
-    {"LN3-144KB-2c/scenario:producer_consumer/sampled/ckpt", 0x7cd22f13414589bfULL},
+    {"LN3-144KB-2c/scenario:producer_consumer/sampled/plain", 0xe9a30e7ac30423d6ULL},
+    {"LN3-144KB-2c/scenario:producer_consumer/sampled/ckpt", 0x8a8d864eb3b8b8c2ULL},
     {"DN-4x8/429.mcf/exact/plain", 0x946ef2c7e332cc1aULL},
     {"DN-4x8/429.mcf/exact/ckpt", 0x104a2ac9972b01c2ULL},
     {"DN-4x8/429.mcf/sampled/plain", 0xa327fe27bda16254ULL},
@@ -73,14 +75,14 @@ const std::map<std::string, std::uint64_t> golden = {
     {"DN-4x8-2c/scenario:producer_consumer/sampled/ckpt", 0xe3fa0e95ff5b83edULL},
     {"LN3 + DN-4x8/429.mcf/exact/plain", 0xf013501e6e512b59ULL},
     {"LN3 + DN-4x8/429.mcf/exact/ckpt", 0x8a31e57673a5833eULL},
-    {"LN3 + DN-4x8/429.mcf/sampled/plain", 0x1eee5fd8f02d2b81ULL},
-    {"LN3 + DN-4x8/429.mcf/sampled/ckpt", 0x82e575e24f8cd943ULL},
+    {"LN3 + DN-4x8/429.mcf/sampled/plain", 0x96dbceb35d16979eULL},
+    {"LN3 + DN-4x8/429.mcf/sampled/ckpt", 0x1e6e1bccedd66d9aULL},
     {"LN3 + DN-4x8-2c/429.mcf/exact/plain", 0xd95cd8b76d20ccdaULL},
-    {"LN3 + DN-4x8-2c/429.mcf/sampled/plain", 0xc73b8f2256d7922fULL},
-    {"LN3 + DN-4x8-2c/429.mcf/sampled/ckpt", 0x6942b25b47583702ULL},
+    {"LN3 + DN-4x8-2c/429.mcf/sampled/plain", 0x4dad6e7ccc9480a1ULL},
+    {"LN3 + DN-4x8-2c/429.mcf/sampled/ckpt", 0xa258f2a3336fb364ULL},
     {"LN3 + DN-4x8-2c/scenario:producer_consumer/exact/plain", 0xe6b0a0049a97c89dULL},
-    {"LN3 + DN-4x8-2c/scenario:producer_consumer/sampled/plain", 0x72f975cf8397616fULL},
-    {"LN3 + DN-4x8-2c/scenario:producer_consumer/sampled/ckpt", 0x77543eaaf2b41f73ULL},
+    {"LN3 + DN-4x8-2c/scenario:producer_consumer/sampled/plain", 0x55f1368fda58917eULL},
+    {"LN3 + DN-4x8-2c/scenario:producer_consumer/sampled/ckpt", 0x29c9c9992cf8e3eeULL},
 };
 
 std::uint64_t fnv1a(const std::string& bytes)

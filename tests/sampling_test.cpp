@@ -9,6 +9,8 @@
 #include "src/hier/presets.h"
 #include "src/hier/system.h"
 #include "src/mem/cache.h"
+#include "src/mem/main_memory.h"
+#include "src/sim/engine.h"
 #include "src/trace/workload_spec.h"
 #include "src/workloads/spec2006.h"
 #include "tests/run_result_compare.h"
@@ -134,22 +136,54 @@ TEST(warm_access, fabric_read_hit_preserves_content_exclusion)
 
 TEST(warm_access, fabric_full_level_dominoes_outwards)
 {
-    mem::txn_id_source ids;
     fabric::fabric_config fc;
     fc.levels = 2; // one ring of 5 tiles
-    fc.tile.size_bytes = 64; // 2 sets x 1 way... keep ways=2: 1 set
+    fc.tile.size_bytes = 64; // one set of 2 ways
     fc.tile.ways = 2;
     fc.tile.block_bytes = 32;
-    fabric::lnuca_cache fabric(fc, ids);
+    const auto resident = [](const fabric::lnuca_cache& fabric) {
+        std::uint64_t n = 0;
+        for (addr_t a = 0; a < 12; ++a)
+            n += fabric.copies_of(a * 32);
+        return n;
+    };
 
-    // 5 tiles x 2 ways of one set: 10 blocks fill the level; further
-    // evictions must still land (dominoed victims leave the fabric).
+    // 5 tiles x 2 ways of one set hold 10 blocks, but a victim only moves
+    // along the replacement links: once a corner tile on the path is full,
+    // its victim leaves while tiles off the path still have free ways.
+    // Twelve clean evictions through the timed path leave 9 resident.
+    mem::txn_id_source timed_ids;
+    fabric::lnuca_cache timed(fc, timed_ids);
+    mem::main_memory memory(mem::main_memory_config{});
+    timed.set_downstream(&memory);
+    memory.set_upstream(&timed);
+    sim::engine engine;
+    engine.add(timed);
+    engine.add(memory);
+    for (addr_t a = 0; a < 12; ++a) {
+        mem::mem_request r;
+        r.id = timed_ids.next();
+        r.addr = a * 32;
+        r.size = 32;
+        r.kind = mem::access_kind::writeback;
+        r.created_at = engine.now();
+        r.needs_response = false;
+        timed.accept(r);
+        ASSERT_TRUE(engine.run_until(
+            [&] { return timed.quiescent() && memory.quiescent(); }, 10000));
+    }
+    EXPECT_EQ(resident(timed), 9u);
+
+    // The warm path takes the same dominoes.
+    mem::txn_id_source ids;
+    fabric::lnuca_cache fabric(fc, ids);
     for (addr_t a = 0; a < 12; ++a)
         fabric.warm_access({a * 32, mem::access_kind::writeback, false});
-    std::uint64_t resident = 0;
-    for (addr_t a = 0; a < 12; ++a)
-        resident += fabric.copies_of(a * 32);
-    EXPECT_EQ(resident, 10u);
+    EXPECT_EQ(resident(fabric), 9u);
+    for (fabric::tile_index i = 0; i < fabric.geo().tile_count(); ++i)
+        EXPECT_EQ(fabric.tile_at(i).cache.valid_count(),
+                  timed.tile_at(i).cache.valid_count())
+            << "tile " << i;
 }
 
 // ---------------------------------------------------------------------------

@@ -407,6 +407,15 @@ TEST(workload_spec, parses_every_source_kind)
     EXPECT_TRUE(
         trace::parse_workload_list("429.mcf,junk,470.lbm", &bad).empty());
     EXPECT_EQ(bad, "junk");
+
+    // "all" is the whole SPEC proxy suite, and composes with other specs.
+    const auto& suite = wl::spec2006_suite();
+    const auto all = trace::parse_workload_list("all", &bad);
+    ASSERT_EQ(all.size(), suite.size());
+    for (std::size_t i = 0; i < suite.size(); ++i)
+        EXPECT_EQ(all[i].name, suite[i].name);
+    EXPECT_EQ(trace::parse_workload_list("scenario:ping_pong,all", &bad).size(),
+              suite.size() + 1);
 }
 
 } // namespace
