@@ -304,6 +304,8 @@ public:
     unsigned cores() const { return unsigned(cores_.size()); }
     cpu::ooo_core& core() { return *cores_.front(); }
     cpu::ooo_core& core(unsigned i) { return *cores_[i]; }
+    /// Lane i's instruction stream (its pre-warm table, for oracle tests).
+    const wl::workload_stream& stream(unsigned i) const { return *streams_[i]; }
     fabric::lnuca_cache* fabric() { return fabric_.get(); }
     dnuca::dnuca_cache* dnuca() { return dnuca_.get(); }
     mem::conventional_cache& l1() { return *l1s_.front(); }

@@ -129,6 +129,57 @@ TEST(tag_array, evict_victim_frees_way)
     EXPECT_EQ(t.valid_count(), 1u);
 }
 
+TEST(tag_array, install_present_in_later_way_beats_earlier_free_way)
+{
+    tag_array t(small_config()); // 2 ways
+    t.install(0x0, false);       // way 0
+    t.install(0x200, false);     // way 1, same set
+    t.extract(0x0);              // way 0 free again
+    EXPECT_FALSE(t.install(0x200, true).has_value());
+    EXPECT_EQ(t.valid_count(), 1u); // refreshed in place, no duplicate
+    EXPECT_FALSE(t.line(t.set_of(0x200), 0).valid);
+    EXPECT_EQ(t.probe(0x200)->way, 1u);
+    EXPECT_TRUE(t.probe(0x200)->was_dirty);
+}
+
+TEST(tag_array, install_fills_the_first_free_way)
+{
+    tag_array_config c = small_config();
+    c.ways = 4;
+    tag_array t(c); // 8 sets: 0x100 apart is the same set
+    for (addr_t a = 0; a < 4; ++a)
+        t.install(a * 0x100, false);
+    t.extract(0x100); // way 1
+    t.extract(0x200); // way 2
+    EXPECT_FALSE(t.install(0x400, false).has_value());
+    EXPECT_EQ(t.probe(0x400)->way, 1u);
+    EXPECT_FALSE(t.install(0x500, false).has_value());
+    EXPECT_EQ(t.probe(0x500)->way, 2u);
+    EXPECT_FALSE(t.set_has_free_way(0x0));
+}
+
+TEST(tag_array, set_of_matches_block_number_modulo_sets)
+{
+    const addr_t probes[] = {0x0,
+                             0x1f,
+                             0x12345,
+                             0xdeadbeef,
+                             0x7fff'ffff'ffc0ULL,
+                             0x1234'5678'9abc'def0ULL,
+                             ~addr_t(0) - 1};
+    for (const std::uint32_t block : {32u, 64u, 128u}) {
+        tag_array_config c;
+        c.size_bytes = 64_KiB;
+        c.ways = 4;
+        c.block_bytes = block;
+        const tag_array t(c);
+        for (const addr_t addr : probes)
+            EXPECT_EQ(t.set_of(addr),
+                      std::uint32_t((addr / block) & (t.sets() - 1)))
+                << block << "-B blocks, address 0x" << std::hex << addr;
+    }
+}
+
 TEST(replacement, factory_names)
 {
     EXPECT_EQ(make_replacement_policy("lru").name(), "lru");

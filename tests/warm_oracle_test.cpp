@@ -21,6 +21,7 @@
 #include "src/mem/cache.h"
 #include "src/mem/main_memory.h"
 #include "src/sim/engine.h"
+#include "tests/tag_content.h"
 
 #include <gtest/gtest.h>
 
@@ -28,62 +29,13 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 namespace lnuca {
 namespace {
 
 using mem::access_kind;
-
-/// Captures a tag array's LRU stamps through its serialize() hook (the one
-/// vector<u64> it writes); lines are read through tag_array::line().
-struct stamp_capture {
-    static constexpr bool is_loading = false;
-    std::vector<std::uint64_t> stamps;
-
-    template <class T> void operator()(const std::vector<T>& v)
-    {
-        if constexpr (std::is_same_v<T, std::uint64_t>)
-            stamps = v;
-    }
-    template <class T> void operator()(const T& v)
-    {
-        if constexpr (std::is_class_v<T> && !std::is_same_v<T, std::string>)
-            const_cast<T&>(v).serialize(*this);
-    }
-};
-
-/// Content of one tag array: per set, the valid ways from least to most
-/// recently used, with their tag, dirty and exclusive bits. Raw LRU stamps
-/// differ between the rigs (the timed path touches a line more often); the
-/// order they induce is what decides every later victim.
-std::string content_of(const mem::tag_array& tags)
-{
-    stamp_capture cap;
-    cap(tags);
-    std::ostringstream out;
-    for (std::uint32_t set = 0; set < tags.sets(); ++set) {
-        std::vector<std::uint32_t> ways;
-        for (std::uint32_t way = 0; way < tags.ways(); ++way)
-            if (tags.line(set, way).valid)
-                ways.push_back(way);
-        std::sort(ways.begin(), ways.end(), [&](auto a, auto b) {
-            return cap.stamps[std::size_t(set) * tags.ways() + a] <
-                   cap.stamps[std::size_t(set) * tags.ways() + b];
-        });
-        if (ways.empty())
-            continue;
-        out << "set " << set << ':';
-        for (const std::uint32_t way : ways) {
-            const mem::cache_line& l = tags.line(set, way);
-            out << " w" << way << "=" << std::hex << l.tag << std::dec
-                << (l.dirty ? "d" : "") << (l.exclusive ? "x" : "");
-        }
-        out << '\n';
-    }
-    return out.str();
-}
+using lnuca::content_of;
 
 std::string content_of(const coh::directory& dir)
 {
