@@ -40,6 +40,9 @@ dnuca_cache::dnuca_cache(const dnuca_config& config, mem::txn_id_source& ids)
             b.lookups.reserve(8);
         }
     }
+    block_shift_ = log2_exact(config.block_bytes);
+    if (!banks_.empty())
+        bank_set_shift_ = log2_exact(banks_.front().tags->sets());
     // Pre-size the controller-side queues: a probe set is `rows` flits and
     // a data reply is flits_for_block(), so these bounds cover steady state
     // without reallocation (growth stays possible for pathological bursts).
@@ -621,15 +624,17 @@ unsigned dnuca_cache::hit_row(unsigned column, addr_t local)
 
 void dnuca_cache::prewarm(addr_t addr)
 {
-    const addr_t block = addr & ~addr_t(config_.block_bytes - 1);
-    // Spread lines over rows using the bits *above* the bank set index, so
-    // a column's four banks tile its share of an 8MB-resident window
-    // instead of aliasing into the same sets.
-    const std::uint64_t sets_per_bank =
-        config_.bank_bytes / config_.block_bytes / config_.bank_ways;
-    const std::uint64_t line = block / config_.block_bytes / config_.bank_sets;
-    const unsigned row = 1 + unsigned((line / sets_per_bank) % config_.rows);
-    bank_at(column_of(block), row).tags->install(to_bank_addr(block), false);
+    // The block number splits into column (column_of) and bank-local line
+    // (to_bank_addr), with shifts for the power-of-two block and bank set
+    // counts. Lines spread over rows using the bits *above* the bank set
+    // index, so a column's four banks tile its share of an 8MB-resident
+    // window instead of aliasing into the same sets.
+    const std::uint64_t number = addr >> block_shift_;
+    const unsigned column = unsigned(number % config_.bank_sets);
+    const std::uint64_t line = number / config_.bank_sets;
+    const unsigned row =
+        1 + unsigned((line >> bank_set_shift_) % config_.rows);
+    bank_at(column, row).tags->install(line << block_shift_, false);
 }
 
 std::uint64_t dnuca_cache::hits_in_row(unsigned row) const

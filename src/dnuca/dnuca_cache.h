@@ -215,6 +215,10 @@ private:
     void grow_requests();
 
     dnuca_config config_;
+    /// log2 of the block size and of the sets per bank: prewarm()'s bank
+    /// mapping without divides.
+    unsigned block_shift_ = 0;
+    unsigned bank_set_shift_ = 0;
     mem::txn_id_source& ids_;
     counter_set counters_;
     counter_set::handle h_read_probes_ = counters_.handle_of("read_probes");

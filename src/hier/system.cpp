@@ -292,32 +292,43 @@ void system::prewarm()
     // Streams with no warm table (scenario lanes, traces captured from
     // them) skip pre-warm: their working sets are small enough to warm
     // naturally, and there is no hot-window structure to install.
+    //
+    // Each lane's window is walked oldest-first, one 32-B generator block
+    // at a time, but a block is installed only when its line in the
+    // target array differs from the line installed just before it. The
+    // skip is exact: that repeat would hit the line the previous install
+    // left most recently used, so it could only renumber LRU stamps
+    // without changing their order (random and FIFO ignore the touch, and
+    // a hit draws no victim). Non-consecutive repeats - a window that
+    // wraps the footprint - are still installed. tests/prewarm_oracle_test
+    // checks the arrays against one install per generator block.
     const std::uint64_t n = streams_.size();
-    auto warm_cache = [&](mem::conventional_cache* cache) {
-        if (cache == nullptr)
-            return;
-        const std::uint64_t lines =
-            cache->tags().size_bytes() / cache->tags().block_bytes();
-        const std::uint64_t window =
-            lines * cache->tags().block_bytes() / 32 / n; // generator blocks
+    auto walk_lines = [&](std::uint64_t window_bytes, std::uint32_t line_bytes,
+                          auto install) {
+        const std::uint64_t window = window_bytes / 32 / n; // generator blocks
+        const addr_t line_mask = ~addr_t(line_bytes - 1);
         for (const auto& stream : streams_) {
             if (stream->warm_block_count() == 0)
                 continue;
-            for (std::uint64_t j = window; j-- > 0;)
-                cache->tags().install(stream->warm_block(j), false);
+            addr_t last = no_addr;
+            for (std::uint64_t j = window; j-- > 0;) {
+                const addr_t line = stream->warm_block(j) & line_mask;
+                if (line != last)
+                    install(line);
+                last = line;
+            }
         }
     };
-    warm_cache(l3_.get());
-    warm_cache(l2_.get());
-    if (dnuca_) {
-        const std::uint64_t window = dnuca_->size_bytes() / 32 / n;
-        for (const auto& stream : streams_) {
-            if (stream->warm_block_count() == 0)
-                continue;
-            for (std::uint64_t j = window; j-- > 0;)
-                dnuca_->prewarm(stream->warm_block(j));
-        }
+    for (mem::conventional_cache* cache : {l3_.get(), l2_.get()}) {
+        if (cache == nullptr)
+            continue;
+        mem::tag_array& tags = cache->tags();
+        walk_lines(tags.size_bytes(), tags.block_bytes(),
+                   [&](addr_t line) { tags.install(line, false); });
     }
+    if (dnuca_)
+        walk_lines(dnuca_->size_bytes(), dnuca_->config().block_bytes,
+                   [&](addr_t line) { dnuca_->prewarm(line); });
     if (fabric_) {
         // The fabric holds the recency window just beyond the L1's 1024
         // blocks; the L1 itself warms naturally within the warm-up window.

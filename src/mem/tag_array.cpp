@@ -7,6 +7,7 @@ namespace lnuca::mem {
 tag_array::tag_array(const tag_array_config& config)
     : ways_(config.ways),
       block_bytes_(config.block_bytes),
+      block_shift_(log2_exact(config.block_bytes)),
       policy_(make_replacement_policy(config.policy, config.seed))
 {
     if (!is_pow2(config.block_bytes))
@@ -68,29 +69,31 @@ std::optional<evicted_line> tag_array::install(addr_t addr, bool dirty)
     const addr_t block = block_of(addr);
     const std::uint32_t set = set_of(addr);
 
-    // Already present: refresh recency, merge dirtiness.
+    // One scan: a present copy wins over any free way (refresh recency,
+    // merge dirtiness); otherwise remember the first free way.
+    cache_line* const row = &line_ref(set, 0);
+    std::uint32_t free_way = ways_;
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        cache_line& l = line_ref(set, w);
-        if (l.valid && l.tag == block) {
+        cache_line& l = row[w];
+        if (!l.valid) {
+            if (free_way == ways_)
+                free_way = w;
+        } else if (l.tag == block) {
             l.dirty = l.dirty || dirty;
             policy_.touch(set, w);
             return std::nullopt;
         }
     }
 
-    // Free way if any.
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        cache_line& l = line_ref(set, w);
-        if (!l.valid) {
-            l = cache_line{block, true, dirty};
-            policy_.touch(set, w);
-            return std::nullopt;
-        }
+    if (free_way != ways_) {
+        row[free_way] = cache_line{block, true, dirty};
+        policy_.touch(set, free_way);
+        return std::nullopt;
     }
 
     // Displace the policy victim.
     const std::uint32_t victim_way = policy_.victim(set);
-    cache_line& l = line_ref(set, victim_way);
+    cache_line& l = row[victim_way];
     const evicted_line displaced{l.tag, l.dirty};
     l = cache_line{block, true, dirty};
     policy_.touch(set, victim_way);

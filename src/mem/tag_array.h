@@ -65,7 +65,7 @@ public:
 
     std::uint32_t set_of(addr_t addr) const
     {
-        return std::uint32_t((addr / block_bytes_) & (sets_ - 1));
+        return std::uint32_t((addr >> block_shift_) & (sets_ - 1));
     }
 
     /// Probe without changing recency state.
@@ -123,6 +123,7 @@ private:
     std::uint32_t sets_;
     std::uint32_t ways_;
     std::uint32_t block_bytes_;
+    unsigned block_shift_; ///< log2(block_bytes_): set_of without a divide
     std::vector<cache_line> lines_;
     replacement_policy policy_; ///< value type: LRU touch/victim inline here
 };
