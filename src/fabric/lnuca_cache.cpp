@@ -708,9 +708,10 @@ void lnuca_cache::evaluate_global_misses(cycle_t now)
 
         counters_.inc(h_global_misses_);
         // A global miss for a block actually present in the fabric would be
-        // a search correctness bug; exclusion makes this impossible, so it
-        // is counted defensively rather than tolerated silently.
-        if (copies_of(block) != 0)
+        // a search correctness bug; exclusion makes this impossible, so
+        // paranoid runs count it defensively rather than tolerate it
+        // silently.
+        if (paranoid_ && copies_of(block) != 0)
             counters_.inc(h_false_global_misses_);
         if (state.is_write) {
             // Fire-and-forget store miss leaves towards the next level.

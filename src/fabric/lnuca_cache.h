@@ -111,6 +111,12 @@ public:
     /// all tiles and in-flight buffers (exclusion checker for tests).
     unsigned copies_of(addr_t block) const;
 
+    /// When on, every global miss checks that the block is nowhere in the
+    /// fabric (copies_of) and counts a false_global_misses otherwise. The
+    /// scan visits every tile and buffer, so only the paranoid engine
+    /// preset turns it on (hier::system), as for coherence_hub.
+    void set_paranoid(bool on) { paranoid_ = on; }
+
     /// Functionally install a block before measurement (no timing): tiles
     /// are tried closest-first, so calling with hottest blocks first yields
     /// the temporal-locality-ordered placement the fabric converges to.
@@ -294,6 +300,7 @@ private:
     /// counter via delta increments - counter_set is inc-only).
     std::size_t downstream_queue_high_water_ = 0;
     rng rng_;
+    bool paranoid_ = false; ///< set_paranoid()
 
     mem::mem_client* upstream_ = nullptr;
     mem::mem_port* downstream_ = nullptr;

@@ -118,6 +118,8 @@ void system::build_shared_components()
         fc.seed = hash64(seed_ ^ 0xfab);
         fc.tile.seed = hash64(seed_ ^ 0x711e);
         fabric_ = std::make_unique<fabric::lnuca_cache>(fc, ids_);
+        fabric_->set_paranoid(config_.engine_mode ==
+                              sim::schedule_mode::paranoid);
     }
     if (with_l2) {
         mem::cache_config l2c = config_.l2;

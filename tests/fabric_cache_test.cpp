@@ -315,6 +315,7 @@ template <class AfterStep>
 void run_exclusion_stress(fabric_fixture& f, AfterStep after_step)
 {
     f.build(3, 8);
+    f.fab->set_paranoid(true); // count false global misses
     rng rng(7);
     std::vector<addr_t> blocks;
     for (int i = 0; i < 64; ++i)

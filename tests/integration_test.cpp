@@ -28,6 +28,7 @@ TEST(integration, no_false_global_misses_full_system)
 {
     const auto workload = *wl::find_spec2006("429.mcf");
     system sys(presets::lnuca_l3(3), workload, 4);
+    sys.fabric()->set_paranoid(true); // the check behind the counter
     sys.core().set_instruction_limit(30000);
     sys.engine().run_until([&] { return sys.core().done(); }, 5'000'000);
     EXPECT_TRUE(sys.core().done());
