@@ -44,6 +44,8 @@ struct instant_memory final : sim::ticked, mem::mem_port {
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
+    if (!args.only_known("dnuca_migration", {"hot", "accesses"}))
+        return 2;
     const std::uint64_t hot_blocks = args.get_u64("hot", 64);
     const std::uint64_t accesses = args.get_u64("accesses", 4000);
 

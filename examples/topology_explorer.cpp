@@ -53,6 +53,8 @@ void draw_levels(const geometry& geo)
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
+    if (!args.only_known("topology_explorer", {"levels"}))
+        return 2;
     const unsigned levels = unsigned(args.get_u64("levels", 3));
     const geometry geo(levels);
 

@@ -45,6 +45,8 @@ struct silent_l3 final : sim::ticked, mem::mem_port {
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
+    if (!args.only_known("victim_hierarchy", {"levels", "blocks"}))
+        return 2;
     fabric::fabric_config config;
     config.levels = unsigned(args.get_u64("levels", 3));
     const std::uint64_t blocks = args.get_u64("blocks", 4096);

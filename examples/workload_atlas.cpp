@@ -78,6 +78,8 @@ locality characterise(const wl::workload_profile& profile, int samples)
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
+    if (!args.only_known("workload_atlas", {"samples", "threads"}))
+        return 2;
     const int samples = int(args.get_u64("samples", 200000));
     const unsigned threads = unsigned(args.get_u64("threads", 0));
 

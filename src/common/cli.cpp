@@ -1,5 +1,7 @@
 #include "src/common/cli.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 namespace lnuca {
@@ -54,6 +56,23 @@ std::string cli_args::get_string(const std::string& name, std::string fallback) 
 bool cli_args::has_flag(const std::string& name) const
 {
     return value(name).has_value();
+}
+
+bool cli_args::only_known(const char* program,
+                          std::initializer_list<const char*> known) const
+{
+    for (const std::string& name : names_) {
+        if (std::any_of(known.begin(), known.end(),
+                        [&](const char* k) { return name == k; }))
+            continue;
+        std::fprintf(stderr, "%s: unknown option --%s (flags:", program,
+                     name.c_str());
+        for (const char* k : known)
+            std::fprintf(stderr, " --%s", k);
+        std::fprintf(stderr, "%s)\n", known.size() == 0 ? " none" : "");
+        return false;
+    }
+    return true;
 }
 
 } // namespace lnuca

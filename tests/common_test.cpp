@@ -434,5 +434,33 @@ TEST(cli, string_and_double)
     EXPECT_EQ(args.get_string("other", "fallback"), "fallback");
 }
 
+TEST(cli, only_known_accepts_the_binarys_own_flags)
+{
+    const char* argv[] = {"prog", "--hot", "8", "--accesses=100"};
+    const cli_args args(4, argv);
+    ::testing::internal::CaptureStderr();
+    EXPECT_TRUE(args.only_known("prog", {"hot", "accesses"}));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+    const cli_args none(1, argv);
+    EXPECT_TRUE(none.only_known("prog", {}));
+}
+
+TEST(cli, only_known_names_the_first_unknown_option)
+{
+    const char* argv[] = {"prog", "--hot", "8", "--acceses", "10", "--help"};
+    const cli_args args(6, argv);
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(args.only_known("prog", {"hot", "accesses"}));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "prog: unknown option --acceses (flags: --hot --accesses)\n");
+
+    const char* help[] = {"prog", "--help"};
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(cli_args(2, help).only_known("prog", {}));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "prog: unknown option --help (flags: none)\n");
+}
+
 } // namespace
 } // namespace lnuca

@@ -234,6 +234,10 @@ int main(int argc, char** argv)
     const std::string command = argv[1];
     const std::vector<std::string> ops = operands(argc, argv);
     const cli_args args(argc, argv);
+    if (!args.only_known("trace_tool",
+                         {"preset", "cores", "instructions", "warmup", "seed",
+                          "sampling", "engine", "rounds", "gap", "phase-len"}))
+        return 2;
 
     try {
         if (command == "info" && ops.size() == 1)
