@@ -9,11 +9,17 @@
 //               the core acts nearly every cycle, measuring the scheduling
 //               overhead idle-skip adds when there is nothing to skip.
 //
+// bm_build/<preset> times construction alone - streams, arrays and the
+// pre-warm fill of L2, L3 and D-NUCA - for the presets whose builds
+// dominate short jobs.
+//
 // CI runs this binary with --benchmark_out=BENCH_engine.json to append the
 // first engine-performance point to the perf trajectory.
 #include "src/lnuca.h"
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 using namespace lnuca;
 
@@ -75,10 +81,31 @@ void bm_saturated_skip(benchmark::State& s)
     bm_engine(s, *wl::find_spec2006("456.hmmer"), sim::schedule_mode::idle_skip);
 }
 
+/// One hier::system construction per iteration; destruction is untimed.
+void bm_build(benchmark::State& state, const hier::system_config& config)
+{
+    const wl::workload_profile workload = *wl::find_spec2006("429.mcf");
+    for (auto _ : state) {
+        auto sys = std::make_unique<hier::system>(config, workload, 1);
+        state.PauseTiming();
+        sys.reset();
+        state.ResumeTiming();
+    }
+}
+
 BENCHMARK(bm_idle_heavy_dense)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_idle_heavy_skip)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_saturated_dense)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_saturated_skip)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(bm_build, L2_256KB, hier::presets::l2_256kb())
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(bm_build, LN3_144KB, hier::presets::lnuca_l3(3))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(bm_build, DN_4x8, hier::presets::dnuca_4x8())
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(bm_build, LN3_144KB_2c,
+                  hier::presets::cmp(hier::presets::lnuca_l3(3), 2))
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -19,6 +19,8 @@ Comparison, preserving the warn-without-baseline contract:
 * baseline dir holds a bench.sqlite -> store-vs-store comparison (the gate)
 * no baseline store                 -> warn and exit 0; the fresh
   artifact becomes the baseline
+* a benchmark the baseline store lacks (a newly added case) -> warn and
+  skip it; it is gated from the next run on
 
 A metric regressing beyond --threshold (default 15%) in its bad direction
 fails the gate (exit 1).
@@ -131,6 +133,13 @@ def find_baseline(baseline_dir, filename):
     return None
 
 
+def missing_from(fresh_rows, base_rows):
+    """Fresh metrics with no baseline value (new benchmark names)."""
+    base = {(f, n, m) for f, n, m, _, _ in base_rows}
+    return [(f, n, m) for f, n, m, _, _ in fresh_rows
+            if (f, n, m) not in base]
+
+
 def regressions_between(fresh_rows, base_rows, threshold):
     base = {(f, n, m): v for f, n, m, v, _ in base_rows}
     for file, name, metric, new, direction in fresh_rows:
@@ -197,6 +206,10 @@ def main():
     print(f"bench_compare: baseline store {base_store} "
           f"({len(base_rows)} metrics)")
 
+    missing = missing_from(fresh_rows, base_rows)
+    for file, name, metric in missing:
+        print(f"bench_compare: warning: {file} {name}: {metric} has no "
+              f"baseline value - not gated this run")
     failures = list(regressions_between(fresh_rows, base_rows,
                                         args.threshold))
     for file, name, metric, old, new in failures:
@@ -206,8 +219,8 @@ def main():
         print(f"bench_compare: {len(failures)} regression(s) beyond "
               f"{100 * args.threshold:.0f}% - failing the gate")
         return 1
-    print(f"bench_compare: {len(fresh_rows)} metric(s) compared, no "
-          f"regression beyond {100 * args.threshold:.0f}%")
+    print(f"bench_compare: {len(fresh_rows) - len(missing)} metric(s) "
+          f"compared, no regression beyond {100 * args.threshold:.0f}%")
     return 0
 
 
