@@ -58,21 +58,27 @@ bool cli_args::has_flag(const std::string& name) const
     return value(name).has_value();
 }
 
-bool cli_args::only_known(const char* program,
-                          std::initializer_list<const char*> known) const
+std::optional<std::string>
+cli_args::unknown_option(const std::vector<std::string>& known) const
 {
-    for (const std::string& name : names_) {
-        if (std::any_of(known.begin(), known.end(),
-                        [&](const char* k) { return name == k; }))
-            continue;
-        std::fprintf(stderr, "%s: unknown option --%s (flags:", program,
-                     name.c_str());
-        for (const char* k : known)
-            std::fprintf(stderr, " --%s", k);
-        std::fprintf(stderr, "%s)\n", known.size() == 0 ? " none" : "");
-        return false;
-    }
-    return true;
+    for (const std::string& name : names_)
+        if (std::find(known.begin(), known.end(), name) == known.end())
+            return name;
+    return std::nullopt;
+}
+
+bool cli_args::only_known(const char* program,
+                          const std::vector<std::string>& known) const
+{
+    const auto name = unknown_option(known);
+    if (!name)
+        return true;
+    std::fprintf(stderr, "%s: unknown option --%s (flags:", program,
+                 name->c_str());
+    for (const std::string& k : known)
+        std::fprintf(stderr, " --%s", k.c_str());
+    std::fprintf(stderr, "%s)\n", known.empty() ? " none" : "");
+    return false;
 }
 
 } // namespace lnuca

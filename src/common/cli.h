@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,12 +26,16 @@ public:
     /// Names seen on the command line (for "unknown option" diagnostics).
     const std::vector<std::string>& names() const { return names_; }
 
+    /// The first option on the command line that is not in `known`.
+    std::optional<std::string>
+    unknown_option(const std::vector<std::string>& known) const;
+
     /// Standalone binaries' flag check: true when every option is in
     /// `known`, the binary's own flag list. Otherwise prints "<program>:
     /// unknown option --<name>" and the list to stderr and returns false;
     /// the binary then exits 2, as exp::run_app does for the bench CLI.
     bool only_known(const char* program,
-                    std::initializer_list<const char*> known) const;
+                    const std::vector<std::string>& known) const;
 
 private:
     std::vector<std::string> names_;

@@ -257,18 +257,15 @@ app_options parse_app_options(const cli_args& args,
 
     // Every option read above; anything else is a typo or a request (such
     // as --help) this binary does not serve.
-    static const char* const k_app_flags[] = {
+    std::vector<std::string> known = {
         "instructions", "warmup", "seed", "replicates", "threads", "json",
         "csv", "quiet", "engine", "sampling", "shard", "workload", "capture",
         "manifest", "timeout", "retries", "resume", "durable",
         "checkpoint-every", "checkpoint-dir", "fault"};
-    for (const std::string& name : args.names()) {
-        const auto is = [&](const auto& known) { return name == known; };
-        if (std::none_of(std::begin(k_app_flags), std::end(k_app_flags), is) &&
-            std::none_of(caller_flags.begin(), caller_flags.end(), is))
-            set_cli_error(opt, "unknown option --" + name +
-                                   " (README.md lists the flags)");
-    }
+    known.insert(known.end(), caller_flags.begin(), caller_flags.end());
+    if (const auto name = args.unknown_option(known))
+        set_cli_error(opt, "unknown option --" + *name +
+                               " (README.md lists the flags)");
     return opt;
 }
 
