@@ -23,9 +23,6 @@ public:
     std::string get_string(const std::string& name, std::string fallback) const;
     bool has_flag(const std::string& name) const;
 
-    /// Names seen on the command line (for "unknown option" diagnostics).
-    const std::vector<std::string>& names() const { return names_; }
-
     /// The first option on the command line that is not in `known`.
     std::optional<std::string>
     unknown_option(const std::vector<std::string>& known) const;
