@@ -111,6 +111,12 @@ double timed_run(const hier::system_config& config,
 int main(int argc, char** argv)
 {
     const cli_args args(argc, argv);
+    if (!args.only_known("micro_sampling",
+                         {"instructions", "warmup", "seed", "out", "sampling",
+                          "max-error-pct", "min-speedup", "cmp-instructions",
+                          "cmp-sampling", "cmp-max-error-pct",
+                          "cmp-min-speedup"}))
+        return 2;
     // Long runs by design: window-sampling error shrinks as 1/sqrt(windows)
     // and the wall-clock advantage grows with the fast-forward fraction, so
     // the gate measures the regime sampling is for. 16 windows of 6000

@@ -624,17 +624,14 @@ unsigned dnuca_cache::hit_row(unsigned column, addr_t local)
 
 void dnuca_cache::prewarm(addr_t addr)
 {
-    // The block number splits into column (column_of) and bank-local line
-    // (to_bank_addr), with shifts for the power-of-two block and bank set
-    // counts. Lines spread over rows using the bits *above* the bank set
-    // index, so a column's four banks tile its share of an 8MB-resident
-    // window instead of aliasing into the same sets.
-    const std::uint64_t number = addr >> block_shift_;
-    const unsigned column = unsigned(number % config_.bank_sets);
-    const std::uint64_t line = number / config_.bank_sets;
+    // Spread lines over rows using the bits *above* the bank set index, so
+    // a column's four banks tile its share of an 8MB-resident window
+    // instead of aliasing into the same sets.
+    const addr_t local = to_bank_addr(addr);
     const unsigned row =
-        1 + unsigned((line >> bank_set_shift_) % config_.rows);
-    bank_at(column, row).tags->install(line << block_shift_, false);
+        1 + unsigned((local >> (block_shift_ + bank_set_shift_)) %
+                     config_.rows);
+    bank_at(column_of(addr), row).tags->install(local, false);
 }
 
 std::uint64_t dnuca_cache::hits_in_row(unsigned row) const

@@ -166,20 +166,18 @@ private:
     }
     unsigned column_of(addr_t block) const
     {
-        return unsigned((block / config_.block_bytes) % config_.bank_sets);
+        return unsigned((block >> block_shift_) % config_.bank_sets);
     }
     /// Bank arrays index sets with the bits *above* the column-select bits;
     /// store bank-local addresses so every set of a bank is usable.
     addr_t to_bank_addr(addr_t block) const
     {
-        return (block / (addr_t(config_.block_bytes) * config_.bank_sets)) *
-               config_.block_bytes;
+        return ((block >> block_shift_) / config_.bank_sets) << block_shift_;
     }
     addr_t from_bank_addr(addr_t local, unsigned column) const
     {
-        return (local / config_.block_bytes) *
-                   (addr_t(config_.block_bytes) * config_.bank_sets) +
-               addr_t(column) * config_.block_bytes;
+        return ((local >> block_shift_) * config_.bank_sets + column)
+               << block_shift_;
     }
     std::uint32_t flits_for_block() const
     {
@@ -215,8 +213,9 @@ private:
     void grow_requests();
 
     dnuca_config config_;
-    /// log2 of the block size and of the sets per bank: prewarm()'s bank
-    /// mapping without divides.
+    /// log2 of the block size (the block-number shift of column_of() and
+    /// the bank-local addresses) and of the sets per bank (prewarm()'s row
+    /// choice).
     unsigned block_shift_ = 0;
     unsigned bank_set_shift_ = 0;
     mem::txn_id_source& ids_;

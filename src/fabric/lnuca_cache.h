@@ -116,6 +116,7 @@ public:
     /// scan visits every tile and buffer, so only the paranoid engine
     /// preset turns it on (hier::system), as for coherence_hub.
     void set_paranoid(bool on) { paranoid_ = on; }
+    bool paranoid() const { return paranoid_; }
 
     /// Functionally install a block before measurement (no timing): tiles
     /// are tried closest-first, so calling with hottest blocks first yields

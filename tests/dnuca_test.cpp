@@ -1,11 +1,13 @@
 // D-NUCA baseline: mapping, multicast search, promotion, tail insertion,
 // write handling and the controller protocol.
+#include "src/common/rng.h"
 #include "src/dnuca/dnuca_cache.h"
 #include "src/sim/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 namespace lnuca::dnuca {
 namespace {
@@ -225,6 +227,31 @@ TEST_F(dnuca_fixture, mshr_merges_same_block_reads)
     EXPECT_TRUE(client.responses.count(a));
     EXPECT_TRUE(client.responses.count(b));
     EXPECT_EQ(memory->accepted, 1);
+}
+
+TEST_F(dnuca_fixture, timed_search_finds_every_prewarmed_line)
+{
+    build();
+    // Lines scattered over the whole address space, high bits included:
+    // the timed search must find each one where prewarm() put it, and the
+    // hits must come from every row. The test names no mapping of its own,
+    // so it holds prewarm() to whatever column_of() and to_bank_addr() say.
+    std::uint64_t state = 0x5eed;
+    std::vector<addr_t> lines;
+    for (int i = 0; i < 64; ++i)
+        lines.push_back(splitmix64(state) & 0xffff'ffff'ff80ull);
+    for (const addr_t line : lines)
+        cache->prewarm(line);
+    for (const addr_t line : lines) {
+        const txn_id_t id = read(line + 8);
+        engine.run_until([&] { return client.responses.count(id) > 0; }, 400);
+        ASSERT_TRUE(client.responses.count(id)) << std::hex << line;
+        EXPECT_EQ(client.responses[id].served_by, mem::service_level::dnuca)
+            << std::hex << line;
+    }
+    EXPECT_EQ(memory->accepted, 0);
+    for (unsigned row = 1; row <= config.rows; ++row)
+        EXPECT_GT(cache->hits_in_row(row), 0u) << "row " << row;
 }
 
 TEST_F(dnuca_fixture, column_mapping_uses_block_bits)

@@ -26,9 +26,13 @@ TEST(integration, fabric_exclusion_holds_during_full_system_run)
 
 TEST(integration, no_false_global_misses_full_system)
 {
+    // The fabric counts false global misses only when paranoid; the
+    // system passes the engine mode on to it.
+    system_config config = presets::lnuca_l3(3);
+    config.engine_mode = sim::schedule_mode::paranoid;
     const auto workload = *wl::find_spec2006("429.mcf");
-    system sys(presets::lnuca_l3(3), workload, 4);
-    sys.fabric()->set_paranoid(true); // the check behind the counter
+    system sys(config, workload, 4);
+    ASSERT_TRUE(sys.fabric()->paranoid());
     sys.core().set_instruction_limit(30000);
     sys.engine().run_until([&] { return sys.core().done(); }, 5'000'000);
     EXPECT_TRUE(sys.core().done());

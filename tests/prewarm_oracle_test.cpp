@@ -77,7 +77,11 @@ void expect_cache_matches(hier::system& sys, mem::conventional_cache* cache,
 }
 
 /// D-NUCA reference: the bank mapping written out with plain divides, one
-/// fresh array per bank (seeded as dnuca_cache seeds its banks).
+/// fresh array per bank (seeded as dnuca_cache seeds its banks). It is
+/// stated here on purpose, apart from dnuca_cache's column_of() and
+/// to_bank_addr(), which both prewarm() and the timed search use: a change
+/// to that mapping shows up here, and dnuca_test's
+/// timed_search_finds_every_prewarmed_line checks the two paths agree.
 void expect_dnuca_matches(hier::system& sys, const std::string& what)
 {
     const dnuca::dnuca_cache* cache = sys.dnuca();
