@@ -24,10 +24,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cinttypes>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -403,6 +407,120 @@ TEST(ckpt_damage, older_version_files_are_rejected_cold)
         const auto r = hier::run_one(resumed, workload, 12'000, 1'000, 7);
         expect_sim_fields_identical(clean, r);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned bytes: the snapshot a run leaves is compared against hashes
+// recorded from an earlier build, so a writer rewrite that shifts a byte
+// (padding, section order, table layout, element encoding) fails here even
+// when save and restore still agree with each other.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a_file(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    char c;
+    while (in.get(c)) {
+        h ^= std::uint8_t(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(ckpt_bytes, first_snapshot_matches_recorded_hash)
+{
+    // A constant here may be re-recorded only together with a checkpoint
+    // format version bump or a simulated-state change listed in CHANGES.md;
+    // LNUCA_GOLDEN_PRINT=1 prints the current values. The digests section
+    // holds counter_set::digest() values, which hash counter names with
+    // libstdc++'s std::hash, so the constants hold for libstdc++ only.
+#ifndef __GLIBCXX__
+    GTEST_SKIP() << "pinned hashes were recorded with libstdc++";
+#endif
+    struct pinned {
+        const char* label;
+        hier::system_config config;
+        const char* workload;
+        const char* sampling;
+        std::uint64_t every;
+        std::uint64_t hash;
+    };
+    const pinned cases[] = {
+        {"L2-256KB exact", hier::presets::l2_256kb(), "429.mcf", nullptr,
+         3000, 0x729cb9e568a677c2ULL},
+        {"LN3-144KB-2c sampled",
+         hier::presets::cmp(hier::presets::lnuca_l3(3), 2),
+         "scenario:producer_consumer", "periodic:1000:4000:400", 4000,
+         0x09b8f84e65135153ULL},
+        {"DN-4x8 exact", hier::presets::dnuca_4x8(), "470.lbm", nullptr, 3000,
+         0x9d51de03d79593baULL},
+    };
+    const bool print = std::getenv("LNUCA_GOLDEN_PRINT") != nullptr;
+    for (const pinned& c : cases) {
+        SCOPED_TRACE(c.label);
+        hier::system_config base = c.config;
+        if (c.sampling != nullptr) {
+            const auto sampling = hier::parse_sampling_spec(c.sampling);
+            ASSERT_TRUE(sampling.has_value());
+            base.sampling = *sampling;
+        }
+        const auto workload = trace::parse_workload_spec(c.workload);
+        ASSERT_TRUE(workload.has_value());
+        const hier::system_config config = with_checkpoint(
+            base, temp_path("pinned_" + base.name + ".ckpt"), c.every);
+        leave_snapshot(config, *workload, 10'000, 1'000, 21);
+        EXPECT_FALSE(file_exists(config.checkpoint.path + ".tmp"));
+        const std::uint64_t hash = fnv1a_file(config.checkpoint.path);
+        if (print)
+            std::printf("    {\"%s\", 0x%016" PRIx64 "ULL},\n", c.label,
+                        hash);
+        EXPECT_EQ(hash, c.hash) << "snapshot bytes changed";
+        std::remove(config.checkpoint.path.c_str());
+    }
+}
+
+/// The textbook byte-at-a-time CRC-32 (reflected, 0xEDB88320).
+std::uint32_t crc32_reference(const std::uint8_t* p, std::size_t size,
+                              std::uint32_t seed = 0)
+{
+    std::uint32_t crc = ~seed;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= p[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return ~crc;
+}
+
+TEST(ckpt_crc32, known_answer_and_byte_reference)
+{
+    EXPECT_EQ(ckpt::crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(ckpt::crc32(nullptr, 0), 0u);
+
+    std::mt19937_64 gen(0xc3c32);
+    std::vector<std::uint8_t> bytes(1u << 20);
+    for (auto& b : bytes)
+        b = std::uint8_t(gen());
+
+    // Every short length at every alignment: the word loop's head and tail.
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t length = 0; length <= 64; ++length)
+            EXPECT_EQ(ckpt::crc32(bytes.data() + offset, length),
+                      crc32_reference(bytes.data() + offset, length))
+                << "offset " << offset << " length " << length;
+
+    // 1 MiB whole, and in uneven chunks with the running value carried
+    // over as the seed (how a section's CRC is built up).
+    const std::uint32_t whole = crc32_reference(bytes.data(), bytes.size());
+    EXPECT_EQ(ckpt::crc32(bytes.data(), bytes.size()), whole);
+    std::uint32_t running = 0;
+    for (std::size_t at = 0, step = 1; at < bytes.size(); step = step * 3 + 1) {
+        const std::size_t n = std::min(1 + step % 70001, bytes.size() - at);
+        running = ckpt::crc32(bytes.data() + at, n, running);
+        at += n;
+    }
+    EXPECT_EQ(running, whole);
 }
 
 // ---------------------------------------------------------------------------
