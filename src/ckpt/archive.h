@@ -21,6 +21,16 @@
 
 namespace lnuca::ckpt {
 
+/// Element types whose vectors travel as one byte run. Each put_uN /
+/// put_double writes the value's native bytes, so one run of the vector's
+/// storage is the same bytes as its elements written one by one (and the
+/// header's endian tag already ties the file to the host's byte order).
+template <class T>
+inline constexpr bool is_bulk_v =
+    std::is_same_v<T, std::uint8_t> || std::is_same_v<T, std::uint16_t> ||
+    std::is_same_v<T, std::uint32_t> || std::is_same_v<T, std::uint64_t> ||
+    std::is_same_v<T, double>;
+
 class saver {
 public:
     static constexpr bool is_loading = false;
@@ -45,8 +55,11 @@ public:
     template <class T> void operator()(const std::vector<T>& v)
     {
         w_.put_u64(v.size());
-        for (const T& item : v)
-            (*this)(item);
+        if constexpr (is_bulk_v<T>)
+            w_.put_bytes(v.data(), v.size() * sizeof(T));
+        else
+            for (const T& item : v)
+                (*this)(item);
     }
 
     /// Nested objects with their own serialize member.
@@ -99,8 +112,11 @@ public:
     template <class T> void operator()(std::vector<T>& v)
     {
         v.resize(std::size_t(r_.get_u64()));
-        for (T& item : v)
-            (*this)(item);
+        if constexpr (is_bulk_v<T>)
+            r_.get_bytes(v.data(), v.size() * sizeof(T));
+        else
+            for (T& item : v)
+                (*this)(item);
     }
 
     template <class T,

@@ -108,23 +108,43 @@ public:
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) - the same CRC
 /// zlib computes, hand-rolled so the checkpoint subsystem needs no
 /// dependency. Incremental: pass the previous return value to continue.
+/// Slicing-by-8: eight 256-entry tables fold eight bytes per step (table k
+/// advances a byte's CRC over k further zero bytes), the byte-at-a-time
+/// table finishes the tail. Words are assembled from bytes, so the result
+/// does not depend on the host's byte order.
 inline std::uint32_t crc32(const void* data, std::size_t size,
                            std::uint32_t seed = 0)
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
+    using table = std::array<std::uint32_t, 256>;
+    static const std::array<table, 8> t = [] {
+        std::array<table, 8> s{};
         for (std::uint32_t n = 0; n < 256; ++n) {
             std::uint32_t c = n;
             for (int bit = 0; bit < 8; ++bit)
                 c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[n] = c;
+            s[0][n] = c;
         }
-        return t;
+        for (std::uint32_t n = 0; n < 256; ++n)
+            for (std::size_t k = 1; k < 8; ++k)
+                s[k][n] = (s[k - 1][n] >> 8) ^ s[0][s[k - 1][n] & 0xFFu];
+        return s;
     }();
+    const auto le32 = [](const unsigned char* q) {
+        return std::uint32_t(q[0]) | std::uint32_t(q[1]) << 8 |
+               std::uint32_t(q[2]) << 16 | std::uint32_t(q[3]) << 24;
+    };
     std::uint32_t crc = seed ^ 0xFFFFFFFFu;
     const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+    for (; size >= 8; p += 8, size -= 8) {
+        const std::uint32_t lo = crc ^ le32(p);
+        const std::uint32_t hi = le32(p + 4);
+        crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+              t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+              t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+              t[0][hi >> 24];
+    }
+    for (; size > 0; ++p, --size)
+        crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
     return crc ^ 0xFFFFFFFFu;
 }
 

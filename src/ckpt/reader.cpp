@@ -140,7 +140,8 @@ void reader::get_bytes(void* out, std::size_t size)
         reject(path_, std::string("section '") +
                           to_string(section_id(current_->id)) +
                           "' underruns: read past payload end");
-    std::memcpy(out, data_.data() + cursor_, size);
+    if (size != 0) // `out` may be null for an empty vector
+        std::memcpy(out, data_.data() + cursor_, size);
     cursor_ += size;
 }
 

@@ -1,5 +1,6 @@
 #include "src/ckpt/writer.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -27,46 +28,118 @@ std::string parent_dir(const std::string& path)
 }
 
 void write_all(int fd, const void* data, std::size_t size,
-               const std::string& path)
+               std::uint64_t offset, const std::string& path)
 {
     const char* p = static_cast<const char*>(data);
     std::size_t left = size;
     while (left > 0) {
-        const ssize_t n = ::write(fd, p, left);
+        const ssize_t n = ::pwrite(fd, p, left, off_t(offset));
         if (n < 0 && errno == EINTR)
             continue;
         if (n <= 0)
             io_fail("cannot write", path);
         p += n;
+        offset += std::uint64_t(n);
         left -= std::size_t(n);
     }
 }
 
+constexpr std::uint64_t align8(std::uint64_t n)
+{
+    return (n + 7) & ~std::uint64_t(7);
+}
+
 } // namespace
+
+writer::writer(const std::string& path, std::size_t section_count)
+    : path_(path),
+      tmp_(path + ".tmp"),
+      table_(section_count),
+      buffer_(std::make_unique<std::uint8_t[]>(k_buffer_bytes)),
+      buffer_at_(align8(sizeof(file_header) +
+                        sizeof(section_entry) * section_count))
+{
+    fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd_ < 0)
+        io_fail("cannot open", tmp_);
+}
+
+writer::~writer()
+{
+    if (fd_ >= 0)
+        ::close(fd_);
+    if (!installed_)
+        ::unlink(tmp_.c_str());
+}
 
 void writer::begin_section(section_id id, std::uint32_t index)
 {
     if (open_)
         throw ckpt_error("checkpoint writer: begin_section inside an open "
                          "section (sections cannot nest)");
+    if (begun_ == table_.size())
+        throw ckpt_error("checkpoint writer: more sections than the " +
+                         std::to_string(table_.size()) + " declared");
+    section_entry& e = table_[begun_++];
+    e.id = std::uint32_t(id);
+    e.index = index;
+    e.offset = buffer_at_ + fill_;
+    e.size = 0;
+    e.crc = 0;
+    e.pad = 0;
     open_ = true;
-    sections_.push_back(section{id, index, {}});
+    crc_from_ = fill_;
 }
 
 void writer::end_section()
 {
     if (!open_)
         throw ckpt_error("checkpoint writer: end_section without a section");
+    fold_crc();
+    section_entry& e = table_[begun_ - 1];
+    e.size = buffer_at_ + fill_ - e.offset;
     open_ = false;
+
+    // Zero padding keeps the next payload 8-aligned.
+    const std::uint64_t end = buffer_at_ + fill_;
+    const std::size_t pad = std::size_t(align8(end) - end);
+    if (pad > k_buffer_bytes - fill_)
+        flush();
+    std::memset(buffer_.get() + fill_, 0, pad);
+    fill_ += pad;
 }
 
-void writer::put_bytes(const void* data, std::size_t size)
+void writer::put_spill(const void* data, std::size_t size)
 {
     if (!open_)
         throw ckpt_error("checkpoint writer: put outside a section");
     const auto* p = static_cast<const std::uint8_t*>(data);
-    sections_.back().payload.insert(sections_.back().payload.end(), p,
-                                    p + size);
+    while (size > 0) {
+        if (fill_ == k_buffer_bytes)
+            flush();
+        const std::size_t n = std::min(size, k_buffer_bytes - fill_);
+        std::memcpy(buffer_.get() + fill_, p, n);
+        fill_ += n;
+        p += n;
+        size -= n;
+    }
+}
+
+void writer::fold_crc()
+{
+    section_entry& e = table_[begun_ - 1];
+    e.crc = crc32(buffer_.get() + crc_from_, fill_ - crc_from_, e.crc);
+    crc_from_ = fill_;
+}
+
+void writer::flush()
+{
+    if (open_)
+        fold_crc();
+    write_all(fd_, buffer_.get(), fill_, buffer_at_, tmp_);
+    buffer_at_ += fill_;
+    fill_ = 0;
+    crc_from_ = 0;
 }
 
 void writer::put_double(double v)
@@ -83,72 +156,43 @@ void writer::put_string(const std::string& s)
     put_bytes(s.data(), s.size());
 }
 
-void writer::finalize(const std::string& path,
-                      std::uint64_t config_hash) const
+void writer::finalize(std::uint64_t config_hash)
 {
     if (open_)
         throw ckpt_error("checkpoint writer: finalize with an open section");
+    if (begun_ != table_.size())
+        throw ckpt_error("checkpoint writer: " + std::to_string(begun_) +
+                         " sections written, " +
+                         std::to_string(table_.size()) + " declared");
+    flush();
 
-    // Assemble the whole image in memory first: header, table, 8-aligned
-    // payloads. Checkpoints are at most a few MB (tag arrays dominate), so
-    // one buffered image keeps the I/O a single write + fsync.
-    std::vector<section_entry> table(sections_.size());
-    std::uint64_t offset = sizeof(file_header) +
-                           sizeof(section_entry) * sections_.size();
-    offset = (offset + 7) & ~std::uint64_t(7);
-    for (std::size_t i = 0; i < sections_.size(); ++i) {
-        const section& s = sections_[i];
-        table[i].id = std::uint32_t(s.id);
-        table[i].index = s.index;
-        table[i].offset = offset;
-        table[i].size = s.payload.size();
-        table[i].crc = crc32(s.payload.data(), s.payload.size());
-        table[i].pad = 0;
-        offset = (offset + s.payload.size() + 7) & ~std::uint64_t(7);
-    }
-
+    // The payloads already sit at the offsets the table records; the
+    // header and table fill the room reserved in front of them.
     file_header header{};
     std::memcpy(header.magic, k_magic, sizeof k_magic);
     header.version = k_version;
     header.endian = k_endian_tag;
-    header.section_count = std::uint32_t(sections_.size());
-    header.file_bytes = offset;
+    header.section_count = std::uint32_t(table_.size());
+    header.file_bytes = buffer_at_;
     header.config_hash = config_hash;
     header.header_crc = 0;
     header.header_crc = crc32(&header, sizeof header);
+    write_all(fd_, &header, sizeof header, 0, tmp_);
+    write_all(fd_, table_.data(), sizeof(section_entry) * table_.size(),
+              sizeof header, tmp_);
 
-    std::vector<std::uint8_t> image(offset, 0);
-    std::memcpy(image.data(), &header, sizeof header);
-    std::memcpy(image.data() + sizeof header, table.data(),
-                sizeof(section_entry) * table.size());
-    for (std::size_t i = 0; i < sections_.size(); ++i)
-        std::memcpy(image.data() + table[i].offset,
-                    sections_[i].payload.data(), sections_[i].payload.size());
-
-    // tmp + fsync + rename + fsync(dir): the rename installs a fully
-    // durable file or nothing.
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        io_fail("cannot open", tmp);
-    try {
-        write_all(fd, image.data(), image.size(), tmp);
-        if (::fsync(fd) != 0)
-            io_fail("cannot fsync", tmp);
-    } catch (...) {
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        throw;
-    }
-    if (::close(fd) != 0) {
-        ::unlink(tmp.c_str());
-        io_fail("cannot close", tmp);
-    }
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        io_fail("cannot rename into place", path);
-    }
-    const int dir_fd = ::open(parent_dir(path).c_str(),
+    // fsync + rename + fsync(dir): the rename installs a fully durable
+    // file or nothing. On any failure the destructor unlinks the tmp file.
+    if (::fsync(fd_) != 0)
+        io_fail("cannot fsync", tmp_);
+    const int fd = fd_;
+    fd_ = -1;
+    if (::close(fd) != 0)
+        io_fail("cannot close", tmp_);
+    if (::rename(tmp_.c_str(), path_.c_str()) != 0)
+        io_fail("cannot rename into place", path_);
+    installed_ = true;
+    const int dir_fd = ::open(parent_dir(path_).c_str(),
                               O_RDONLY | O_DIRECTORY);
     if (dir_fd >= 0) {
         ::fsync(dir_fd); // best effort: the rename itself already happened

@@ -619,7 +619,13 @@ void system::save_checkpoint(
 {
     using ckpt::section_id;
     try {
-        ckpt::writer w;
+        // The writer reserves the section table up front: meta, engine,
+        // driver and digests, plus one section per component and per lane.
+        std::size_t sections = 4 + streams_.size();
+        for_each_component([&](section_id, std::uint32_t, const auto&) {
+            ++sections;
+        });
+        ckpt::writer w(config_.checkpoint.path, sections);
 
         // meta: pure run identity, validated on restore before any state
         // is touched (so a mismatch is always a safe cold start).
@@ -683,7 +689,7 @@ void system::save_checkpoint(
         }
         w.end_section();
 
-        w.finalize(config_.checkpoint.path, ckpt_config_hash());
+        w.finalize(ckpt_config_hash());
     } catch (const ckpt::ckpt_error& e) {
         // A failed save must never kill the run it protects; the previous
         // snapshot (if any) is still intact thanks to the atomic replace.
@@ -835,9 +841,12 @@ void system::checkpoint_boundary(
 void system::checkpoint_complete()
 {
     // A finished run's snapshot must not survive: resuming it would replay
-    // the final chunk of an already-reported job.
-    if (config_.checkpoint.enabled())
+    // the final chunk of an already-reported job. Nor may the tmp file of
+    // a save a kill cut short (a save streams into it for its whole length).
+    if (config_.checkpoint.enabled()) {
         ::unlink(config_.checkpoint.path.c_str());
+        ::unlink((config_.checkpoint.path + ".tmp").c_str());
+    }
 }
 
 // ---------------------------------------------------------------------------

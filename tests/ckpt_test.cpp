@@ -10,6 +10,7 @@
 // reference run is the *same command with checkpointing enabled* left to
 // finish — that is the documented contract (chunk-boundary drains are part
 // of the checkpointed schedule).
+#include "src/ckpt/archive.h"
 #include "src/ckpt/format.h"
 #include "src/ckpt/reader.h"
 #include "src/ckpt/signal.h"
@@ -30,7 +31,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -521,6 +524,253 @@ TEST(ckpt_crc32, known_answer_and_byte_reference)
         at += n;
     }
     EXPECT_EQ(running, whole);
+}
+
+// ---------------------------------------------------------------------------
+// Streaming writer: the file is the image the format describes, built here
+// by hand (header, table, 8-aligned zero-padded payloads), whatever the
+// buffer flushes did along the way.
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint8_t> read_file(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                     std::istreambuf_iterator<char>());
+}
+
+struct hand_section {
+    ckpt::section_id id;
+    std::uint32_t index;
+    std::vector<std::uint8_t> payload;
+};
+
+std::vector<std::uint8_t>
+hand_image(const std::vector<hand_section>& sections, std::uint64_t hash)
+{
+    const auto align8 = [](std::size_t n) { return (n + 7) & ~std::size_t(7); };
+    std::size_t offset = align8(sizeof(ckpt::file_header) +
+                                sizeof(ckpt::section_entry) * sections.size());
+    std::vector<ckpt::section_entry> table;
+    for (const hand_section& s : sections) {
+        table.push_back({std::uint32_t(s.id), s.index, offset,
+                         s.payload.size(),
+                         crc32_reference(s.payload.data(), s.payload.size()),
+                         0});
+        offset = align8(offset + s.payload.size());
+    }
+    ckpt::file_header header{};
+    std::memcpy(header.magic, ckpt::k_magic, sizeof ckpt::k_magic);
+    header.version = ckpt::k_version;
+    header.endian = ckpt::k_endian_tag;
+    header.section_count = std::uint32_t(sections.size());
+    header.file_bytes = offset;
+    header.config_hash = hash;
+    header.header_crc =
+        crc32_reference(reinterpret_cast<const std::uint8_t*>(&header),
+                        sizeof header);
+
+    std::vector<std::uint8_t> image(offset, 0);
+    std::memcpy(image.data(), &header, sizeof header);
+    std::memcpy(image.data() + sizeof header, table.data(),
+                sizeof(ckpt::section_entry) * table.size());
+    for (std::size_t i = 0; i < sections.size(); ++i)
+        std::copy(sections[i].payload.begin(), sections[i].payload.end(),
+                  image.begin() + std::ptrdiff_t(table[i].offset));
+    return image;
+}
+
+TEST(ckpt_writer, streamed_file_equals_hand_built_image)
+{
+    constexpr std::size_t buffer = ckpt::writer::k_buffer_bytes;
+    std::mt19937_64 gen(0x5ec7);
+    const auto bytes = [&](std::size_t n) {
+        std::vector<std::uint8_t> v(n);
+        for (auto& b : v)
+            b = std::uint8_t(gen());
+        return v;
+    };
+    // Sizes 0-17 cover every residue mod 8 and an empty section; the
+    // large ones outgrow the buffer, and the run of odd mid-sized ones
+    // puts section starts, ends and padding on both sides of a flush.
+    std::vector<hand_section> sections;
+    for (std::size_t n = 0; n < 18; ++n)
+        sections.push_back({ckpt::section_id::stream, std::uint32_t(n),
+                            bytes(n)});
+    sections.push_back({ckpt::section_id::l3, 0, bytes(3 * buffer + 5)});
+    for (std::uint32_t i = 0; i < 9; ++i)
+        sections.push_back({ckpt::section_id::core, i,
+                            bytes(buffer / 3 + 2 * i + 1)});
+    sections.push_back({ckpt::section_id::dnuca, 0, bytes(buffer)});
+    sections.push_back({ckpt::section_id::digests, 0, bytes(buffer - 3)});
+
+    const std::string path = temp_path("writer_image.ckpt");
+    std::remove(path.c_str());
+    {
+        ckpt::writer w(path, sections.size());
+        for (std::size_t i = 0; i < sections.size(); ++i) {
+            const hand_section& s = sections[i];
+            w.begin_section(s.id, s.index);
+            if (i % 2 == 0) {
+                w.put_bytes(s.payload.data(), s.payload.size());
+            } else {
+                for (const std::uint8_t b : s.payload)
+                    w.put_u8(b);
+            }
+            w.end_section();
+        }
+        w.finalize(0x1234abcdULL);
+    }
+    EXPECT_FALSE(file_exists(path + ".tmp"));
+    const std::vector<std::uint8_t> file = read_file(path);
+    const std::vector<std::uint8_t> image = hand_image(sections, 0x1234abcdULL);
+    ASSERT_EQ(file.size(), image.size());
+    EXPECT_TRUE(file == image) << "streamed bytes differ from the image";
+    EXPECT_NO_THROW(ckpt::reader{path});
+    std::remove(path.c_str());
+}
+
+TEST(ckpt_writer, bulk_vectors_match_per_element_encoding)
+{
+    const std::vector<std::uint8_t> u8s = {1, 2, 3, 250, 0, 7, 9};
+    const std::vector<std::uint16_t> u16s = {0, 1, 0xfffe, 0x1234, 77};
+    const std::vector<std::uint32_t> u32s = {0xdeadbeef, 0, 1, 0x80000000u};
+    std::vector<std::uint64_t> u64s(20000);
+    for (std::size_t i = 0; i < u64s.size(); ++i)
+        u64s[i] = i * 0x9e3779b97f4a7c15ULL;
+    const std::vector<double> doubles = {0.0, -1.5, 3.25e300, 1e-310, 42.0};
+    const std::vector<std::uint64_t> empty;
+
+    const std::string bulk = temp_path("writer_bulk.ckpt");
+    const std::string each = temp_path("writer_each.ckpt");
+    {
+        ckpt::writer w(bulk, 1);
+        w.begin_section(ckpt::section_id::driver);
+        ckpt::saver ar(w);
+        ar(u8s);
+        ar(u16s);
+        ar(u32s);
+        ar(u64s);
+        ar(doubles);
+        ar(empty);
+        w.end_section();
+        w.finalize(9);
+    }
+    {
+        ckpt::writer w(each, 1);
+        w.begin_section(ckpt::section_id::driver);
+        w.put_u64(u8s.size());
+        for (const auto v : u8s)
+            w.put_u8(v);
+        w.put_u64(u16s.size());
+        for (const auto v : u16s)
+            w.put_u16(v);
+        w.put_u64(u32s.size());
+        for (const auto v : u32s)
+            w.put_u32(v);
+        w.put_u64(u64s.size());
+        for (const auto v : u64s)
+            w.put_u64(v);
+        w.put_u64(doubles.size());
+        for (const auto v : doubles)
+            w.put_double(v);
+        w.put_u64(0);
+        w.end_section();
+        w.finalize(9);
+    }
+    EXPECT_TRUE(read_file(bulk) == read_file(each));
+
+    ckpt::reader r(bulk);
+    r.open_section(ckpt::section_id::driver);
+    ckpt::loader ar(r);
+    std::vector<std::uint8_t> u8_back;
+    std::vector<std::uint16_t> u16_back;
+    std::vector<std::uint32_t> u32_back;
+    std::vector<std::uint64_t> u64_back, empty_back = {5};
+    std::vector<double> double_back;
+    ar(u8_back);
+    ar(u16_back);
+    ar(u32_back);
+    ar(u64_back);
+    ar(double_back);
+    ar(empty_back);
+    r.close_section();
+    EXPECT_EQ(u8_back, u8s);
+    EXPECT_EQ(u16_back, u16s);
+    EXPECT_EQ(u32_back, u32s);
+    EXPECT_EQ(u64_back, u64s);
+    EXPECT_EQ(double_back, doubles);
+    EXPECT_TRUE(empty_back.empty());
+    std::remove(bulk.c_str());
+    std::remove(each.c_str());
+}
+
+TEST(ckpt_writer, dropped_writer_leaves_previous_snapshot_untouched)
+{
+    const std::string path = temp_path("writer_dropped.ckpt");
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << "previous snapshot";
+    }
+    {
+        ckpt::writer w(path, 2);
+        w.begin_section(ckpt::section_id::meta);
+        const std::vector<std::uint8_t> big(3 * ckpt::writer::k_buffer_bytes,
+                                            0xab);
+        w.put_bytes(big.data(), big.size());
+        EXPECT_TRUE(file_exists(path + ".tmp"));
+        // Destroyed mid-section, as an exception unwinding a save does.
+    }
+    EXPECT_FALSE(file_exists(path + ".tmp"));
+    const std::vector<std::uint8_t> kept = read_file(path);
+    EXPECT_EQ(std::string(kept.begin(), kept.end()), "previous snapshot");
+    std::remove(path.c_str());
+}
+
+TEST(ckpt_writer, section_count_mismatch_throws_and_installs_nothing)
+{
+    const std::string path = temp_path("writer_count.ckpt");
+    std::remove(path.c_str());
+    {
+        ckpt::writer w(path, 2);
+        w.begin_section(ckpt::section_id::meta);
+        w.put_u64(1);
+        w.end_section();
+        EXPECT_THROW(w.finalize(0), ckpt::ckpt_error);
+    }
+    {
+        ckpt::writer w(path, 1);
+        w.begin_section(ckpt::section_id::meta);
+        w.end_section();
+        EXPECT_THROW(w.begin_section(ckpt::section_id::engine),
+                     ckpt::ckpt_error);
+    }
+    {
+        ckpt::writer w(path, 0);
+        EXPECT_THROW(w.put_u8(1), ckpt::ckpt_error);
+    }
+    EXPECT_FALSE(file_exists(path));
+    EXPECT_FALSE(file_exists(path + ".tmp"));
+}
+
+TEST(ckpt_writer, completed_run_removes_stale_tmp)
+{
+    // A kill during a save leaves `<path>.tmp` behind; the job's next run
+    // to completion removes it along with the snapshot.
+    const hier::system_config config = with_checkpoint(
+        hier::presets::l2_256kb(), temp_path("stale_tmp.ckpt"), 4000);
+    const wl::workload_profile workload = *wl::find_spec2006("429.mcf");
+    leave_snapshot(config, workload, 12'000, 1'000, 7);
+    {
+        std::ofstream out(config.checkpoint.path + ".tmp",
+                          std::ios::binary | std::ios::trunc);
+        out << "torn save";
+    }
+    hier::system_config resumed = config;
+    resumed.checkpoint.resume = true;
+    hier::run_one(resumed, workload, 12'000, 1'000, 7);
+    EXPECT_FALSE(file_exists(config.checkpoint.path));
+    EXPECT_FALSE(file_exists(config.checkpoint.path + ".tmp"));
 }
 
 // ---------------------------------------------------------------------------
