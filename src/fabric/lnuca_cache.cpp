@@ -905,13 +905,10 @@ bool lnuca_cache::prewarm(addr_t addr)
     const addr_t block = addr & ~addr_t(config_.tile.block_bytes - 1);
     for (unsigned level = 2; level <= config_.levels; ++level) {
         for (const tile_index i : tiles_by_level_[level]) {
-            tile& t = tiles_[i];
-            if (t.cache.probe(block))
-                return true; // already present; exclusion holds
-            if (t.cache.set_has_free_way(block)) {
-                t.cache.install(block, false);
+            // Present already (exclusion holds) or placed in a free way.
+            if (tiles_[i].cache.install_if_room(block) !=
+                mem::tag_array::room_result::full)
                 return true;
-            }
         }
     }
     return false;

@@ -70,19 +70,14 @@ std::optional<evicted_line> tag_array::install(addr_t addr, bool dirty)
     const std::uint32_t set = set_of(addr);
 
     // One scan: a present copy wins over any free way (refresh recency,
-    // merge dirtiness); otherwise remember the first free way.
+    // merge dirtiness); otherwise fill the first free way.
     cache_line* const row = &line_ref(set, 0);
-    std::uint32_t free_way = ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        cache_line& l = row[w];
-        if (!l.valid) {
-            if (free_way == ways_)
-                free_way = w;
-        } else if (l.tag == block) {
-            l.dirty = l.dirty || dirty;
-            policy_.touch(set, w);
-            return std::nullopt;
-        }
+    std::uint32_t free_way;
+    const std::uint32_t hit = scan(row, block, free_way);
+    if (hit != ways_) {
+        row[hit].dirty = row[hit].dirty || dirty;
+        policy_.touch(set, hit);
+        return std::nullopt;
     }
 
     if (free_way != ways_) {
@@ -107,6 +102,21 @@ bool tag_array::set_has_free_way(addr_t addr) const
         if (!line(set, w).valid)
             return true;
     return false;
+}
+
+tag_array::room_result tag_array::install_if_room(addr_t addr)
+{
+    const addr_t block = block_of(addr);
+    const std::uint32_t set = set_of(addr);
+    cache_line* const row = &line_ref(set, 0);
+    std::uint32_t free_way;
+    if (scan(row, block, free_way) != ways_)
+        return room_result::present;
+    if (free_way == ways_)
+        return room_result::full;
+    row[free_way] = cache_line{block, true, false};
+    policy_.touch(set, free_way);
+    return room_result::installed;
 }
 
 std::optional<evicted_line> tag_array::extract(addr_t addr)

@@ -89,6 +89,13 @@ public:
     /// True iff the set containing `addr` has a free (invalid) way.
     bool set_has_free_way(addr_t addr) const;
 
+    enum class room_result { present, installed, full };
+    /// One scan of the set: a present block is reported and left as it is
+    /// (recency untouched); otherwise the block is installed clean in the
+    /// first free way, as install() would; a full set is left unchanged.
+    /// Pre-warm placement, which never displaces a line.
+    room_result install_if_room(addr_t addr);
+
     /// Remove the block containing `addr` if present; returns the line so
     /// callers can propagate dirtiness (exclusion migrations, invalidations).
     std::optional<evicted_line> extract(addr_t addr);
@@ -118,6 +125,24 @@ private:
     cache_line& line_ref(std::uint32_t set, std::uint32_t way)
     {
         return lines_[std::size_t(set) * ways_ + way];
+    }
+
+    /// One pass over a set's ways: the way holding `block` (ways_ if
+    /// absent). Until it returns a hit, `free_way` tracks the first
+    /// invalid way (ways_ if none).
+    std::uint32_t scan(const cache_line* row, addr_t block,
+                       std::uint32_t& free_way) const
+    {
+        free_way = ways_;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (!row[w].valid) {
+                if (free_way == ways_)
+                    free_way = w;
+            } else if (row[w].tag == block) {
+                return w;
+            }
+        }
+        return ways_;
     }
 
     std::uint32_t sets_;

@@ -158,6 +158,27 @@ TEST(tag_array, install_fills_the_first_free_way)
     EXPECT_FALSE(t.set_has_free_way(0x0));
 }
 
+TEST(tag_array, install_if_room_reports_present_installed_full)
+{
+    using room = tag_array::room_result;
+    tag_array t(small_config()); // 2 ways: 0x0, 0x200, 0x400 share a set
+    EXPECT_EQ(t.install_if_room(0x0), room::installed);
+    EXPECT_EQ(t.install_if_room(0x210), room::installed);
+    EXPECT_EQ(t.probe(0x200)->way, 1u);
+    EXPECT_FALSE(t.probe(0x200)->was_dirty);
+
+    // Present: recency is left alone, so 0x0 stays the LRU victim.
+    EXPECT_EQ(t.install_if_room(0x8), room::present);
+    EXPECT_EQ(t.install_if_room(0x400), room::full);
+    EXPECT_FALSE(t.probe(0x400).has_value());
+    EXPECT_EQ(t.valid_count(), 2u);
+    EXPECT_EQ(t.evict_victim(0x0).block_addr, 0x0u);
+
+    // A present block in a later way beats the free way before it.
+    EXPECT_EQ(t.install_if_room(0x200), room::present);
+    EXPECT_EQ(t.valid_count(), 1u);
+}
+
 TEST(tag_array, set_of_matches_block_number_modulo_sets)
 {
     const addr_t probes[] = {0x0,
