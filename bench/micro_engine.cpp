@@ -13,13 +13,25 @@
 // pre-warm fill of L2, L3 and D-NUCA - for the presets whose builds
 // dominate short jobs.
 //
+// bm_ckpt_write/L3 times one checkpoint save of the largest section a
+// single-core save writes: the pre-warmed L2-256KB system's L3 tag array,
+// streamed through ckpt::saver and finalized (fsync + rename) in a
+// temporary directory.
+//
 // CI runs this binary with --benchmark_out=BENCH_engine.json to append the
 // first engine-performance point to the perf trajectory.
+#include "src/ckpt/archive.h"
 #include "src/lnuca.h"
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <string>
+
+#include <unistd.h>
 
 using namespace lnuca;
 
@@ -93,6 +105,30 @@ void bm_build(benchmark::State& state, const hier::system_config& config)
     }
 }
 
+void bm_ckpt_write(benchmark::State& state, const hier::system_config& config)
+{
+    hier::system sys(config, *wl::find_spec2006("429.mcf"), 1);
+    const mem::tag_array& tags = sys.l3()->tags();
+    std::string dir =
+        (std::filesystem::temp_directory_path() / "lnuca_ckpt_XXXXXX")
+            .string();
+    if (::mkdtemp(dir.data()) == nullptr) {
+        state.SkipWithError("cannot create a temporary directory");
+        return;
+    }
+    const std::string path = dir + "/l3.ckpt";
+    for (auto _ : state) {
+        ckpt::writer w(path, 1);
+        w.begin_section(ckpt::section_id::l3);
+        ckpt::saver ar(w);
+        ar(tags);
+        w.end_section();
+        w.finalize(0);
+    }
+    std::remove(path.c_str());
+    ::rmdir(dir.c_str());
+}
+
 BENCHMARK(bm_idle_heavy_dense)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_idle_heavy_skip)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_saturated_dense)->Unit(benchmark::kMillisecond);
@@ -105,6 +141,8 @@ BENCHMARK_CAPTURE(bm_build, DN_4x8, hier::presets::dnuca_4x8())
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_build, LN3_144KB_2c,
                   hier::presets::cmp(hier::presets::lnuca_l3(3), 2))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(bm_ckpt_write, L3, hier::presets::l2_256kb())
     ->Unit(benchmark::kMillisecond);
 
 } // namespace
