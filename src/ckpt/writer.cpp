@@ -96,15 +96,14 @@ void writer::end_section()
     if (!open_)
         throw ckpt_error("checkpoint writer: end_section without a section");
     fold_crc();
-    section_entry& e = table_[begun_ - 1];
-    e.size = buffer_at_ + fill_ - e.offset;
+    const std::uint64_t end = buffer_at_ + fill_;
+    table_[begun_ - 1].size = end - table_[begun_ - 1].offset;
     open_ = false;
 
-    // Zero padding keeps the next payload 8-aligned.
-    const std::uint64_t end = buffer_at_ + fill_;
+    // Zero padding keeps the next payload 8-aligned. It always fits: the
+    // buffer starts 8-aligned in the file (the reserved front is, and only
+    // full buffers are flushed mid-stream) and its size is a multiple of 8.
     const std::size_t pad = std::size_t(align8(end) - end);
-    if (pad > k_buffer_bytes - fill_)
-        flush();
     std::memset(buffer_.get() + fill_, 0, pad);
     fill_ += pad;
 }

@@ -24,6 +24,7 @@ class writer {
 public:
     /// Bytes buffered between writes to the tmp file.
     static constexpr std::size_t k_buffer_bytes = 64 * 1024;
+    static_assert(k_buffer_bytes % 8 == 0, "payload padding must fit");
 
     /// Open `<path>.tmp` for a snapshot of exactly `section_count`
     /// sections. Throws ckpt_error if the file cannot be created.

@@ -590,10 +590,13 @@ TEST(ckpt_writer, streamed_file_equals_hand_built_image)
             b = std::uint8_t(gen());
         return v;
     };
-    // Sizes 0-17 cover every residue mod 8 and an empty section; the
-    // large ones outgrow the buffer, and the run of odd mid-sized ones
-    // puts section starts, ends and padding on both sides of a flush.
+    // The first section's padding ends exactly where the buffer does.
+    // Sizes 0-17 cover every residue mod 8 and
+    // an empty section; the large ones outgrow the buffer, and the run of
+    // odd mid-sized ones puts section starts, ends and padding on both
+    // sides of a flush.
     std::vector<hand_section> sections;
+    sections.push_back({ckpt::section_id::meta, 0, bytes(buffer - 2)});
     for (std::size_t n = 0; n < 18; ++n)
         sections.push_back({ckpt::section_id::stream, std::uint32_t(n),
                             bytes(n)});
@@ -755,20 +758,17 @@ TEST(ckpt_writer, section_count_mismatch_throws_and_installs_nothing)
 
 TEST(ckpt_writer, completed_run_removes_stale_tmp)
 {
-    // A kill during a save leaves `<path>.tmp` behind; the job's next run
-    // to completion removes it along with the snapshot.
+    // A kill during a save leaves `<path>.tmp` behind. The cadence is
+    // longer than the run, so no save replaces it: only the run's
+    // completion can remove it, together with the stale snapshot.
     const hier::system_config config = with_checkpoint(
-        hier::presets::l2_256kb(), temp_path("stale_tmp.ckpt"), 4000);
-    const wl::workload_profile workload = *wl::find_spec2006("429.mcf");
-    leave_snapshot(config, workload, 12'000, 1'000, 7);
-    {
-        std::ofstream out(config.checkpoint.path + ".tmp",
-                          std::ios::binary | std::ios::trunc);
+        hier::presets::l2_256kb(), temp_path("stale_tmp.ckpt"), 1'000'000);
+    for (const std::string& stale :
+         {config.checkpoint.path, config.checkpoint.path + ".tmp"}) {
+        std::ofstream out(stale, std::ios::binary | std::ios::trunc);
         out << "torn save";
     }
-    hier::system_config resumed = config;
-    resumed.checkpoint.resume = true;
-    hier::run_one(resumed, workload, 12'000, 1'000, 7);
+    hier::run_one(config, *wl::find_spec2006("429.mcf"), 6'000, 1'000, 7);
     EXPECT_FALSE(file_exists(config.checkpoint.path));
     EXPECT_FALSE(file_exists(config.checkpoint.path + ".tmp"));
 }
