@@ -80,13 +80,8 @@ void writer::begin_section(section_id id, std::uint32_t index)
     if (begun_ == table_.size())
         throw ckpt_error("checkpoint writer: more sections than the " +
                          std::to_string(table_.size()) + " declared");
-    section_entry& e = table_[begun_++];
-    e.id = std::uint32_t(id);
-    e.index = index;
-    e.offset = buffer_at_ + fill_;
-    e.size = 0;
-    e.crc = 0;
-    e.pad = 0;
+    table_[begun_++] =
+        section_entry{std::uint32_t(id), index, buffer_at_ + fill_, 0, 0, 0};
     open_ = true;
     crc_from_ = fill_;
 }
